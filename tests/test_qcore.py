@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chainwise_sta import (
     DecayVector,
@@ -13,6 +14,7 @@ from chainwise_sta import (
     propagate_density,
     propagate_state,
 )
+from chainwise_sta import qcore
 from chainwise_sta.protocols import hamiltonian_rule
 
 
@@ -232,6 +234,60 @@ class TestBackEndEquivalence:
         assert np.max(np.abs(a.populations - b.populations)) < 1e-7
         # Transfer out and back: the initial level is repopulated at the end.
         assert a.populations[-1, 0] > 0.999
+
+
+class TestMagnusKernel:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_expm_batch_matches_scipy(self, n):
+        # Lossy generators -i H - diag(gamma)/2 with norms from 1e-3 to 60 in
+        # one batch (they share the scaling power), plus a zero matrix.
+        rng = np.random.default_rng(n)
+        m = 40
+        h = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+        h = h + np.swapaxes(h, 1, 2).conj()
+        gamma = rng.uniform(0.0, 2.0, size=(m, n))
+        a = -1j * h - 0.5 * gamma[:, :, None] * np.eye(n)
+        norms = np.geomspace(1e-3, 60.0, m)
+        a *= (norms / np.max(np.sum(np.abs(a), axis=-1), axis=-1))[:, None, None]
+        a[0] = 0.0
+        got = qcore._expm_batch(a)
+        want = np.array([scipy.linalg.expm(x) for x in a])
+        rel = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+        assert np.max(rel) <= 1e-13
+        assert np.array_equal(qcore._expm_batch(np.zeros((1, n, n)))[0], np.eye(n))
+
+    def test_sample_propagators_match_sequential_product(self):
+        # Three and a half blocks of steps; samples one step in, inside a
+        # block, on both sides of a block edge and exactly on it, and one
+        # gap that runs through a whole block into the next.
+        def evaluate(t):
+            t_arr = np.asarray(t, dtype=float)
+            out = np.zeros(t_arr.shape + (3, 3), dtype=complex)
+            om = 4.0 * np.sin(0.9 * t_arr) ** 2
+            out[..., 0, 1] = out[..., 1, 0] = om
+            out[..., 1, 2] = 3.0 * np.exp(0.4j * t_arr)
+            out[..., 2, 1] = np.conj(out[..., 1, 2])
+            out[..., 1, 1] = 25.0
+            out[..., 2, 2] = 0.5 * t_arr
+            return out
+
+        h = HamiltonianRule(3, evaluate)
+        gamma = np.array([0.0, 1.5, 0.2])
+        chunk = qcore._MAGNUS_CHUNK
+        n_steps = 3 * chunk + chunk // 2
+        edges = np.linspace(0.0, 3.0, n_steps + 1)
+        sample_idx = np.array([0, 1, 17, chunk - 1, chunk, chunk + 5, 3 * chunk + 3, n_steps])
+        got = qcore._magnus_sample_propagators(h, gamma, edges, sample_idx)
+
+        u = qcore._magnus_propagators(h, gamma, edges)
+        want, acc = [], np.eye(3)
+        for k in range(n_steps):
+            acc = u[k] @ acc
+            if k + 1 in sample_idx:
+                want.append(acc)
+                acc = np.eye(3)
+        assert got.shape == (sample_idx.size - 1, 3, 3)
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
 
 class TestObservables:
