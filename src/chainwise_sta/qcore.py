@@ -1,31 +1,21 @@
 """Dense linear algebra and deterministic time propagation for small quantum
 systems.
 
-All routines work on systems of dimension 2 to 5, with time measured in
+All routines work on systems of dimension 1 to 5, with time measured in
 microseconds and every angular frequency (Rabi frequencies, detunings, decay
 rates) in rad/us.  Decay is modelled as population loss out of the system:
 each level k leaks amplitude at rate ``gamma[k]`` and nothing is refilled, so
 the trace of the density matrix is the surviving fraction.
 
-Two integration back ends are available:
-
-``adaptive``
-    The Dormand-Prince 4(5) embedded pair (scipy ``RK45``) with dense output.
-    Preferred for effective low-frequency models and for oracle-grade runs at
-    tight tolerances.
-
-``magnus``
-    A fixed-step fourth-order Magnus integrator using two-point Gauss
-    collocation and batched matrix exponentials; the step propagators between
-    output samples are multiplied by a pairwise tree.  The matrix exponential
-    treats an arbitrarily large static detuning exactly, which makes this
-    back end orders of magnitude faster than explicit Runge-Kutta on the
-    full level schemes.  Step edges are grade-refined at segment boundaries
-    where pulse envelopes have square-root edges or clamped spikes.
-
-``method="auto"`` (the default) selects between the two from the sampled
-spectral scale of the Hamiltonian.  All paths are deterministic: identical
-inputs produce bitwise-identical trajectories on one platform.
+Propagation uses one integrator: a fixed-step fourth-order Magnus method with
+two-point Gauss collocation and batched matrix exponentials (Blanes, Casas,
+Oteo & Ros, Phys. Rep. 470, 151 (2009)); the step propagators between output
+samples are multiplied by a pairwise tree.  The matrix exponential treats an
+arbitrarily large static detuning exactly, so the step count follows the
+sampled spectral scale of H(t) rather than its stiffness.  Step edges are
+grade-refined at segment boundaries where pulse envelopes have square-root
+edges or clamped spikes.  Identical inputs produce bitwise-identical
+trajectories on one platform.
 """
 
 from __future__ import annotations
@@ -34,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "IntegrationError",
@@ -58,10 +47,6 @@ TOL_MIN, TOL_MAX = 1e-12, 1e-4
 _GL_C1 = 0.5 - np.sqrt(3.0) / 6.0
 _GL_C2 = 0.5 + np.sqrt(3.0) / 6.0
 
-# Above this sampled phase budget (duration times spectral scale, in radians)
-# the Magnus back end wins over explicit Runge-Kutta.
-_AUTO_ACTION_THRESHOLD = 2500.0
-
 # 1/k! for the degree-12 Taylor kernel of _expm_batch.
 _INV_FACTORIAL = 1.0 / np.cumprod(np.concatenate(([1.0], np.arange(1.0, 13.0))))
 
@@ -79,7 +64,7 @@ def _as_square_complex(m, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state amplitudes for an n-level system (n between 2 and 5)."""
+    """Pure state amplitudes for an n-level system (n between 1 and 5)."""
 
     amplitudes: np.ndarray
 
@@ -160,8 +145,8 @@ class DecayVector:
     def __post_init__(self):
         arr = np.asarray(self.rates, dtype=float).reshape(-1)
         object.__setattr__(self, "rates", arr)
-        if np.any(arr < 0.0):
-            raise ValueError("decay rates must be non-negative")
+        if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+            raise ValueError(f"decay rates must be finite and non-negative, got {arr.tolist()}")
 
     @property
     def dimension(self) -> int:
@@ -346,23 +331,34 @@ def _validated_tol(tol: float) -> float:
     return float(tol)
 
 
-def _check_hermitian(h: HamiltonianRule, times: np.ndarray) -> None:
+def _checked_action(h: HamiltonianRule, grid: TimeGrid, gamma: np.ndarray | None) -> float:
+    """Validate H and return the run's sampled phase budget in radians.
+
+    H is evaluated once, on the output samples followed by 33 to 129 evenly
+    spaced probe times.  Every row must be finite and the sample rows
+    Hermitian.  The action is the duration times the largest max-row-sum
+    norm over the probe rows, plus half the largest decay rate.
+    """
+    samples = grid.times
+    times = np.concatenate([samples, np.linspace(grid.t_start, grid.t_end,
+                                                 min(129, max(grid.n_samples, 33)))])
     mats = h.matrices(times)
-    defect = float(np.max(np.abs(mats - np.swapaxes(mats, -1, -2).conj())))
-    scale = max(1.0, float(np.max(np.abs(mats))))
+    finite = np.all(np.isfinite(mats), axis=(-2, -1))
+    if not np.all(finite):
+        raise ValueError(
+            f"Hamiltonian evaluator returned non-finite entries at t = {times[~finite][0]:.6g}"
+        )
+    at_samples, at_probes = mats[:samples.size], mats[samples.size:]
+    defect = float(np.max(np.abs(at_samples - np.swapaxes(at_samples, -1, -2).conj())))
+    scale = max(1.0, float(np.max(np.abs(at_samples))))
     if defect > 1e-12 * scale:
         raise ValueError(
             f"Hamiltonian evaluator is not Hermitian: max asymmetry {defect:.3e}"
         )
-
-
-def _spectral_scale(h: HamiltonianRule, grid: TimeGrid, gamma: np.ndarray | None) -> float:
-    probes = np.linspace(grid.t_start, grid.t_end, min(129, max(grid.n_samples, 33)))
-    mats = h.matrices(probes)
-    omega = float(np.max(np.sum(np.abs(mats), axis=-1)))
+    omega = float(np.max(np.sum(np.abs(at_probes), axis=-1)))
     if gamma is not None and gamma.size:
         omega += 0.5 * float(np.max(gamma))
-    return omega
+    return grid.duration * omega
 
 
 def _segment_edges(grid: TimeGrid, breakpoints) -> np.ndarray:
@@ -436,6 +432,11 @@ def _magnus_propagators(h: HamiltonianRule, gamma: np.ndarray | None, edges: np.
         comm += (loss[:, None] - loss[None, :]) * (h2 - h1)
         omega[..., np.arange(gamma.size), np.arange(gamma.size)] -= 0.5 * dt[:, None] * gamma
     omega += (np.sqrt(3.0) / 12.0 * dtc * dtc) * comm
+    finite = np.all(np.isfinite(omega), axis=(-2, -1))
+    if not np.all(finite):
+        raise IntegrationError(
+            f"non-finite Magnus generator on the step starting at t = {edges[:-1][~finite][0]:.6g}"
+        )
     return _expm_batch(omega)
 
 
@@ -488,55 +489,11 @@ def _magnus_sample_propagators(h: HamiltonianRule, gamma: np.ndarray | None,
     return out
 
 
-def _propagate_adaptive(rhs, y0, grid, tol, breakpoints):
-    """Piecewise solve_ivp honoring non-smooth breakpoints."""
-    segs = _segment_edges(grid, breakpoints)
-    samples = grid.times
-    out = np.empty((grid.n_samples, y0.size), dtype=complex)
-    out[0] = y0
-    y = y0
-    for a, b in zip(segs[:-1], segs[1:]):
-        inside = np.where((samples > a + 1e-15) & (samples <= b))[0]
-        t_eval = np.unique(np.concatenate([samples[inside], [b]]))
-        sol = solve_ivp(
-            rhs,
-            (a, b),
-            y,
-            method="RK45",
-            rtol=tol,
-            atol=tol * 1e-2,
-            t_eval=t_eval,
-            dense_output=False,
-        )
-        if not sol.success:
-            raise IntegrationError(f"adaptive integration failed: {sol.message}")
-        for col, te in enumerate(sol.t):
-            hits = inside[np.abs(samples[inside] - te) <= 1e-12 * max(1.0, abs(te))]
-            for j in hits:
-                out[j] = sol.y[:, col]
-        y = sol.y[:, -1]
-    return out
-
-
-def _resolve_method(method: str, h: HamiltonianRule, grid: TimeGrid,
-                    gamma) -> tuple[str, float | None]:
-    """The back end to run, and the sampled phase budget a Magnus run needs."""
-    if method not in ("auto", "adaptive", "magnus"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "adaptive":
-        return method, None
-    action = grid.duration * _spectral_scale(h, grid, gamma)
-    if method == "auto" and action <= _AUTO_ACTION_THRESHOLD:
-        return "adaptive", None
-    return "magnus", action
-
-
 def propagate_state(
     h: HamiltonianRule,
     psi0: StateVector,
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
-    method: str = "auto",
     breakpoints: Sequence[float] | None = None,
 ) -> StateTrajectory:
     """Integrate i dpsi/dt = H(t) psi and sample on the grid.
@@ -552,8 +509,6 @@ def propagate_state(
     tol : float
         Accuracy knob in [1e-12, 1e-4]; norm drift over the run stays
         within 100 * tol.
-    method : str
-        "auto", "adaptive" or "magnus".
     breakpoints : sequence of float, optional
         Interior times where H is not smooth (segment boundaries of a
         composite pulse schedule); integration restarts there.
@@ -562,9 +517,11 @@ def propagate_state(
     ------
     ValueError
         Non-Hermitian evaluator (the message reports the max asymmetry),
-        dimension mismatch, or unnormalized initial state.
+        non-finite H at an output sample or spectral probe, dimension
+        mismatch, or unnormalized initial state.
     IntegrationError
-        Solver failure or violated norm-conservation contract.
+        Non-finite H at a Magnus node, or violated norm-conservation
+        contract.
     """
     tol = _validated_tol(tol)
     if psi0.dimension != h.dimension:
@@ -573,21 +530,12 @@ def propagate_state(
         )
     if abs(psi0.norm_sq - 1.0) > 1e-9:
         raise ValueError(f"initial state not normalized: |psi|^2 = {psi0.norm_sq:.12f}")
-    _check_hermitian(h, grid.times)
-
-    chosen, action = _resolve_method(method, h, grid, None)
-    if chosen == "magnus":
-        edges, sample_idx = _magnus_nodes(grid, breakpoints, _magnus_step_count(tol, action))
-        states = np.empty((grid.n_samples, h.dimension), dtype=complex)
-        states[0] = psi0.amplitudes
-        for j, u in enumerate(_magnus_sample_propagators(h, None, edges, sample_idx)):
-            states[j + 1] = u @ states[j]
-    else:
-
-        def rhs(t, y):
-            return -1j * (h.matrices(np.array([t]))[0] @ y)
-
-        states = _propagate_adaptive(rhs, psi0.amplitudes.astype(complex), grid, tol, breakpoints)
+    action = _checked_action(h, grid, None)
+    edges, sample_idx = _magnus_nodes(grid, breakpoints, _magnus_step_count(tol, action))
+    states = np.empty((grid.n_samples, h.dimension), dtype=complex)
+    states[0] = psi0.amplitudes
+    for j, u in enumerate(_magnus_sample_propagators(h, None, edges, sample_idx)):
+        states[j + 1] = u @ states[j]
 
     traj = StateTrajectory(times=grid.times, states=states)
     drift = float(np.max(np.abs(traj.norms_sq - psi0.norm_sq)))
@@ -604,7 +552,6 @@ def propagate_density(
     rho0: DensityMatrix,
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
-    method: str = "auto",
     breakpoints: Sequence[float] | None = None,
 ) -> DensityTrajectory:
     """Integrate drho/dt = -i[H, rho] - 1/2 {diag(gamma), rho}.
@@ -625,26 +572,12 @@ def propagate_density(
             f"dimension mismatch: rho {rho0.dimension}, gamma {gamma.dimension}, "
             f"Hamiltonian {n}"
         )
-    _check_hermitian(h, grid.times)
-
-    chosen, action = _resolve_method(method, h, grid, gamma.rates)
-    if chosen == "magnus":
-        edges, sample_idx = _magnus_nodes(grid, breakpoints, _magnus_step_count(tol, action))
-        mats = np.empty((grid.n_samples, n, n), dtype=complex)
-        mats[0] = rho0.entries
-        for j, u in enumerate(_magnus_sample_propagators(h, gamma.rates, edges, sample_idx)):
-            mats[j + 1] = u @ mats[j] @ u.conj().T
-    else:
-        loss = -0.5j * np.diag(gamma.rates)
-
-        def rhs(t, y):
-            rho = y.reshape(n, n)
-            heff = h.matrices(np.array([t]))[0] + loss
-            drho = -1j * (heff @ rho - rho @ heff.conj().T)
-            return drho.ravel()
-
-        flat = _propagate_adaptive(rhs, rho0.entries.astype(complex).ravel(), grid, tol, breakpoints)
-        mats = flat.reshape(grid.n_samples, n, n)
+    action = _checked_action(h, grid, gamma.rates)
+    edges, sample_idx = _magnus_nodes(grid, breakpoints, _magnus_step_count(tol, action))
+    mats = np.empty((grid.n_samples, n, n), dtype=complex)
+    mats[0] = rho0.entries
+    for j, u in enumerate(_magnus_sample_propagators(h, gamma.rates, edges, sample_idx)):
+        mats[j + 1] = u @ mats[j] @ u.conj().T
 
     traj = DensityTrajectory(times=grid.times, matrices=mats)
     herm = float(np.max(np.abs(mats - np.swapaxes(mats, -1, -2).conj())))

@@ -3,8 +3,10 @@ pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Regression constants marked FROZEN were computed once by the high-accuracy
 oracle procedure: adaptive RK45 at tol 1e-10 cross-checked against the
-Magnus back end at tol 1e-10 (agreement better than 5e-11 on every value)
-with step-halving confirmed below 1e-6.
+Magnus integrator at tol 1e-10 (agreement better than 5e-11 on every value)
+with step-halving confirmed below 1e-6.  The package now propagates with
+Magnus only; the RK45 half of that oracle lives on as the test-local
+reference of ``TestBackEndEquivalence`` in ``tests/test_qcore.py``.
 """
 
 import numpy as np

@@ -147,6 +147,13 @@ class TestSimulateCommand:
         assert code == 2
         assert "na2_x" in capsys.readouterr().err
 
+    def test_non_finite_decay_rate_rejected(self, tmp_path, capsys):
+        code = run_cli(["simulate", "--protocol", "p2", "--tf", "4",
+                        "--delta", "1.2pi_GHz", "--gamma", "nan,75.4,0.0025",
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert "decay rates must be finite and non-negative" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import chainwise_sta.cli as cli_mod
         from chainwise_sta import IntegrationError
