@@ -28,9 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocols import DeltaTwoMode, peak_amplitude
+from .protocols import CSV_POINTS_PER_LEG, DEFAULT_BETA, DEFAULT_CLAMP, DeltaTwoMode, peak_amplitude
 from .qcore import DecayVector, IntegrationError
-from .sweeps import SweepSpec, design_schedule, run_scenario, sweep_efficiency, sweep_peak_amplitude
+from .sweeps import (DEFAULT_EPSILON, DEFAULT_MAP_TOL, SweepSpec, design_schedule, run_scenario,
+                     sweep_efficiency, sweep_peak_amplitude)
 
 __all__ = [
     "ConfigError",
@@ -240,7 +241,7 @@ def _delta_two_mode(cfg: dict) -> DeltaTwoMode | None:
         return None
     if mode == "dropped":
         return DeltaTwoMode.dropped()
-    return DeltaTwoMode.exact_clamped(cfg.get("delta_two_clamp", 200 * np.pi))
+    return DeltaTwoMode.exact_clamped(cfg.get("delta_two_clamp", DEFAULT_CLAMP))
 
 
 def _decays(cfg: dict, protocol: str) -> DecayVector:
@@ -267,12 +268,12 @@ def _cmd_design(cfg: dict) -> int:
     _require(cfg, "protocol", "tf", "delta")
     schedule = design_schedule(
         cfg["protocol"], cfg["tf"], cfg["delta"],
-        beta=cfg.get("beta", np.pi / 1.99),
-        epsilon=cfg.get("epsilon", 0.03),
+        beta=cfg.get("beta", DEFAULT_BETA),
+        epsilon=cfg.get("epsilon", DEFAULT_EPSILON),
         delta_two_mode=_delta_two_mode(cfg),
     )
     out = _out_dir(cfg)
-    schedule.to_csv(out / "schedule.csv", points_per_leg=cfg.get("points_per_leg", 2000))
+    schedule.to_csv(out / "schedule.csv", points_per_leg=cfg.get("points_per_leg", CSV_POINTS_PER_LEG))
     _write_manifest(cfg, out)
     peak = peak_amplitude(schedule)
     print(f"peak_amplitude_rad_us={peak:.6f}")
@@ -284,8 +285,8 @@ def _cmd_simulate(cfg: dict, roundtrip: bool) -> int:
     result = run_scenario(
         cfg["protocol"], cfg["tf"], cfg["delta"],
         decays=_decays(cfg, cfg["protocol"]),
-        beta=cfg.get("beta", np.pi / 1.99),
-        epsilon=cfg.get("epsilon", 0.03),
+        beta=cfg.get("beta", DEFAULT_BETA),
+        epsilon=cfg.get("epsilon", DEFAULT_EPSILON),
         delta_two_mode=_delta_two_mode(cfg),
         roundtrip_hold=cfg.get("hold", 0.1) if roundtrip else None,
         tol=cfg.get("tol", 1e-8),
@@ -317,10 +318,10 @@ def _cmd_sweep(cfg: dict) -> int:
         tf_range=tf_range,
         delta_range=delta_range,
         decays=_decays(cfg, cfg["protocol"]),
-        beta=cfg.get("beta", np.pi / 1.99),
-        epsilon=cfg.get("epsilon", 0.03),
+        beta=cfg.get("beta", DEFAULT_BETA),
+        epsilon=cfg.get("epsilon", DEFAULT_EPSILON),
         delta_two_mode=_delta_two_mode(cfg) or DeltaTwoMode.dropped(),
-        tol=cfg.get("tol", 1e-6),
+        tol=cfg.get("tol", DEFAULT_MAP_TOL),
     )
     grid = sweep_peak_amplitude(spec) if cfg["metric"] == "peak" else sweep_efficiency(spec)
     out = _out_dir(cfg)

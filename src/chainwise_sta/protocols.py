@@ -84,8 +84,8 @@ class Segment:
     def __post_init__(self):
         if self.kind not in ("forward", "hold", "backward"):
             raise ValueError(f"unknown segment kind {self.kind!r}")
-        if self.duration < 0:
-            raise ValueError("segment duration must be non-negative")
+        if not 0 <= self.duration < np.inf:
+            raise ValueError("segment duration must be finite and non-negative")
 
 
 def _zero_channel(t):
@@ -181,13 +181,13 @@ def design_protocol1(
     ``printed_delta_form`` switches to dividing by cot(beta) instead of
     multiplying, for comparison runs only; it makes the detuning large.
     """
-    if t_f <= 0:
-        raise ValueError("t_f must be positive")
-    if delta_single == 0:
-        raise ValueError("delta_single must be nonzero")
+    if not 0 < t_f < np.inf:
+        raise ValueError("t_f must be finite and positive")
+    if not (np.isfinite(delta_single) and delta_single != 0):
+        raise ValueError("delta_single must be finite and nonzero")
+    if not (np.isfinite(beta) and abs(np.sin(beta)) >= 1e-12):
+        raise ValueError("beta must be finite with sin(beta) nonzero")
     sb, cb = np.sin(beta), np.cos(beta)
-    if abs(sb) < 1e-12:
-        raise ValueError("beta must keep sin(beta) nonzero")
     radicand = 2.0 * delta_single * np.pi / (t_f * sb)
     if radicand < 0:
         raise ValueError(
@@ -248,10 +248,10 @@ def design_protocol2(t_f: float, delta_single: float) -> PulseSchedule:
     both leg edges and peaks at sqrt(3 pi delta_single / t_f); no auxiliary
     two-photon detuning is required.
     """
-    if t_f <= 0:
-        raise ValueError("t_f must be positive")
-    if delta_single <= 0:
-        raise ValueError("delta_single must be positive (negative makes the "
+    if not 0 < t_f < np.inf:
+        raise ValueError("t_f must be finite and positive")
+    if not 0 < delta_single < np.inf:
+        raise ValueError("delta_single must be finite and positive (negative makes the "
                          "squared coupling negative)")
     aux = TwoLevelAux.cubic_sweep(t_f)
 
@@ -316,8 +316,8 @@ def design_chainwise(
     canonicalized positive so that a detection leg mirrors a creation leg
     channel for channel.
     """
-    if delta_single <= 0:
-        raise ValueError("delta_single must be positive")
+    if not 0 < delta_single < np.inf:
+        raise ValueError("delta_single must be finite and positive")
     aux = solve_aux_polynomials(t_f, epsilon, direction)
     omega_e1, omega_e2 = _chain_effective_couplings(aux)
 
@@ -397,8 +397,8 @@ def build_roundtrip(leg: PulseSchedule, hold_duration: float) -> PulseSchedule:
     invariant's second eigenstate carries the population back); five-level
     schedules rebuild the return leg with the sweep direction reversed.
     """
-    if hold_duration < 0:
-        raise ValueError("hold_duration must be non-negative")
+    if not 0 <= hold_duration < np.inf:
+        raise ValueError("hold_duration must be finite and non-negative")
     if len(leg.segments) != 1 or leg.segments[0].kind != "forward":
         raise ValueError("round trips are built from a single forward leg")
     t_leg = leg.duration
@@ -441,6 +441,17 @@ def build_roundtrip(leg: PulseSchedule, hold_duration: float) -> PulseSchedule:
     )
 
 
+def _m_params(schedule: PulseSchedule) -> schemes.MParams:
+    return schemes.MParams(
+        omega1=schedule.channels["omega1"],
+        omega2=schedule.channels["omega2"],
+        omega3=schedule.channels["omega3"],
+        omega4=schedule.channels["omega4"],
+        delta_single=schedule.delta_single,
+        duration=schedule.duration,
+    )
+
+
 def hamiltonian_rule(schedule: PulseSchedule) -> HamiltonianRule:
     """Full-model Hamiltonian of a schedule (3x3 or 5x5)."""
     if schedule.scheme == "lambda3":
@@ -452,15 +463,7 @@ def hamiltonian_rule(schedule: PulseSchedule) -> HamiltonianRule:
             duration=schedule.duration,
         )
         return schemes.build_lambda(params)
-    params = schemes.MParams(
-        omega1=schedule.channels["omega1"],
-        omega2=schedule.channels["omega2"],
-        omega3=schedule.channels["omega3"],
-        omega4=schedule.channels["omega4"],
-        delta_single=schedule.delta_single,
-        duration=schedule.duration,
-    )
-    return schemes.build_m(params)
+    return schemes.build_m(_m_params(schedule))
 
 
 def effective_rule(schedule: PulseSchedule) -> HamiltonianRule:
@@ -473,30 +476,14 @@ def effective_rule(schedule: PulseSchedule) -> HamiltonianRule:
     schedule without design metadata falls back to the generic reduction.
     """
     if schedule.scheme == "lambda3":
-        omega = schedule.channels["omega"]
-        delta = schedule.delta_single
-        d2 = schedule.delta_two
-
-        def omega_e(t):
-            return -omega(np.asarray(t, dtype=float)) ** 2 / (2.0 * delta)
-
-        def delta_e(t):
-            return -d2(np.asarray(t, dtype=float))
-
-        return schemes.EffTwoLevel(omega_e=omega_e, delta_e=delta_e).hamiltonian()
+        return schemes._eliminate_bridge(
+            schedule.channels["omega"], schedule.delta_two, schedule.delta_single
+        ).hamiltonian()
     aux = schedule.design.get("aux")
     if aux is not None:
         omega_e1, omega_e2 = _chain_effective_couplings(aux)
         return schemes.EffThreeLevel(omega_e1=omega_e1, omega_e2=omega_e2).hamiltonian()
-    params = schemes.MParams(
-        omega1=schedule.channels["omega1"],
-        omega2=schedule.channels["omega2"],
-        omega3=schedule.channels["omega3"],
-        omega4=schedule.channels["omega4"],
-        delta_single=schedule.delta_single,
-        duration=schedule.duration,
-    )
-    return schemes.reduce_m(params).hamiltonian()
+    return schemes.reduce_m(_m_params(schedule)).hamiltonian()
 
 
 def peak_amplitude(schedule: PulseSchedule, channel: str | None = None,

@@ -156,10 +156,6 @@ class DecayVector:
     def none(cls, dimension: int) -> "DecayVector":
         return cls(np.zeros(dimension))
 
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.rates == 0.0))
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -213,10 +209,6 @@ class HamiltonianRule:
         out = np.asarray(self(times), dtype=complex)
         return out.reshape(times.shape + (self.dimension, self.dimension))
 
-    def hermiticity_defect(self, times: np.ndarray) -> float:
-        h = self.matrices(times)
-        return float(np.max(np.abs(h - np.swapaxes(h, -1, -2).conj())))
-
     @classmethod
     def constant(cls, matrix) -> "HamiltonianRule":
         m = _as_square_complex(matrix, "Hamiltonian")
@@ -250,10 +242,6 @@ class StateTrajectory:
     def norms_sq(self) -> np.ndarray:
         return np.sum(np.abs(self.states) ** 2, axis=1)
 
-    @property
-    def final_state(self) -> StateVector:
-        return StateVector(self.states[-1])
-
 
 @dataclass
 class DensityTrajectory:
@@ -273,10 +261,6 @@ class DensityTrajectory:
     @property
     def traces(self) -> np.ndarray:
         return np.real(np.trace(self.matrices, axis1=1, axis2=2))
-
-    @property
-    def final_matrix(self) -> np.ndarray:
-        return self.matrices[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,30 @@ def as_channel(value: Channel) -> Callable[[np.ndarray], np.ndarray]:
     return constant
 
 
+def _chain_rule(diagonal: tuple[Channel, ...], couplings: tuple[Channel, ...]) -> HamiltonianRule:
+    """Tridiagonal chain: H[k,k] = diagonal[k](t), H[k,k+1] = H[k+1,k] = couplings[k](t) / 2.
+
+    Every chain Hamiltonian of this module, full or eliminated, is built
+    here.  Constant diagonal entries are assigned as scalars.
+    """
+    n = len(diagonal)
+    diag = [as_channel(d) if callable(d) else float(d) for d in diagonal]
+    chans = [as_channel(c) for c in couplings]
+
+    def evaluate(t):
+        t_arr = np.asarray(t, dtype=float)
+        out = np.zeros(t_arr.shape + (n, n), dtype=complex)
+        for k, d in enumerate(diag):
+            out[..., k, k] = d(t_arr) if callable(d) else d
+        for k, chan in enumerate(chans):
+            val = 0.5 * chan(t_arr)
+            out[..., k, k + 1] = val
+            out[..., k + 1, k] = val
+        return out
+
+    return HamiltonianRule(n, evaluate)
+
+
 @dataclass(frozen=True)
 class LambdaParams:
     """Drive parameters of the three-level ladder.
@@ -115,20 +139,8 @@ class EffTwoLevel:
 
     def hamiltonian(self) -> HamiltonianRule:
         """Symmetric form: diag(+delta_e/2, -delta_e/2) with omega_e/2 coupling."""
-        om, dl = self.omega_e, self.delta_e
-
-        def evaluate(t):
-            t_arr = np.asarray(t, dtype=float)
-            o = np.broadcast_to(np.asarray(om(t_arr), dtype=float), t_arr.shape)
-            d = np.broadcast_to(np.asarray(dl(t_arr), dtype=float), t_arr.shape)
-            out = np.zeros(t_arr.shape + (2, 2), dtype=complex)
-            out[..., 0, 0] = 0.5 * d
-            out[..., 1, 1] = -0.5 * d
-            out[..., 0, 1] = 0.5 * o
-            out[..., 1, 0] = 0.5 * o
-            return out
-
-        return HamiltonianRule(2, evaluate)
+        dl = self.delta_e
+        return _chain_rule((lambda t: 0.5 * dl(t), lambda t: -0.5 * dl(t)), (self.omega_e,))
 
 
 @dataclass(frozen=True)
@@ -139,20 +151,7 @@ class EffThreeLevel:
     omega_e2: Callable[[np.ndarray], np.ndarray]
 
     def hamiltonian(self) -> HamiltonianRule:
-        om1, om2 = self.omega_e1, self.omega_e2
-
-        def evaluate(t):
-            t_arr = np.asarray(t, dtype=float)
-            o1 = np.broadcast_to(np.asarray(om1(t_arr), dtype=float), t_arr.shape)
-            o2 = np.broadcast_to(np.asarray(om2(t_arr), dtype=float), t_arr.shape)
-            out = np.zeros(t_arr.shape + (3, 3), dtype=complex)
-            out[..., 0, 1] = 0.5 * o1
-            out[..., 1, 0] = 0.5 * o1
-            out[..., 1, 2] = 0.5 * o2
-            out[..., 2, 1] = 0.5 * o2
-            return out
-
-        return HamiltonianRule(3, evaluate)
+        return _chain_rule((0.0, 0.0, 0.0), (self.omega_e1, self.omega_e2))
 
 
 def _probe_times(duration: float | None) -> np.ndarray:
@@ -167,45 +166,13 @@ def build_lambda(p: LambdaParams) -> HamiltonianRule:
     Couplings omega1/2 and omega2/2 sit on the chain; the diagonal is
     (0, delta_single, delta_two(t)).
     """
-    om1 = as_channel(p.omega1)
-    om2 = as_channel(p.omega2)
-    dl2 = as_channel(p.delta_two)
-    delta = float(p.delta_single)
-
-    def evaluate(t):
-        t_arr = np.asarray(t, dtype=float)
-        o1 = 0.5 * om1(t_arr)
-        o2 = 0.5 * om2(t_arr)
-        d2 = dl2(t_arr)
-        out = np.zeros(t_arr.shape + (3, 3), dtype=complex)
-        out[..., 0, 1] = o1
-        out[..., 1, 0] = o1
-        out[..., 1, 2] = o2
-        out[..., 2, 1] = o2
-        out[..., 1, 1] = delta
-        out[..., 2, 2] = d2
-        return out
-
-    return HamiltonianRule(3, evaluate)
+    return _chain_rule((0.0, p.delta_single, p.delta_two), (p.omega1, p.omega2))
 
 
 def build_m(p: MParams) -> HamiltonianRule:
     """Five-level chain Hamiltonian with diagonal (0, delta, 0, delta, 0)."""
-    chans = [as_channel(c) for c in (p.omega1, p.omega2, p.omega3, p.omega4)]
-    delta = float(p.delta_single)
-
-    def evaluate(t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.zeros(t_arr.shape + (5, 5), dtype=complex)
-        for j, chan in enumerate(chans):
-            val = 0.5 * chan(t_arr)
-            out[..., j, j + 1] = val
-            out[..., j + 1, j] = val
-        out[..., 1, 1] = delta
-        out[..., 3, 3] = delta
-        return out
-
-    return HamiltonianRule(5, evaluate)
+    delta = p.delta_single
+    return _chain_rule((0.0, delta, 0.0, delta, 0.0), (p.omega1, p.omega2, p.omega3, p.omega4))
 
 
 def _warn_regime(delta: float, coupling_scale: float, context: str) -> None:
@@ -242,12 +209,17 @@ def reduce_lambda(p: LambdaParams) -> EffTwoLevel:
         )
     _warn_regime(delta, max(float(np.max(np.abs(o1))), float(np.max(np.abs(dl2(probes))))),
                  "three-level reduction")
+    return _eliminate_bridge(om1, dl2, delta)
+
+
+def _eliminate_bridge(omega: Callable, delta_two: Callable, delta: float) -> EffTwoLevel:
+    """omega_e = -omega^2 / (2 delta), delta_e = -delta_two, without regime checks."""
 
     def omega_e(t):
-        return -om1(np.asarray(t, dtype=float)) ** 2 / (2.0 * delta)
+        return -omega(np.asarray(t, dtype=float)) ** 2 / (2.0 * delta)
 
     def delta_e(t):
-        return -dl2(np.asarray(t, dtype=float))
+        return -delta_two(np.asarray(t, dtype=float))
 
     return EffTwoLevel(omega_e=omega_e, delta_e=delta_e)
 

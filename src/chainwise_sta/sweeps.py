@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .protocols import (
+    DEFAULT_BETA,
     DeltaTwoMode,
     PulseSchedule,
     build_roundtrip,
@@ -83,7 +84,7 @@ class SweepSpec:
     tf_range: tuple[float, float, int]        # min, max, count (us)
     delta_range: tuple[float, float, int]     # min, max, count (rad/us)
     decays: DecayVector
-    beta: float = np.pi / 1.99
+    beta: float = DEFAULT_BETA
     epsilon: float = DEFAULT_EPSILON
     delta_two_mode: DeltaTwoMode = field(default_factory=DeltaTwoMode.dropped)
     tol: float = DEFAULT_MAP_TOL
@@ -91,11 +92,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        for name, (lo, hi, count) in (("tf", self.tf_range), ("delta", self.delta_range)):
+        for name, (lo, hi, count) in (("t_f", self.tf_range), ("delta", self.delta_range)):
             if count < 2:
                 raise ValueError(f"{name} range needs at least 2 points")
-            if not (0 < lo <= hi):
-                raise ValueError(f"{name} range must be positive and ordered")
+            if not 0 < lo <= hi < np.inf:
+                raise ValueError(f"{name} range must be finite, positive and ordered")
         expected = 5 if self.protocol == "chainwise" else 3
         if self.decays.dimension != expected:
             raise ValueError(
@@ -142,7 +143,7 @@ def design_schedule(
     protocol: str,
     t_f: float,
     delta: float,
-    beta: float = np.pi / 1.99,
+    beta: float = DEFAULT_BETA,
     epsilon: float = DEFAULT_EPSILON,
     delta_two_mode: DeltaTwoMode | None = None,
     direction: str = "creation",
@@ -294,7 +295,7 @@ def run_scenario(
     t_f: float,
     delta: float,
     decays: DecayVector,
-    beta: float = np.pi / 1.99,
+    beta: float = DEFAULT_BETA,
     epsilon: float = DEFAULT_EPSILON,
     delta_two_mode: DeltaTwoMode | None = None,
     roundtrip_hold: float | None = None,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -262,3 +263,28 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"command": "sweep", "protocol": "p1"}))
         code = run_cli(["design", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv, name", [
+        (["design", "--protocol", "p1", "--tf", "inf", "--delta", "1000"], "t_f"),
+        (["design", "--protocol", "p1", "--tf", "nan", "--delta", "1000"], "t_f"),
+        (["design", "--protocol", "chainwise", "--tf", "8", "--delta", "nan"], "delta"),
+        (["simulate", "--protocol", "chainwise", "--tf", "nan", "--delta", "1000"], "t_f"),
+        (["simulate", "--protocol", "p2", "--tf", "inf", "--delta", "1000"], "t_f"),
+        (["simulate", "--protocol", "p2", "--tf", "4", "--delta", "inf"], "delta"),
+        (["sweep", "--protocol", "p2", "--tf", "1:inf:3", "--delta", "1000:2000:2",
+          "--metric", "peak"], "t_f"),
+        (["sweep", "--protocol", "p1", "--tf", "1:2:2", "--delta", "1000:inf:2",
+          "--metric", "peak"], "delta"),
+    ], ids=["design-tf-inf", "design-tf-nan", "design-delta-nan", "simulate-tf-nan",
+            "simulate-tf-inf", "simulate-delta-inf", "sweep-tf-inf", "sweep-delta-inf"])
+    def test_rejected_with_exit_2(self, argv, name, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert name in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

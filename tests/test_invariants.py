@@ -174,6 +174,22 @@ class TestAuxPolynomials:
         with pytest.raises(ValueError, match="direction"):
             solve_aux_polynomials(1.0, 0.03, direction="sideways")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_duration_rejected(self, bad):
+        for build in (lambda: solve_aux_polynomials(bad, 0.03),
+                      lambda: TwoLevelAux.linear_sweep(bad, np.pi / 1.99),
+                      lambda: TwoLevelAux.cubic_sweep(bad)):
+            with pytest.raises(ValueError, match="t_f"):
+                build()
+        with pytest.raises(ValueError, match="epsilon"):
+            solve_aux_polynomials(1.0, bad)
+
+    def test_boundary_check_fails_on_nan(self):
+        good = solve_aux_polynomials(1.0, 0.03)
+        with pytest.raises(ValueError, match="boundary conditions"):
+            ThreeLevelAux(t_f=1.0, epsilon=0.03, direction="creation",
+                          scaled_a=good.scaled_a, scaled_b=[np.nan, 0.0, 0.0, 0.0])
+
 
 class TestInvariantResidual:
     def test_constant_pair_zero(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -300,3 +302,39 @@ class TestModelRules:
         assert m[1, 2] == pytest.approx(om / 2)
         assert m[1, 1] == pytest.approx(p2_schedule.delta_single)
         assert m[2, 2] == 0.0
+
+
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+
+
+class TestNonFiniteInputs:
+    """Non-finite design inputs fail with a ValueError naming the input, warning-free."""
+
+    DESIGNERS = {
+        "p1": design_protocol1,
+        "p2": design_protocol2,
+        "chainwise": lambda t_f, delta: design_chainwise(t_f, delta, 0.03),
+    }
+
+    @NON_FINITE
+    @pytest.mark.parametrize("protocol", ["p1", "p2", "chainwise"])
+    def test_designers_reject(self, protocol, bad):
+        design = self.DESIGNERS[protocol]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t_f"):
+                design(bad, 1800 * np.pi)
+            with pytest.raises(ValueError, match="delta_single"):
+                design(4.0, bad)
+
+    @NON_FINITE
+    def test_protocol1_rejects_beta(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beta"):
+                design_protocol1(4.0, 1800 * np.pi, beta=bad)
+
+    @NON_FINITE
+    def test_roundtrip_rejects_hold(self, bad, p2_schedule):
+        with pytest.raises(ValueError, match="hold_duration"):
+            build_roundtrip(p2_schedule, bad)

@@ -15,7 +15,7 @@ from chainwise_sta import (
     propagate_density,
     propagate_state,
 )
-from chainwise_sta import qcore
+from chainwise_sta import qcore, schemes
 from chainwise_sta.protocols import hamiltonian_rule
 
 
@@ -358,6 +358,27 @@ class TestMagnusKernel:
                 acc = np.eye(3)
         assert got.shape == (sample_idx.size - 1, 3, 3)
         assert np.max(np.abs(got - np.array(want))) <= 1e-12
+
+    def test_fourth_order_convergence(self):
+        # Smooth lossy ladder on uniform steps: halving the step must cut the
+        # propagator error by ~2^4 (16.0 measured).  A second-order step, such
+        # as the Magnus step without its commutator term, gives ~4.
+        p = schemes.LambdaParams(
+            omega1=lambda t: 40.0 * np.sin(np.pi * t) ** 2,
+            omega2=lambda t: 30.0 * np.sin(np.pi * t),
+            delta_single=50.0,
+            delta_two=lambda t: 5.0 * np.cos(2.0 * t),
+        )
+        h = schemes.build_lambda(p)
+        gamma = np.array([0.01, 30.0, 0.01])
+
+        def propagator(n_steps):
+            edges = np.linspace(0.0, 1.0, n_steps + 1)
+            return qcore._magnus_sample_propagators(h, gamma, edges, np.array([0, n_steps]))[0]
+
+        ref = propagator(32768)
+        err_128, err_256 = (np.max(np.abs(propagator(n) - ref)) for n in (128, 256))
+        assert err_128 / err_256 >= 12.0
 
 
 class TestObservables:

@@ -31,6 +31,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="positive"):
             lambda_spec(tf=(-1.0, 6.0, 3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_finite_ranges(self, bad):
+        with pytest.raises(ValueError, match="t_f range must be finite"):
+            lambda_spec(tf=(1.0, bad, 3))
+        with pytest.raises(ValueError, match="delta range must be finite"):
+            lambda_spec(delta=(bad, 5000 * np.pi, 3))
+
     def test_decay_dimension_matches_scheme(self):
         with pytest.raises(ValueError, match="decay"):
             SweepSpec("chainwise", (2.0, 8.0, 3), (1000 * np.pi, 5000 * np.pi, 3),
