@@ -30,8 +30,9 @@ import numpy as np
 
 from .protocols import CSV_POINTS_PER_LEG, DEFAULT_BETA, DEFAULT_CLAMP, DeltaTwoMode, peak_amplitude
 from .qcore import DecayVector, IntegrationError
-from .sweeps import (DEFAULT_EPSILON, DEFAULT_MAP_TOL, SweepSpec, design_schedule, run_scenario,
-                     sweep_efficiency, sweep_peak_amplitude)
+from .sweeps import (DEFAULT_EPSILON, DEFAULT_MAP_TOL, DEFAULT_SCENARIO_SAMPLES,
+                     DEFAULT_SCENARIO_TOL, PROTOCOL_LEVELS, PROTOCOLS, SweepSpec,
+                     design_schedule, run_scenario, sweep_efficiency, sweep_peak_amplitude)
 
 __all__ = [
     "ConfigError",
@@ -220,6 +221,8 @@ def _resolve_common(merged: dict) -> dict:
         if isinstance(raw, str):
             raw = [p for p in raw.split(",") if p.strip()]
         out["gamma"] = [parse_frequency(g) for g in raw]
+    if "protocol" in out and out["protocol"] not in PROTOCOLS:
+        raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {out['protocol']!r}")
     if "delta_two_mode" in out and out["delta_two_mode"] not in ("dropped", "exact_clamped"):
         raise ConfigError(
             f"delta_two_mode must be 'dropped' or 'exact_clamped', got {out['delta_two_mode']!r}"
@@ -247,7 +250,7 @@ def _delta_two_mode(cfg: dict) -> DeltaTwoMode | None:
 def _decays(cfg: dict, protocol: str) -> DecayVector:
     gamma = cfg.get("gamma")
     if gamma is None:
-        gamma = [0.0] * (5 if protocol == "chainwise" else 3)
+        gamma = [0.0] * PROTOCOL_LEVELS[protocol]
     return DecayVector(np.asarray(gamma, dtype=float))
 
 
@@ -289,8 +292,8 @@ def _cmd_simulate(cfg: dict, roundtrip: bool) -> int:
         epsilon=cfg.get("epsilon", DEFAULT_EPSILON),
         delta_two_mode=_delta_two_mode(cfg),
         roundtrip_hold=cfg.get("hold", 0.1) if roundtrip else None,
-        tol=cfg.get("tol", 1e-8),
-        n_samples=cfg.get("n_samples", 1201),
+        tol=cfg.get("tol", DEFAULT_SCENARIO_TOL),
+        n_samples=cfg.get("n_samples", DEFAULT_SCENARIO_SAMPLES),
     )
     out = _out_dir(cfg)
     result.to_csv(out / "timeseries.csv")
@@ -354,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--protocol", choices=("p1", "p2", "chainwise"))
+        p.add_argument("--protocol", choices=PROTOCOLS)
         p.add_argument("--preset")
         p.add_argument("--tf", help="leg duration in us (sweep: min:max:count)")
         p.add_argument("--delta", help="single-photon detuning, e.g. 1.8pi_GHz "

@@ -11,8 +11,9 @@ evolution.  Two parameterizations are provided:
   population across the chain as vartheta sweeps between 0 and pi/2, with a
   small floor ``epsilon`` on chi keeping the inverse-engineered drive finite.
 
-The scale ``omega0`` fixes the invariant's eigenvalues and never enters any
-designed pulse or population; it defaults to 1 rad/us.
+Both invariants have scale 1 (eigenvalues +-1/2, and 0 for the chain); the
+scale is arbitrary and never enters any designed pulse or population.  The
+two-level angle rates are required analytic functions.
 """
 
 from __future__ import annotations
@@ -40,45 +41,25 @@ __all__ = [
 ]
 
 EPSILON_MIN = 1e-3
-_FD_STEP = 1e-6  # us, fallback derivative step for non-analytic aux functions
-
-
-def _fd(func, t, h=_FD_STEP):
-    t_arr = np.asarray(t, dtype=float)
-    return (np.asarray(func(t_arr + h)) - np.asarray(func(t_arr - h))) / (2.0 * h)
 
 
 @dataclass(frozen=True)
 class TwoLevelAux:
     """Auxiliary angle trajectories (theta, beta) for the two-level invariant.
 
-    ``theta_dot`` / ``beta_dot`` may be omitted, in which case derivatives
-    fall back to central differences; designed trajectories should supply
-    them analytically since cot(theta) amplifies endpoint error.
+    Each field maps an array of times to an array of angles (rad) or rates
+    (rad/us).  The rates ``theta_dot`` and ``beta_dot`` are required in
+    analytic form, because cot(theta) in the designed drives amplifies any
+    error in them near the leg edges.
     """
 
     theta: Callable[[np.ndarray], np.ndarray]
     beta: Callable[[np.ndarray], np.ndarray]
-    omega0: float = 1.0
-    theta_dot: Callable[[np.ndarray], np.ndarray] | None = None
-    beta_dot: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
-
-    def theta_deriv(self, t):
-        if self.theta_dot is not None:
-            return np.asarray(self.theta_dot(np.asarray(t, dtype=float)))
-        return _fd(self.theta, t)
-
-    def beta_deriv(self, t):
-        if self.beta_dot is not None:
-            return np.asarray(self.beta_dot(np.asarray(t, dtype=float)))
-        return _fd(self.beta, t)
+    theta_dot: Callable[[np.ndarray], np.ndarray]
+    beta_dot: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
-    def linear_sweep(cls, t_f: float, beta: float, omega0: float = 1.0) -> "TwoLevelAux":
+    def linear_sweep(cls, t_f: float, beta: float) -> "TwoLevelAux":
         """theta ramps 0 -> pi linearly over t_f at constant beta."""
         if not 0 < t_f < np.inf:
             raise ValueError("t_f must be finite and positive")
@@ -89,13 +70,12 @@ class TwoLevelAux:
         return cls(
             theta=lambda t: rate * np.asarray(t, dtype=float),
             beta=lambda t: np.full(np.asarray(t, dtype=float).shape, float(beta)),
-            omega0=omega0,
             theta_dot=lambda t: np.full(np.asarray(t, dtype=float).shape, rate),
             beta_dot=lambda t: np.zeros(np.asarray(t, dtype=float).shape),
         )
 
     @classmethod
-    def cubic_sweep(cls, t_f: float, omega0: float = 1.0) -> "TwoLevelAux":
+    def cubic_sweep(cls, t_f: float) -> "TwoLevelAux":
         """theta = 3 pi (t/t_f)^2 - 2 pi (t/t_f)^3, flat at both ends; beta = pi/2."""
         if not 0 < t_f < np.inf:
             raise ValueError("t_f must be finite and positive")
@@ -113,7 +93,6 @@ class TwoLevelAux:
         return cls(
             theta=theta,
             beta=lambda t: np.full(np.asarray(t, dtype=float).shape, half_pi),
-            omega0=omega0,
             theta_dot=theta_dot,
             beta_dot=lambda t: np.zeros(np.asarray(t, dtype=float).shape),
         )
@@ -138,7 +117,6 @@ class ThreeLevelAux:
     direction: str
     scaled_a: np.ndarray  # chi coefficients in s = t / t_f, degree 4
     scaled_b: np.ndarray  # vartheta coefficients in s, degree 3
-    omega0: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "scaled_a", np.asarray(self.scaled_a, dtype=float))
@@ -147,8 +125,6 @@ class ThreeLevelAux:
             raise ValueError("need 5 chi coefficients and 4 vartheta coefficients")
         if self.direction not in ("creation", "detection"):
             raise ValueError(f"unknown direction {self.direction!r}")
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
         tf, eps = self.t_f, self.epsilon
         start, end = (0.0, np.pi / 2) if self.direction == "creation" else (np.pi / 2, 0.0)
         checks = (
@@ -236,27 +212,24 @@ def _invariant2_stack(aux: TwoLevelAux, times) -> np.ndarray:
     th = np.broadcast_to(np.asarray(aux.theta(t_arr), dtype=float), t_arr.shape)
     be = np.broadcast_to(np.asarray(aux.beta(t_arr), dtype=float), t_arr.shape)
     out = np.zeros(t_arr.shape + (2, 2), dtype=complex)
-    half = 0.5 * aux.omega0
-    out[..., 0, 0] = half * np.cos(th)
-    out[..., 1, 1] = -half * np.cos(th)
-    off = half * np.sin(th) * np.exp(-1j * be)
+    out[..., 0, 0] = 0.5 * np.cos(th)
+    out[..., 1, 1] = -0.5 * np.cos(th)
+    off = 0.5 * np.sin(th) * np.exp(-1j * be)
     out[..., 0, 1] = off
     out[..., 1, 0] = off.conj()
     return out
 
 
 def invariant2(aux: TwoLevelAux, t: float) -> np.ndarray:
-    """Two-level invariant matrix at time t; eigenvalues are +-omega0/2."""
+    """Two-level invariant matrix at time t; eigenvalues are +-1/2."""
     return _invariant2_stack(aux, np.asarray(float(t)))
 
 
 def eigenstates2(aux: TwoLevelAux, t: float) -> tuple[StateVector, StateVector]:
     """Orthonormal eigenstate pair (phi_plus, phi_minus) at time t."""
-    th = float(np.asarray(aux.theta(float(t))))
-    be = float(np.asarray(aux.beta(float(t))))
-    phi_plus = np.array([np.cos(th / 2) * np.exp(-1j * be), np.sin(th / 2)])
-    phi_minus = np.array([np.sin(th / 2), -np.cos(th / 2) * np.exp(1j * be)])
-    return StateVector(phi_plus), StateVector(phi_minus)
+    times = np.asarray(float(t))
+    return tuple(StateVector(_eigvec_and_deriv_2(aux, n, times)[0])
+                 for n in ("plus", "minus"))
 
 
 def _invariant3_stack(aux: ThreeLevelAux, times) -> np.ndarray:
@@ -264,32 +237,26 @@ def _invariant3_stack(aux: ThreeLevelAux, times) -> np.ndarray:
     chi = np.broadcast_to(np.asarray(aux.chi(t_arr), dtype=float), t_arr.shape)
     vt = np.broadcast_to(np.asarray(aux.vartheta(t_arr), dtype=float), t_arr.shape)
     out = np.zeros(t_arr.shape + (3, 3), dtype=complex)
-    half = 0.5 * aux.omega0
     cchi, schi = np.cos(chi), np.sin(chi)
-    out[..., 0, 1] = half * cchi * np.sin(vt)
+    out[..., 0, 1] = 0.5 * cchi * np.sin(vt)
     out[..., 1, 0] = out[..., 0, 1]
-    out[..., 1, 2] = half * cchi * np.cos(vt)
+    out[..., 1, 2] = 0.5 * cchi * np.cos(vt)
     out[..., 2, 1] = out[..., 1, 2]
-    out[..., 0, 2] = -1j * half * schi
-    out[..., 2, 0] = 1j * half * schi
+    out[..., 0, 2] = -1j * 0.5 * schi
+    out[..., 2, 0] = 1j * 0.5 * schi
     return out
 
 
 def invariant3(aux: ThreeLevelAux, t: float) -> np.ndarray:
-    """Three-level invariant matrix at time t; spectrum {-omega0/2, 0, +omega0/2}."""
+    """Three-level invariant matrix at time t; spectrum {-1/2, 0, +1/2}."""
     return _invariant3_stack(aux, np.asarray(float(t)))
 
 
 def eigenstates3(aux: ThreeLevelAux, t: float) -> tuple[StateVector, StateVector, StateVector]:
     """Eigenstates (phi_0, phi_plus, phi_minus) of the three-level invariant."""
-    chi = float(np.asarray(aux.chi(float(t))))
-    vt = float(np.asarray(aux.vartheta(float(t))))
-    cchi, schi = np.cos(chi), np.sin(chi)
-    cvt, svt = np.cos(vt), np.sin(vt)
-    phi0 = np.array([cchi * cvt, -1j * schi, -cchi * svt])
-    phi_plus = np.array([schi * cvt + 1j * svt, 1j * cchi, -schi * svt + 1j * cvt]) / np.sqrt(2)
-    phi_minus = np.array([schi * cvt - 1j * svt, 1j * cchi, -schi * svt - 1j * cvt]) / np.sqrt(2)
-    return StateVector(phi0), StateVector(phi_plus), StateVector(phi_minus)
+    times = np.asarray(float(t))
+    return tuple(StateVector(_eigvec_and_deriv_3(aux, n, times)[0])
+                 for n in ("zero", "plus", "minus"))
 
 
 def invariant2_rule(aux: TwoLevelAux) -> HamiltonianRule:
@@ -317,9 +284,9 @@ def invariant_residual(i_rule: HamiltonianRule, h_rule: HamiltonianRule, grid: T
             f"Hamiltonian {h_rule.dimension}"
         )
     times = grid.times
-    h_fd = 1e-5 * grid.duration
-    t_plus = np.minimum(times + h_fd, grid.t_end)
-    t_minus = np.maximum(times - h_fd, grid.t_start)
+    stencil = 1e-5 * grid.duration
+    t_plus = np.minimum(times + stencil, grid.t_end)
+    t_minus = np.maximum(times - stencil, grid.t_start)
     di = (i_rule.matrices(t_plus) - i_rule.matrices(t_minus)) / (
         (t_plus - t_minus)[:, None, None]
     )
@@ -337,8 +304,8 @@ def invariant_residual(i_rule: HamiltonianRule, h_rule: HamiltonianRule, grid: T
 def _eigvec_and_deriv_2(aux: TwoLevelAux, which: str, times: np.ndarray):
     th = np.broadcast_to(np.asarray(aux.theta(times), dtype=float), times.shape)
     be = np.broadcast_to(np.asarray(aux.beta(times), dtype=float), times.shape)
-    th_d = np.broadcast_to(np.asarray(aux.theta_deriv(times), dtype=float), times.shape)
-    be_d = np.broadcast_to(np.asarray(aux.beta_deriv(times), dtype=float), times.shape)
+    th_d = np.broadcast_to(np.asarray(aux.theta_dot(times), dtype=float), times.shape)
+    be_d = np.broadcast_to(np.asarray(aux.beta_dot(times), dtype=float), times.shape)
     c, s = np.cos(th / 2), np.sin(th / 2)
     eb_m = np.exp(-1j * be)
     eb_p = np.exp(1j * be)

@@ -96,7 +96,7 @@ def _zero_channel(t):
 class PulseSchedule:
     """A designed set of laboratory Rabi channels over a fixed duration.
 
-    ``channels`` maps channel names to vectorized functions of time in
+    ``channels`` maps channel names to functions of an array of times, in
     rad/us; ``delta_two`` is the auxiliary two-photon detuning (identically
     zero for the five-level scheme); ``segments`` lists the legs making up
     the schedule.  ``design`` records the generating parameters so derived
@@ -140,6 +140,8 @@ class PulseSchedule:
 
     def sample(self, points_per_leg: int = CSV_POINTS_PER_LEG):
         """Sample times plus channel and delta_two values, leg by leg."""
+        if points_per_leg < 1:
+            raise ValueError(f"points_per_leg must be at least 1, got {points_per_leg}")
         pieces = []
         start = 0.0
         for seg in self.segments:
@@ -371,14 +373,6 @@ def design_chainwise(
     )
 
 
-def _shifted(channel: Callable, offset: float, leg_duration: float) -> Callable:
-    def shifted(t):
-        local = np.clip(np.asarray(t, dtype=float) - offset, 0.0, leg_duration)
-        return channel(local)
-
-    return shifted
-
-
 def _piecewise(forward: Callable, backward: Callable, t_leg: float, hold: float) -> Callable:
     def combined(t):
         t_arr = np.asarray(t, dtype=float)
@@ -486,21 +480,18 @@ def effective_rule(schedule: PulseSchedule) -> HamiltonianRule:
     return schemes.reduce_m(_m_params(schedule)).hamiltonian()
 
 
-def peak_amplitude(schedule: PulseSchedule, channel: str | None = None,
-                   points_per_leg: int = 2001) -> float:
-    """Largest |channel| over a dense endpoint-inclusive sampling per leg.
+def peak_amplitude(schedule: PulseSchedule) -> float:
+    """Largest |first channel| over 2001 endpoint-inclusive samples per leg.
 
-    An odd ``points_per_leg`` puts each leg's midpoint on the grid, where
-    the smooth designs peak.
+    The first channel is ``omega`` or ``omega1``; the odd sample count puts
+    each leg's midpoint on the grid, where the smooth designs peak.
     """
-    if channel is None:
-        channel = "omega" if schedule.scheme == "lambda3" else "omega1"
-    chan = schedule.channels[channel]
+    chan = schedule.channels[schedule.channel_names[0]]
     best = 0.0
     start = 0.0
     for seg in schedule.segments:
         if seg.duration > 0:
-            t = np.linspace(start, start + seg.duration, points_per_leg)
+            t = np.linspace(start, start + seg.duration, 2001)
             best = max(best, float(np.max(np.abs(chan(t)))))
         start += seg.duration
     return best

@@ -184,24 +184,15 @@ class TimeGrid:
 class HamiltonianRule:
     """A time-dependent Hermitian matrix H(t) in rad/us.
 
-    ``evaluator`` maps a time (or an array of times, when ``vectorized``) to
-    the n x n matrix (or a stacked ``(..., n, n)`` array).  Rules built by
-    this package are vectorized; wrap scalar-only callables with
-    ``vectorized=False`` and evaluation falls back to a loop.
+    ``evaluator`` maps a time to the n x n matrix and an array of times to
+    the stacked ``(..., n, n)`` array, in one call.
     """
 
     dimension: int
     evaluator: Callable[[np.ndarray | float], np.ndarray]
-    vectorized: bool = True
 
     def __call__(self, t):
-        if self.vectorized:
-            return self.evaluator(t)
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty(t_arr.shape + (self.dimension, self.dimension), dtype=complex)
-        for idx, ti in np.ndenumerate(t_arr):
-            out[idx] = self.evaluator(float(ti))
-        return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+        return self.evaluator(t)
 
     def matrices(self, times: np.ndarray) -> np.ndarray:
         """Evaluate on an array of times, always returning (m, n, n)."""
@@ -583,7 +574,7 @@ def population(traj: StateTrajectory | DensityTrajectory, level_index: int, t: f
         raise ValueError(f"level index {level_index} out of range for n={traj.dimension}")
     times = traj.times
     span = times[-1] - times[0]
-    if t < times[0] - 1e-12 * span or t > times[-1] + 1e-12 * span:
+    if not times[0] - 1e-12 * span <= t <= times[-1] + 1e-12 * span:
         raise ValueError(f"time {t} outside sampled window [{times[0]}, {times[-1]}]")
     pops = traj.populations[:, level_index]
     return float(np.interp(t, times, pops))

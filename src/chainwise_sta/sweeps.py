@@ -52,8 +52,11 @@ __all__ = [
     "design_schedule",
 ]
 
-PROTOCOLS = ("p1", "p2", "chainwise")
+PROTOCOL_LEVELS = {"p1": 3, "p2": 3, "chainwise": 5}  # levels of the driven scheme
+PROTOCOLS = tuple(PROTOCOL_LEVELS)
 DEFAULT_MAP_TOL = 1e-6
+DEFAULT_SCENARIO_TOL = 1e-8
+DEFAULT_SCENARIO_SAMPLES = 1201
 DEFAULT_EPSILON = 0.03
 
 _TARGET_LEVEL = {"lambda3": 2, "m5": 4}
@@ -97,7 +100,7 @@ class SweepSpec:
                 raise ValueError(f"{name} range needs at least 2 points")
             if not 0 < lo <= hi < np.inf:
                 raise ValueError(f"{name} range must be finite, positive and ordered")
-        expected = 5 if self.protocol == "chainwise" else 3
+        expected = PROTOCOL_LEVELS[self.protocol]
         if self.decays.dimension != expected:
             raise ValueError(
                 f"{self.protocol} needs {expected} decay rates, got {self.decays.dimension}"
@@ -146,7 +149,6 @@ def design_schedule(
     beta: float = DEFAULT_BETA,
     epsilon: float = DEFAULT_EPSILON,
     delta_two_mode: DeltaTwoMode | None = None,
-    direction: str = "creation",
 ) -> PulseSchedule:
     """Dispatch one of the three designers by protocol name."""
     if protocol == "p1":
@@ -154,7 +156,7 @@ def design_schedule(
     if protocol == "p2":
         return design_protocol2(t_f, delta)
     if protocol == "chainwise":
-        return design_chainwise(t_f, delta, epsilon, direction=direction)
+        return design_chainwise(t_f, delta, epsilon)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
@@ -299,8 +301,8 @@ def run_scenario(
     epsilon: float = DEFAULT_EPSILON,
     delta_two_mode: DeltaTwoMode | None = None,
     roundtrip_hold: float | None = None,
-    tol: float = 1e-8,
-    n_samples: int = 1201,
+    tol: float = DEFAULT_SCENARIO_TOL,
+    n_samples: int = DEFAULT_SCENARIO_SAMPLES,
 ) -> ScenarioResult:
     """Design one schedule, propagate the lossy dynamics, report the outcome.
 

@@ -129,6 +129,15 @@ class TestDesignCommand:
         header = (out / "schedule.csv").read_text().splitlines()[0]
         assert header == "t_us,omega1,omega2,omega3,omega4,delta_two"
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_per_leg_must_be_positive(self, points, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["design", "--protocol", "p2", "--tf", "4", "--delta", "1000",
+                        "--points-per-leg", points, "--out", str(out)])
+        assert code == 2
+        assert "points_per_leg" in capsys.readouterr().err
+        assert not (out / "schedule.csv").exists()
+
 
 class TestSimulateCommand:
     def test_preset_simulation(self, tmp_path, capsys):
@@ -257,6 +266,13 @@ class TestConfigHandling:
                         "--out", str(out2)]) == 0
         assert (out1 / "timeseries.csv").read_bytes() == (out2 / "timeseries.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_unknown_protocol_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"protocol": "p3", "tf": 4, "delta": 100.0}))
+        code = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "protocol" in capsys.readouterr().err
 
     def test_config_for_other_command_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

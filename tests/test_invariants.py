@@ -26,18 +26,19 @@ from chainwise_sta.protocols import effective_rule
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
-def fixed_aux(theta, beta, omega0=1.0):
+def fixed_aux(theta, beta):
     return TwoLevelAux(
         theta=lambda t: np.full(np.shape(t), theta),
         beta=lambda t: np.full(np.shape(t), beta),
-        omega0=omega0,
+        theta_dot=lambda t: np.zeros(np.shape(t)),
+        beta_dot=lambda t: np.zeros(np.shape(t)),
     )
 
 
 class TestInvariant2:
     def test_theta_zero_diagonal(self):
-        m = invariant2(fixed_aux(0.0, 0.3, omega0=2.0), 0.0)
-        assert np.allclose(m, np.diag([1.0, -1.0]))
+        m = invariant2(fixed_aux(0.0, 0.3), 0.0)
+        assert np.allclose(m, np.diag([0.5, -0.5]))
 
     def test_equator_is_sigma_x(self):
         m = invariant2(fixed_aux(np.pi / 2, 0.0), 0.0)
@@ -65,21 +66,20 @@ class TestInvariant2:
         assert fidelity(plus1, StateVector.basis(2, 1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_eigenstates_diagonalize_invariant(self):
-        aux = fixed_aux(0.8, -2.1, omega0=3.0)
+        aux = fixed_aux(0.8, -2.1)
         m = invariant2(aux, 0.0)
         plus, minus = eigenstates2(aux, 0.0)
-        assert np.allclose(m @ plus.amplitudes, 1.5 * plus.amplitudes, atol=1e-12)
-        assert np.allclose(m @ minus.amplitudes, -1.5 * minus.amplitudes, atol=1e-12)
+        assert np.allclose(m @ plus.amplitudes, 0.5 * plus.amplitudes, atol=1e-12)
+        assert np.allclose(m @ minus.amplitudes, -0.5 * minus.amplitudes, atol=1e-12)
 
 
 class TestInvariant3:
     @staticmethod
-    def chain_aux(chi, vartheta, omega0=1.0):
+    def chain_aux(chi, vartheta):
         # Constant-angle stand-in built on the polynomial container.
         aux = solve_aux_polynomials(1.0, 0.03)
         object.__setattr__(aux, "scaled_a", np.array([chi, 0, 0, 0, 0.0]))
         object.__setattr__(aux, "scaled_b", np.array([vartheta, 0, 0, 0.0]))
-        object.__setattr__(aux, "omega0", omega0)
         return aux
 
     def test_quarter_corner_coupling(self):
@@ -202,6 +202,8 @@ class TestInvariantResidual:
         aux = TwoLevelAux(
             theta=lambda t: np.pi * np.asarray(t, dtype=float),
             beta=lambda t: np.full(np.shape(t), np.pi / 2),
+            theta_dot=lambda t: np.full(np.shape(t), np.pi),
+            beta_dot=lambda t: np.zeros(np.shape(t)),
         )
         h = HamiltonianRule.constant([[0.0, 1.0], [1.0, 0.0]])
         res = invariant_residual(invariant2_rule(aux), h, TimeGrid(0.0, 1.0, 101))
@@ -310,19 +312,3 @@ class TestReturnLegTransport:
                 for i, t in enumerate(grid.times)]
         assert min(fids) >= 0.999
         assert traj.populations[-1, 0] >= 0.999  # phi_minus(t_f) is the first level
-
-
-class TestOmega0Inertness:
-    def test_populations_independent_of_omega0(self, p2_schedule):
-        # The invariant scale never enters the designed drive; transported
-        # populations are identical for any omega0.
-        aux1 = p2_schedule.design["aux"]
-        aux5 = TwoLevelAux(theta=aux1.theta, beta=aux1.beta, omega0=5.0,
-                           theta_dot=aux1.theta_dot, beta_dot=aux1.beta_dot)
-        for t in (0.0, 1.7, 4.0):
-            a, _ = eigenstates2(aux1, t)
-            b, _ = eigenstates2(aux5, t)
-            assert np.allclose(a.amplitudes, b.amplitudes)
-        m1 = invariant2(aux1, 1.3)
-        m5 = invariant2(aux5, 1.3)
-        assert np.allclose(m5, 5.0 * m1)

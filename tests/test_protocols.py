@@ -5,11 +5,14 @@ import pytest
 
 from chainwise_sta import (
     DeltaTwoMode,
+    StateVector,
+    TimeGrid,
     build_roundtrip,
     design_chainwise,
     design_protocol1,
     design_protocol2,
     peak_amplitude,
+    propagate_state,
 )
 from chainwise_sta.protocols import effective_rule, hamiltonian_rule
 
@@ -302,6 +305,21 @@ class TestModelRules:
         assert m[1, 2] == pytest.approx(om / 2)
         assert m[1, 1] == pytest.approx(p2_schedule.delta_single)
         assert m[2, 2] == 0.0
+
+    def test_chain_roundtrip_effective_fallback(self):
+        # A round trip carries no design aux, so effective_rule reduces the
+        # synthesized channels generically.  Its ground-level populations
+        # must track the full chain within criterion 8's bound.
+        rt = build_roundtrip(design_chainwise(*CHAIN_STAR), 0.1)
+        assert "aux" not in rt.design
+        grid = TimeGrid(0.0, rt.duration, 3)  # mid-hold, then end of return leg
+        full = propagate_state(hamiltonian_rule(rt), StateVector.basis(5, 0), grid,
+                               breakpoints=rt.breakpoints)
+        eff = propagate_state(effective_rule(rt), StateVector.basis(3, 0), grid,
+                              breakpoints=rt.breakpoints)
+        assert full.populations[1, 4] > 0.99 and full.populations[2, 0] > 0.99
+        gap = np.abs(full.populations[:, [0, 2, 4]] - eff.populations)
+        assert np.max(gap) <= 0.03
 
 
 NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -148,12 +148,6 @@ class TestPropagateState:
         b = propagate_state(h, StateVector.basis(2, 0), grid)
         assert np.array_equal(a.states, b.states)
 
-    def test_scalar_evaluator_supported(self):
-        h = HamiltonianRule(2, lambda t: np.array([[0.0, 0.5], [0.5, 0.0]]),
-                            vectorized=False)
-        traj = propagate_state(h, StateVector.basis(2, 0), TimeGrid(0.0, np.pi, 21))
-        assert traj.populations[-1, 1] == pytest.approx(1.0, abs=1e-6)
-
 
 class TestPropagateDensity:
     def test_closed_system_matches_state_propagation(self):
@@ -403,6 +397,13 @@ class TestObservables:
             population(traj, 2, 0.5)
         with pytest.raises(ValueError, match="time"):
             population(traj, 0, 1.5)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_population_rejects_non_finite_time(self, t):
+        h = two_level(1.0, 0.0)
+        traj = propagate_state(h, StateVector.basis(2, 0), TimeGrid(0.0, 1.0, 11))
+        with pytest.raises(ValueError, match="outside sampled window"):
+            population(traj, 0, t)
 
     def test_fidelity_identical(self):
         a = StateVector(np.array([0.6, 0.8j]))
