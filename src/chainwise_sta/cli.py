@@ -99,22 +99,34 @@ def parse_angle(value) -> float:
         raise ConfigError(f"malformed angle {value!r}; use e.g. pi/1.99 or 0.5pi") from None
 
 
+def _integer(value, name: str) -> int:
+    """An integral value from a flag or config file, or a ConfigError naming it."""
+    if isinstance(value, bool):
+        pass
+    elif isinstance(value, int):
+        return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    elif isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _parse_range(value, freq: bool) -> tuple[float, float, int]:
     if isinstance(value, (list, tuple)):
         lo, hi, count = value
         lo = parse_frequency(lo) if freq else float(lo)
         hi = parse_frequency(hi) if freq else float(hi)
-        return lo, hi, int(count)
+        return lo, hi, _integer(count, "range count")
     parts = str(value).split(":")
     if len(parts) != 3:
         raise ConfigError(f"ranges use min:max:count, got {value!r}")
     lo = parse_frequency(parts[0]) if freq else float(parts[0])
     hi = parse_frequency(parts[1]) if freq else float(parts[1])
-    try:
-        count = int(parts[2])
-    except ValueError:
-        raise ConfigError(f"range count must be an integer, got {parts[2]!r}") from None
-    return lo, hi, count
+    return lo, hi, _integer(parts[2], "range count")
 
 
 @dataclass(frozen=True)
@@ -212,10 +224,9 @@ def _resolve_common(merged: dict) -> dict:
         out["tol"] = float(out["tol"])
     if "hold" in out:
         out["hold"] = float(out["hold"])
-    if "n_samples" in out:
-        out["n_samples"] = int(out["n_samples"])
-    if "points_per_leg" in out:
-        out["points_per_leg"] = int(out["points_per_leg"])
+    for key in ("n_samples", "points_per_leg"):
+        if key in out:
+            out[key] = _integer(out[key], key)
     if "gamma" in out:
         raw = out["gamma"]
         if isinstance(raw, str):

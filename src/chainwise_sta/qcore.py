@@ -16,6 +16,15 @@ sampled spectral scale of H(t) rather than its stiffness.  Step edges are
 grade-refined at segment boundaries where pulse envelopes have square-root
 edges or clamped spikes.  Identical inputs produce bitwise-identical
 trajectories on one platform.
+
+Inside the Magnus core every stack of step matrices is held entries first,
+as (n, n, steps): entry (i, j) of all steps is one contiguous vector.  A
+product of two stacks is then n * n elementwise multiply-adds over those
+vectors, where numpy's batched ``@`` on (steps, n, n) stacks makes one BLAS
+call per 3 x 3 or 5 x 5 matrix.  Large elementwise operations also release
+the GIL, so the sweep thread pool runs cells in parallel.  H(t) is turned to
+this layout once per block of steps, and only the per-sample propagators
+handed to callers are turned back.
 """
 
 from __future__ import annotations
@@ -259,44 +268,65 @@ class DensityTrajectory:
 # ---------------------------------------------------------------------------
 
 
-def _expm_batch(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a stack of small matrices.
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of two stacks in the entries-first layout.
 
+    ``a`` is (n, k, *batch) and ``b`` is (k, m, *batch); the result is
+    (n, m, *batch).  Row i of the product is the sum over j of
+    ``a[i, j] * b[j]``: n * k elementwise multiply-adds, each over an
+    (m, *batch) block.
+    """
+    n, k = a.shape[:2]
+    out = np.empty((n, b.shape[1]) + a.shape[2:], dtype=complex)
+    term = np.empty_like(out[0])
+    for i in range(n):
+        row = out[i]
+        np.multiply(a[i, 0], b[0], out=row)
+        for j in range(1, k):
+            np.multiply(a[i, j], b[j], out=term)
+            row += term
+    return out
+
+
+def _expm_batch(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a stack of small matrices, entries first.
+
+    ``a`` has shape (n, n, *batch): entry (i, j) of every matrix is one
+    contiguous batch vector, so each product is a few dozen elementwise
+    operations over the whole batch (:func:`_matmul`) rather than one BLAS
+    call per 3 x 3 or 5 x 5 matrix, and numpy releases the GIL inside them.
     Each matrix's mean diagonal ``mu = tr(a) / n`` is split off as the exact
     scalar factor ``exp(mu)``, which lowers the norm of the remainder ``b``.
     The remainder is scaled by ``2**-s`` to max-row-sum norm at most 0.5, with
-    ``s`` shared across the batch so that all work stays in batched matmuls.
-    Its degree-12 Taylor polynomial is evaluated by Paterson-Stockmeyer
-    (``b**2``, ``b**3``, then three Horner steps in ``b**3``: five matmuls in
-    place of eleven), and ``s`` squarings undo the scaling.  See Al-Mohy &
-    Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009), and Bader, Blanes &
-    Casas (2019).
+    ``s`` shared across the batch so that every matrix takes the same
+    products.  Its degree-12 Taylor polynomial is evaluated by
+    Paterson-Stockmeyer (``b**2``, ``b**3``, then three Horner steps in
+    ``b**3``: five products in place of eleven), and ``s`` squarings undo the
+    scaling.  See Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+    (2009), and Bader, Blanes & Casas (2019).
     """
-    n = a.shape[-1]
+    n = a.shape[0]
     diag = np.arange(n)
-    mu = np.trace(a, axis1=-2, axis2=-1) / n
+    mu = np.trace(a) / n
     b = a.copy()
-    b[..., diag, diag] -= mu[..., None]
-    norm = float(np.max(np.sum(np.abs(b), axis=-1))) if b.size else 0.0
+    b[diag, diag] -= mu
+    norm = float(np.max(np.sum(np.abs(b), axis=1))) if b.size else 0.0
     s = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.5))))
     b *= 2.0**-s
-    b2 = b @ b
-    b3 = b2 @ b
-
-    def block(k: int) -> np.ndarray:
-        # sum_{i<3} b**i / (k+i)!, plus b**3 / 12! in the top block
-        out = b * _INV_FACTORIAL[k + 1] + b2 * _INV_FACTORIAL[k + 2]
-        out[..., diag, diag] += _INV_FACTORIAL[k]
-        if k == 9:
-            out += b3 * _INV_FACTORIAL[12]
-        return out
-
-    e = block(9)
-    for k in (6, 3, 0):
-        e = block(k) + b3 @ e
+    b2 = _matmul(b, b)
+    b3 = _matmul(b2, b)
+    # Horner in b**3 from b**3 / 12! down, adding sum_{i<3} b**i / (k+i)!
+    # in place at each level.
+    e = b3 * _INV_FACTORIAL[12]
+    for k in (9, 6, 3, 0):
+        if k < 9:
+            e = _matmul(b3, e)
+        e += b * _INV_FACTORIAL[k + 1]
+        e += b2 * _INV_FACTORIAL[k + 2]
+        e[diag, diag] += _INV_FACTORIAL[k]
     for _ in range(s):
-        e = e @ e
-    e *= np.exp(mu)[..., None, None]
+        e = _matmul(e, e)
+    e *= np.exp(mu)
     return e
 
 
@@ -391,23 +421,25 @@ def _magnus_step_count(tol: float, action: float) -> int:
 
 
 def _magnus_propagators(h: HamiltonianRule, gamma: np.ndarray | None, edges: np.ndarray):
-    """One fourth-order Magnus propagator per step between consecutive edges."""
+    """One fourth-order Magnus propagator per step between consecutive edges.
+
+    The result is entries first, (n, n, steps), as is all work inside.
+    """
     dt = np.diff(edges)
-    h1 = h.matrices(edges[:-1] + _GL_C1 * dt)
-    h2 = h.matrices(edges[:-1] + _GL_C2 * dt)
-    dtc = dt[:, None, None]
+    h1 = h.matrices(edges[:-1] + _GL_C1 * dt).transpose(1, 2, 0).copy()
+    h2 = h.matrices(edges[:-1] + _GL_C2 * dt).transpose(1, 2, 0).copy()
     # h1 and h2 are Hermitian, so [h1, h2] = p - p^dagger with p = h1 h2.
-    p = h1 @ h2
-    comm = p - np.swapaxes(p, -1, -2).conj()
-    omega = -0.5j * dtc * (h1 + h2)
+    p = _matmul(h1, h2)
+    comm = p - p.transpose(1, 0, 2).conj()
+    omega = -0.5j * dt * (h1 + h2)
     if gamma is not None and np.any(gamma):
         # With the diagonal loss L = -i/2 diag(gamma) on both nodes,
         # [h1 + L, h2 + L] = [h1, h2] + [L, h2 - h1], entrywise in L.
         loss = -0.5j * gamma
-        comm += (loss[:, None] - loss[None, :]) * (h2 - h1)
-        omega[..., np.arange(gamma.size), np.arange(gamma.size)] -= 0.5 * dt[:, None] * gamma
-    omega += (np.sqrt(3.0) / 12.0 * dtc * dtc) * comm
-    finite = np.all(np.isfinite(omega), axis=(-2, -1))
+        comm += (loss[:, None] - loss[None, :])[:, :, None] * (h2 - h1)
+        omega[np.arange(gamma.size), np.arange(gamma.size)] -= 0.5 * dt * gamma[:, None]
+    omega += (np.sqrt(3.0) / 12.0 * dt * dt) * comm
+    finite = np.all(np.isfinite(omega), axis=(0, 1))
     if not np.all(finite):
         raise IntegrationError(
             f"non-finite Magnus generator on the step starting at t = {edges[:-1][~finite][0]:.6g}"
@@ -422,25 +454,30 @@ _MAGNUS_CHUNK = 4096
 
 
 def _ordered_product(x: np.ndarray) -> np.ndarray:
-    """``x[..., -1, :, :] @ ... @ x[..., 0, :, :]`` by a pairwise tree."""
-    while (m := x.shape[-3]) > 1:
-        pairs = x[..., 1::2, :, :] @ x[..., 0:m - 1:2, :, :]
-        x = np.concatenate([pairs, x[..., -1:, :, :]], axis=-3) if m % 2 else pairs
-    return x[..., 0, :, :]
+    """``x[:, :, m-1] @ ... @ x[:, :, 0]`` by a pairwise tree.
+
+    ``x`` is entries first, (n, n, m, *batch); the product over axis 2 is
+    (n, n, *batch).
+    """
+    while (m := x.shape[2]) > 1:
+        pairs = _matmul(x[:, :, 1::2], x[:, :, 0:m - 1:2])
+        x = np.concatenate([pairs, x[:, :, -1:]], axis=2) if m % 2 else pairs
+    return x[:, :, 0]
 
 
 def _magnus_sample_propagators(h: HamiltonianRule, gamma: np.ndarray | None,
                                edges: np.ndarray, sample_idx: np.ndarray) -> np.ndarray:
-    """Propagators between consecutive output samples.
+    """Propagators between consecutive output samples, as (samples - 1, n, n).
 
     Entry j maps the state at edge ``sample_idx[j]`` to the state at edge
     ``sample_idx[j + 1]``: the ordered product of the step propagators in
     between.  Steps are built in blocks of ``_MAGNUS_CHUNK``; a product that
-    straddles a block boundary is carried into the next block.
+    straddles a block boundary is carried into the next block.  All work is
+    entries first; only the result is turned back to one matrix per sample.
     """
     n = h.dimension
-    out = np.empty((len(sample_idx) - 1, n, n), dtype=complex)
-    out[:] = np.eye(n)  # stays the identity between samples on one edge
+    out = np.empty((n, n, len(sample_idx) - 1), dtype=complex)
+    out[:] = np.eye(n)[:, :, None]  # stays the identity between samples on one edge
     n_steps = len(edges) - 1
     carry = None
     for c0 in range(0, n_steps, _MAGNUS_CHUNK):
@@ -451,17 +488,17 @@ def _magnus_sample_propagators(h: HamiltonianRule, gamma: np.ndarray | None,
         inside = sample_idx[(sample_idx > c0) & (sample_idx < c1)]
         cuts = np.unique(np.concatenate(([c0], inside, [c1])))
         lengths = np.diff(cuts)
-        prods = np.empty((lengths.size, n, n), dtype=complex)
+        prods = np.empty((n, n, lengths.size), dtype=complex)
         for length in np.unique(lengths):
             sel = np.flatnonzero(lengths == length)
-            prods[sel] = _ordered_product(u[cuts[sel, None] - c0 + np.arange(length)])
+            prods[:, :, sel] = _ordered_product(u[:, :, np.arange(length)[:, None] + cuts[sel] - c0])
         if carry is not None:
-            prods[0] = prods[0] @ carry
+            prods[:, :, 0] = _matmul(prods[:, :, 0], carry)
         ends = cuts[1:]
         at_sample = np.isin(ends, sample_idx)
-        out[np.searchsorted(sample_idx, ends[at_sample]) - 1] = prods[at_sample]
-        carry = None if at_sample[-1] else prods[-1]
-    return out
+        out[:, :, np.searchsorted(sample_idx, ends[at_sample]) - 1] = prods[:, :, at_sample]
+        carry = None if at_sample[-1] else prods[:, :, -1]
+    return out.transpose(2, 0, 1).copy()
 
 
 def propagate_state(

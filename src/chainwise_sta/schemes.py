@@ -79,21 +79,29 @@ def as_channel(value: Channel) -> Callable[[np.ndarray], np.ndarray]:
     return constant
 
 
-def _chain_rule(diagonal: tuple[Channel, ...], couplings: tuple[Channel, ...]) -> HamiltonianRule:
+def _chain_rule(diagonal: tuple[Channel, ...] | Callable[[np.ndarray], np.ndarray],
+                couplings: tuple[Channel, ...]) -> HamiltonianRule:
     """Tridiagonal chain: H[k,k] = diagonal[k](t), H[k,k+1] = H[k+1,k] = couplings[k](t) / 2.
 
     Every chain Hamiltonian of this module, full or eliminated, is built
-    here.  Constant diagonal entries are assigned as scalars.
+    here.  Constant diagonal entries are assigned as scalars.  ``diagonal``
+    may instead be one function of t returning all n entries on a last axis,
+    so that entries sharing a channel evaluate it once per call.
     """
-    n = len(diagonal)
-    diag = [as_channel(d) if callable(d) else float(d) for d in diagonal]
+    n = len(couplings) + 1
+    levels = np.arange(n)
+    diag = diagonal if callable(diagonal) else [
+        as_channel(d) if callable(d) else float(d) for d in diagonal]
     chans = [as_channel(c) for c in couplings]
 
     def evaluate(t):
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros(t_arr.shape + (n, n), dtype=complex)
-        for k, d in enumerate(diag):
-            out[..., k, k] = d(t_arr) if callable(d) else d
+        if callable(diag):
+            out[..., levels, levels] = diag(t_arr)
+        else:
+            for k, d in enumerate(diag):
+                out[..., k, k] = d(t_arr) if callable(d) else d
         for k, chan in enumerate(chans):
             val = 0.5 * chan(t_arr)
             out[..., k, k + 1] = val
@@ -139,8 +147,8 @@ class EffTwoLevel:
 
     def hamiltonian(self) -> HamiltonianRule:
         """Symmetric form: diag(+delta_e/2, -delta_e/2) with omega_e/2 coupling."""
-        dl = self.delta_e
-        return _chain_rule((lambda t: 0.5 * dl(t), lambda t: -0.5 * dl(t)), (self.omega_e,))
+        dl = as_channel(self.delta_e)
+        return _chain_rule(lambda t: np.multiply.outer(dl(t), (0.5, -0.5)), (self.omega_e,))
 
 
 @dataclass(frozen=True)

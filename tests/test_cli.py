@@ -274,6 +274,24 @@ class TestConfigHandling:
         assert code == 2
         assert "protocol" in capsys.readouterr().err
 
+    def test_fractional_n_samples_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"protocol": "p2", "tf": 1, "delta": "1000pi_MHz",
+                                   "tol": 1e-4, "n_samples": 2.7}))
+        out = tmp_path / "o"
+        code = run_cli(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "n_samples" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_non_numeric_points_per_leg_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"protocol": "p1", "tf": 4, "delta": 100.0,
+                                   "points_per_leg": "abc"}))
+        code = run_cli(["design", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "points_per_leg" in capsys.readouterr().err
+
     def test_config_for_other_command_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"command": "sweep", "protocol": "p1"}))

@@ -314,11 +314,37 @@ class TestMagnusKernel:
         norms = np.geomspace(1e-3, 60.0, m)
         a *= (norms / np.max(np.sum(np.abs(a), axis=-1), axis=-1))[:, None, None]
         a[0] = 0.0
-        got = qcore._expm_batch(a)
+        got = qcore._expm_batch(a.transpose(1, 2, 0)).transpose(2, 0, 1)
         want = np.array([scipy.linalg.expm(x) for x in a])
         rel = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
         assert np.max(rel) <= 1e-13
-        assert np.array_equal(qcore._expm_batch(np.zeros((1, n, n)))[0], np.eye(n))
+        assert np.array_equal(qcore._expm_batch(np.zeros((n, n, 1)))[:, :, 0], np.eye(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("batch", [(0,), (1,), (7,), (3, 5)],
+                             ids=["empty", "one", "odd", "2d"])
+    def test_matmul_matches_numpy(self, n, batch):
+        # The entries-first product against np.matmul on matrix-last stacks.
+        rng = np.random.default_rng(10 * n + len(batch))
+        a = rng.normal(size=batch + (n, n)) + 1j * rng.normal(size=batch + (n, n))
+        b = rng.normal(size=batch + (n, n)) + 1j * rng.normal(size=batch + (n, n))
+        got = qcore._matmul(np.moveaxis(a, (-2, -1), (0, 1)), np.moveaxis(b, (-2, -1), (0, 1)))
+        want = np.moveaxis(a @ b, (-2, -1), (0, 1))
+        scale = np.moveaxis(np.abs(a) @ np.abs(b), (-2, -1), (0, 1))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7])
+    def test_ordered_product_matches_sequential(self, length):
+        # Two independent chains of length matrices, reduced together.
+        rng = np.random.default_rng(length)
+        x = rng.normal(size=(2, length, 4, 4)) + 1j * rng.normal(size=(2, length, 4, 4))
+        got = qcore._ordered_product(x.transpose(2, 3, 1, 0))
+        for c in range(2):
+            want = np.eye(4)
+            for k in range(length):
+                want = x[c, k] @ want
+            assert np.max(np.abs(got[:, :, c] - want)) <= 1e-14 * np.linalg.norm(want)
 
     def test_sample_propagators_match_sequential_product(self):
         # Three and a half blocks of steps; samples one step in, inside a
@@ -346,7 +372,7 @@ class TestMagnusKernel:
         u = qcore._magnus_propagators(h, gamma, edges)
         want, acc = [], np.eye(3)
         for k in range(n_steps):
-            acc = u[k] @ acc
+            acc = u[:, :, k] @ acc
             if k + 1 in sample_idx:
                 want.append(acc)
                 acc = np.eye(3)

@@ -86,6 +86,23 @@ class TestReduceLambda:
         eff = reduce_lambda(LambdaParams(1.0, 1.0, delta_single=100.0, delta_two=0.5))
         assert np.asarray(eff.delta_e(0.0)) == pytest.approx(-0.5)
 
+    def test_effective_hamiltonian_evaluates_delta_e_once(self):
+        calls = []
+
+        def delta_e(t):
+            calls.append(np.shape(t))
+            return 2.0 * np.asarray(t, dtype=float)
+
+        from chainwise_sta import EffTwoLevel
+        h = EffTwoLevel(omega_e=lambda t: np.full(np.shape(t), 3.0), delta_e=delta_e).hamiltonian()
+        t = np.linspace(0.0, 1.0, 7)
+        m = h(t)
+        assert calls == [(7,)]
+        assert np.array_equal(m[:, 0, 0], t) and np.array_equal(m[:, 1, 1], -t)
+        assert np.all(m[:, 0, 1] == 1.5) and np.all(m[:, 1, 0] == 1.5)
+        h(0.5)
+        assert len(calls) == 2
+
     def test_full_vs_effective_propagation(self):
         p = LambdaParams(1.0, 1.0, delta_single=50.0, duration=20.0)
         grid = TimeGrid(0.0, 20.0, 2)

@@ -110,8 +110,12 @@ class TestEfficiencyMaps:
             effs.append(sweep_efficiency(spec).cells)
         assert np.all(effs[0] >= effs[1]) and np.all(effs[1] >= effs[2])
 
-    def test_order_independence_bitwise(self, monkeypatch):
-        spec = lambda_spec("p2", tf=(2.0, 4.0, 2), delta=(1200 * np.pi, 1800 * np.pi, 2))
+    @pytest.mark.parametrize("protocol", ["p2", "chainwise"])
+    def test_order_independence_bitwise(self, monkeypatch, protocol):
+        # Pins the 3x3 and the 5x5 kernels bitwise across worker counts.
+        decays = M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS
+        spec = SweepSpec(protocol, (2.0, 4.0, 2), (1200 * np.pi, 1800 * np.pi, 2),
+                         DecayVector(decays))
         monkeypatch.setenv("CHAINWISE_STA_THREADS", "1")
         serial = sweep_efficiency(spec)
         monkeypatch.setenv("CHAINWISE_STA_THREADS", "4")
