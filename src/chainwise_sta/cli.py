@@ -56,7 +56,9 @@ _TWO_PI_FORM = re.compile(r"^2pi_x([+-]?[0-9.eE+-]+)_([kKmMgG][hH][zZ])$")
 
 
 def parse_frequency(value) -> float:
-    """Angular frequency in rad/us from a number or suffixed string."""
+    """Angular frequency in rad/us from a number or suffixed string (not a bool)."""
+    if isinstance(value, bool):
+        raise ConfigError(f"malformed frequency {value!r}; a bool is not a frequency")
     if isinstance(value, (int, float)):
         return float(value)
     text = str(value).strip()
@@ -83,7 +85,9 @@ def format_frequency(rad_per_us: float, unit: str = "MHz") -> str:
 
 
 def parse_angle(value) -> float:
-    """Angle in radians from a number, 'pi/X', or 'Xpi'."""
+    """Angle in radians from a number, 'pi/X', or 'Xpi' (not a bool)."""
+    if isinstance(value, bool):
+        raise ConfigError(f"malformed angle {value!r}; a bool is not an angle")
     if isinstance(value, (int, float)):
         return float(value)
     text = str(value).strip()
@@ -115,18 +119,43 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _parse_range(value, freq: bool) -> tuple[float, float, int]:
+def _real(value, name: str) -> float:
+    """A real number from a flag or config file, or a ConfigError naming it.
+
+    Numbers and numeric text pass (non-finite values are left to the
+    designers' own checks); bools, lists, null and other text do not.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _named(parse, value, name: str) -> float:
+    """``parse(value)``, with the key named in any ConfigError it raises."""
+    try:
+        return parse(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _parse_range(value, name: str, freq: bool) -> tuple[float, float, int]:
     if isinstance(value, (list, tuple)):
         lo, hi, count = value
-        lo = parse_frequency(lo) if freq else float(lo)
-        hi = parse_frequency(hi) if freq else float(hi)
-        return lo, hi, _integer(count, "range count")
-    parts = str(value).split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"ranges use min:max:count, got {value!r}")
-    lo = parse_frequency(parts[0]) if freq else float(parts[0])
-    hi = parse_frequency(parts[1]) if freq else float(parts[1])
-    return lo, hi, _integer(parts[2], "range count")
+    else:
+        parts = str(value).split(":")
+        if len(parts) != 3:
+            raise ConfigError(f"ranges use min:max:count, got {value!r}")
+        lo, hi, count = parts
+    if freq:
+        lo, hi = _named(parse_frequency, lo, name), _named(parse_frequency, hi, name)
+    else:
+        lo, hi = _real(lo, name), _real(hi, name)
+    return lo, hi, _integer(count, "range count")
 
 
 @dataclass(frozen=True)
@@ -212,18 +241,14 @@ def _merge(command: str, args: argparse.Namespace) -> dict:
 
 def _resolve_common(merged: dict) -> dict:
     out = dict(merged)
-    if "delta" in out and out["command"] not in _RANGE_COMMANDS:
-        out["delta"] = parse_frequency(out["delta"])
+    ranged = out["command"] in _RANGE_COMMANDS
+    if "delta" in out and not ranged:
+        out["delta"] = _named(parse_frequency, out["delta"], "delta")
     if "beta" in out:
-        out["beta"] = parse_angle(out["beta"])
-    if "tf" in out and out["command"] not in _RANGE_COMMANDS:
-        out["tf"] = float(out["tf"])
-    if "epsilon" in out:
-        out["epsilon"] = float(out["epsilon"])
-    if "tol" in out:
-        out["tol"] = float(out["tol"])
-    if "hold" in out:
-        out["hold"] = float(out["hold"])
+        out["beta"] = _named(parse_angle, out["beta"], "beta")
+    for key in ("tf", "epsilon", "tol", "hold"):
+        if key in out and not (key == "tf" and ranged):
+            out[key] = _real(out[key], key)
     for key in ("n_samples", "points_per_leg"):
         if key in out:
             out[key] = _integer(out[key], key)
@@ -231,7 +256,9 @@ def _resolve_common(merged: dict) -> dict:
         raw = out["gamma"]
         if isinstance(raw, str):
             raw = [p for p in raw.split(",") if p.strip()]
-        out["gamma"] = [parse_frequency(g) for g in raw]
+        elif not isinstance(raw, list):
+            raise ConfigError(f"gamma must be a list or a comma-separated string, got {raw!r}")
+        out["gamma"] = [_named(parse_frequency, g, "gamma") for g in raw]
     if "protocol" in out and out["protocol"] not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {out['protocol']!r}")
     if "delta_two_mode" in out and out["delta_two_mode"] not in ("dropped", "exact_clamped"):
@@ -239,7 +266,7 @@ def _resolve_common(merged: dict) -> dict:
             f"delta_two_mode must be 'dropped' or 'exact_clamped', got {out['delta_two_mode']!r}"
         )
     if "delta_two_clamp" in out:
-        out["delta_two_clamp"] = parse_frequency(out["delta_two_clamp"])
+        out["delta_two_clamp"] = _named(parse_frequency, out["delta_two_clamp"], "delta_two_clamp")
     return out
 
 
@@ -324,8 +351,8 @@ def _cmd_sweep(cfg: dict) -> int:
     _require(cfg, "protocol", "tf", "delta", "metric")
     if cfg["metric"] not in ("efficiency", "peak"):
         raise ConfigError(f"metric must be 'efficiency' or 'peak', got {cfg['metric']!r}")
-    tf_range = _parse_range(cfg["tf"], freq=False)
-    delta_range = _parse_range(cfg["delta"], freq=True)
+    tf_range = _parse_range(cfg["tf"], "tf", freq=False)
+    delta_range = _parse_range(cfg["delta"], "delta", freq=True)
     cfg["tf"], cfg["delta"] = list(tf_range), list(delta_range)
     spec = SweepSpec(
         protocol=cfg["protocol"],

@@ -110,6 +110,13 @@ class ThreeLevelAux:
     floating point (the inverse-engineered channels take a fourth root of
     the squared derivatives, so exact zeros matter); ``poly_a`` / ``poly_b``
     expose the same polynomials in plain time.
+
+    ``angles(t)`` returns (chi, chi_dot, vartheta, vartheta_dot) from one
+    scaled time; the derivative coefficients are formed from the current
+    ``scaled_a`` / ``scaled_b`` on each call, and every value is bitwise
+    equal to numpy's ``polyval``/``polyder``.  ``chi``, ``chi_deriv``,
+    ``vartheta`` and ``vartheta_deriv`` pick one entry of it.  Callers that
+    need several angles at the same times make one ``angles`` call.
     """
 
     t_f: float
@@ -127,18 +134,14 @@ class ThreeLevelAux:
             raise ValueError(f"unknown direction {self.direction!r}")
         tf, eps = self.t_f, self.epsilon
         start, end = (0.0, np.pi / 2) if self.direction == "creation" else (np.pi / 2, 0.0)
+        chi, chi_d, vt, vt_d = self.angles(np.array([0.0, tf, tf / 2]))
         checks = (
-            (self.chi(0.0) - eps),
-            (self.chi(tf) - eps),
-            (self.chi(tf / 2) - np.pi / 4),
-            self.chi_deriv(0.0),
-            self.chi_deriv(tf),
-            (self.vartheta(0.0) - start),
-            (self.vartheta(tf) - end),
-            self.vartheta_deriv(0.0),
-            self.vartheta_deriv(tf),
+            chi - (eps, eps, np.pi / 4),
+            chi_d[:2],
+            vt[:2] - (start, end),
+            vt_d[:2],
         )
-        worst = float(np.max(np.abs(checks)))
+        worst = float(np.max(np.abs(np.concatenate(checks))))
         if not worst <= 1e-12:
             raise ValueError(f"boundary conditions violated by {worst:.3e}")
 
@@ -150,23 +153,36 @@ class ThreeLevelAux:
     def poly_b(self) -> np.ndarray:
         return self.scaled_b / self.t_f ** np.arange(4)
 
-    def chi(self, t):
+    def angles(self, t):
+        """(chi, chi_dot, vartheta, vartheta_dot) at times t, in rad and rad/us."""
         s = np.asarray(t, dtype=float) / self.t_f
-        return np.polynomial.polynomial.polyval(s, self.scaled_a)
+        a, b = self.scaled_a, self.scaled_b
+        return (
+            _polyval(s, a),
+            _polyval(s, a[1:] * np.arange(1, a.size)) / self.t_f,
+            _polyval(s, b),
+            _polyval(s, b[1:] * np.arange(1, b.size)) / self.t_f,
+        )
+
+    def chi(self, t):
+        return self.angles(t)[0]
 
     def chi_deriv(self, t):
-        s = np.asarray(t, dtype=float) / self.t_f
-        d = np.polynomial.polynomial.polyder(self.scaled_a)
-        return np.polynomial.polynomial.polyval(s, d) / self.t_f
+        return self.angles(t)[1]
 
     def vartheta(self, t):
-        s = np.asarray(t, dtype=float) / self.t_f
-        return np.polynomial.polynomial.polyval(s, self.scaled_b)
+        return self.angles(t)[2]
 
     def vartheta_deriv(self, t):
-        s = np.asarray(t, dtype=float) / self.t_f
-        d = np.polynomial.polynomial.polyder(self.scaled_b)
-        return np.polynomial.polynomial.polyval(s, d) / self.t_f
+        return self.angles(t)[3]
+
+
+def _polyval(s, coeffs):
+    """sum_k coeffs[k] s^k by Horner's rule, in numpy ``polyval``'s operation order."""
+    val = coeffs[-1] + s * 0
+    for c in coeffs[-2::-1]:
+        val = c + val * s
+    return val
 
 
 def solve_aux_polynomials(t_f: float, epsilon: float, direction: str = "creation") -> ThreeLevelAux:
@@ -234,8 +250,7 @@ def eigenstates2(aux: TwoLevelAux, t: float) -> tuple[StateVector, StateVector]:
 
 def _invariant3_stack(aux: ThreeLevelAux, times) -> np.ndarray:
     t_arr = np.asarray(times, dtype=float)
-    chi = np.broadcast_to(np.asarray(aux.chi(t_arr), dtype=float), t_arr.shape)
-    vt = np.broadcast_to(np.asarray(aux.vartheta(t_arr), dtype=float), t_arr.shape)
+    chi, _, vt, _ = aux.angles(t_arr)
     out = np.zeros(t_arr.shape + (3, 3), dtype=complex)
     cchi, schi = np.cos(chi), np.sin(chi)
     out[..., 0, 1] = 0.5 * cchi * np.sin(vt)
@@ -325,10 +340,7 @@ def _eigvec_and_deriv_2(aux: TwoLevelAux, which: str, times: np.ndarray):
 
 
 def _eigvec_and_deriv_3(aux: ThreeLevelAux, which: str, times: np.ndarray):
-    chi = np.broadcast_to(np.asarray(aux.chi(times), dtype=float), times.shape)
-    vt = np.broadcast_to(np.asarray(aux.vartheta(times), dtype=float), times.shape)
-    chi_d = np.broadcast_to(np.asarray(aux.chi_deriv(times), dtype=float), times.shape)
-    vt_d = np.broadcast_to(np.asarray(aux.vartheta_deriv(times), dtype=float), times.shape)
+    chi, chi_d, vt, vt_d = aux.angles(times)
     cc, sc = np.cos(chi), np.sin(chi)
     cv, sv = np.cos(vt), np.sin(vt)
     if which == "zero":

@@ -101,6 +101,11 @@ class PulseSchedule:
     zero for the five-level scheme); ``segments`` lists the legs making up
     the schedule.  ``design`` records the generating parameters so derived
     schedules (round trips, effective models) can be rebuilt.
+
+    Construction checks that every channel and ``delta_two`` are finite on
+    257 probe times; a function that serves two channel names (omega1 =
+    omega4 in a chainwise design) is evaluated once, and a failure names
+    its first channel.
     """
 
     scheme: str
@@ -121,7 +126,10 @@ class PulseSchedule:
         if abs(total - self.duration) > 1e-9 * max(1.0, self.duration):
             raise ValueError("segment durations do not add up to the schedule duration")
         probe = np.linspace(0.0, self.duration, 257)
+        first_name = {}
         for name, chan in self.channels.items():
+            first_name.setdefault(chan, name)
+        for chan, name in first_name.items():
             vals = np.asarray(chan(probe), dtype=float)
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"channel {name!r} is not finite everywhere")
@@ -278,23 +286,21 @@ def design_protocol2(t_f: float, delta_single: float) -> PulseSchedule:
 
 
 def _chain_effective_couplings(aux: ThreeLevelAux):
-    """Effective-drive closures for the chain invariant transport."""
+    """The effective pair t -> (omega_e1, omega_e2) of the chain transport.
 
-    def omega_e1(t):
-        t_arr = np.asarray(t, dtype=float)
-        chi = aux.chi(t_arr)
-        vt = aux.vartheta(t_arr)
-        return 2.0 * (aux.vartheta_deriv(t_arr) / np.tan(chi) * np.sin(vt)
-                      + aux.chi_deriv(t_arr) * np.cos(vt))
+    Both couplings come from one ``aux.angles`` call:
 
-    def omega_e2(t):
-        t_arr = np.asarray(t, dtype=float)
-        chi = aux.chi(t_arr)
-        vt = aux.vartheta(t_arr)
-        return 2.0 * (aux.vartheta_deriv(t_arr) / np.tan(chi) * np.cos(vt)
-                      - aux.chi_deriv(t_arr) * np.sin(vt))
+        omega_e1 = 2 (vartheta_dot cot(chi) sin(vartheta) + chi_dot cos(vartheta))
+        omega_e2 = 2 (vartheta_dot cot(chi) cos(vartheta) - chi_dot sin(vartheta))
+    """
 
-    return omega_e1, omega_e2
+    def pair(t):
+        chi, chi_d, vt, vt_d = aux.angles(t)
+        rate = vt_d / np.tan(chi)
+        sv, cv = np.sin(vt), np.cos(vt)
+        return 2.0 * (rate * sv + chi_d * cv), 2.0 * (rate * cv - chi_d * sv)
+
+    return pair
 
 
 def design_chainwise(
@@ -321,22 +327,21 @@ def design_chainwise(
     if not 0 < delta_single < np.inf:
         raise ValueError("delta_single must be finite and positive")
     aux = solve_aux_polynomials(t_f, epsilon, direction)
-    omega_e1, omega_e2 = _chain_effective_couplings(aux)
+    effective_pair = _chain_effective_couplings(aux)
 
     # Joint gauge sign: make the dominant lobe of omega_2 positive.
     probe = np.linspace(0.0, t_f, 257)
-    gauge = 1.0 if float(np.trapezoid(omega_e1(probe), probe)) >= 0.0 else -1.0
+    e1, e2 = effective_pair(probe)
+    gauge = 1.0 if float(np.trapezoid(e1, probe)) >= 0.0 else -1.0
 
     root = np.sqrt(2.0 * delta_single)
     # Squared couplings at roundoff level are exact zeros of the design (the
     # fourth root would amplify float dust into visible channel values).
-    floor = 1e-24 * float(np.max(omega_e1(probe) ** 2 + omega_e2(probe) ** 2))
+    floor = 1e-24 * float(np.max(e1**2 + e2**2))
 
     def _parts(t):
-        e1 = omega_e1(t)
-        e2 = omega_e2(t)
-        s = e1**2 + e2**2
-        return e1, e2, s
+        e1, e2 = effective_pair(t)
+        return e1, e2, e1**2 + e2**2
 
     def omega1(t):
         _, _, s = _parts(t)
@@ -475,8 +480,11 @@ def effective_rule(schedule: PulseSchedule) -> HamiltonianRule:
         ).hamiltonian()
     aux = schedule.design.get("aux")
     if aux is not None:
-        omega_e1, omega_e2 = _chain_effective_couplings(aux)
-        return schemes.EffThreeLevel(omega_e1=omega_e1, omega_e2=omega_e2).hamiltonian()
+        effective_pair = _chain_effective_couplings(aux)
+        return schemes.EffThreeLevel(
+            omega_e1=lambda t: effective_pair(t)[0],
+            omega_e2=lambda t: effective_pair(t)[1],
+        ).hamiltonian()
     return schemes.reduce_m(_m_params(schedule)).hamiltonian()
 
 

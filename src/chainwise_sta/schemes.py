@@ -86,13 +86,17 @@ def _chain_rule(diagonal: tuple[Channel, ...] | Callable[[np.ndarray], np.ndarra
     Every chain Hamiltonian of this module, full or eliminated, is built
     here.  Constant diagonal entries are assigned as scalars.  ``diagonal``
     may instead be one function of t returning all n entries on a last axis,
-    so that entries sharing a channel evaluate it once per call.
+    so that entries sharing a channel evaluate it once per call.  A coupling
+    passed twice as the same object (pump = Stokes in the ladder, omega4 =
+    omega1 in a designed chain) is likewise evaluated once per call.
     """
     n = len(couplings) + 1
     levels = np.arange(n)
     diag = diagonal if callable(diagonal) else [
         as_channel(d) if callable(d) else float(d) for d in diagonal]
-    chans = [as_channel(c) for c in couplings]
+    sources = list({id(c): c for c in couplings}.values())
+    chans = [as_channel(c) for c in sources]
+    slots = [[k for k, c in enumerate(couplings) if c is src] for src in sources]
 
     def evaluate(t):
         t_arr = np.asarray(t, dtype=float)
@@ -102,10 +106,11 @@ def _chain_rule(diagonal: tuple[Channel, ...] | Callable[[np.ndarray], np.ndarra
         else:
             for k, d in enumerate(diag):
                 out[..., k, k] = d(t_arr) if callable(d) else d
-        for k, chan in enumerate(chans):
+        for chan, ks in zip(chans, slots):
             val = 0.5 * chan(t_arr)
-            out[..., k, k + 1] = val
-            out[..., k + 1, k] = val
+            for k in ks:
+                out[..., k, k + 1] = val
+                out[..., k + 1, k] = val
         return out
 
     return HamiltonianRule(n, evaluate)

@@ -71,6 +71,13 @@ class TestUnitParsing:
         with pytest.raises(ConfigError, match="malformed"):
             parse_angle("half a turn")
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bools_rejected(self, value):
+        with pytest.raises(ConfigError, match="bool"):
+            parse_frequency(value)
+        with pytest.raises(ConfigError, match="bool"):
+            parse_angle(value)
+
 
 class TestPresets:
     def test_shipped_presets(self):
@@ -291,6 +298,39 @@ class TestConfigHandling:
         code = run_cli(["design", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "points_per_leg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, entry", [
+        ("simulate", {"tol": "abc"}),
+        ("simulate", {"epsilon": [1]}),
+        ("simulate", {"tf": True}),
+        ("roundtrip", {"hold": False}),
+        ("simulate", {"delta": True}),
+        ("simulate", {"beta": True}),
+        ("simulate", {"gamma": 5}),
+    ], ids=["tol-text", "epsilon-list", "tf-bool", "hold-bool", "delta-bool",
+            "beta-bool", "gamma-scalar"])
+    def test_bad_real_rejected_naming_key(self, command, entry, tmp_path, capsys):
+        # Each entry used to run with a silently converted value, exit 1 with
+        # a traceback, or exit 2 without naming the key.
+        raw = {"protocol": "p2", "tf": 1, "delta": "1000pi_MHz", "tol": 1e-4,
+               "n_samples": 11, **entry}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        code = run_cli([command, "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert next(iter(entry)) in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_bool_range_bound_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": "sweep", "protocol": "p2", "metric": "peak",
+                                   "tf": [True, 2, 2], "delta": "1000:2000:2"}))
+        out = tmp_path / "o"
+        code = run_cli(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "tf" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_config_for_other_command_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

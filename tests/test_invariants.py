@@ -125,6 +125,51 @@ class TestInvariant3:
             assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
 
+def polyval_reference(aux, t):
+    """(chi, chi_dot, vartheta, vartheta_dot) by numpy's polyval/polyder."""
+    poly = np.polynomial.polynomial
+    s = np.asarray(t, dtype=float) / aux.t_f
+    return (
+        poly.polyval(s, aux.scaled_a),
+        poly.polyval(s, poly.polyder(aux.scaled_a)) / aux.t_f,
+        poly.polyval(s, aux.scaled_b),
+        poly.polyval(s, poly.polyder(aux.scaled_b)) / aux.t_f,
+    )
+
+
+class TestAngles:
+    """angles() and the single-angle methods equal polyval/polyder bit for bit."""
+
+    METHODS = ("chi", "chi_deriv", "vartheta", "vartheta_deriv")
+
+    def assert_bitwise(self, aux):
+        t = np.linspace(0.0, aux.t_f, 1001)
+        assert t[0] == 0.0 and t[500] == aux.t_f / 2 and t[-1] == aux.t_f
+        want = polyval_reference(aux, t)
+        for got in (aux.angles(t), [getattr(aux, m)(t) for m in self.METHODS]):
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+                assert g.tobytes() == w.tobytes()
+        for t0 in (0.0, aux.t_f / 2, aux.t_f):
+            want = polyval_reference(aux, t0)
+            for g, w in zip(aux.angles(t0), want):
+                assert np.array_equal(g, w)
+            for m, w in zip(self.METHODS, want):
+                assert np.array_equal(getattr(aux, m)(t0), w)
+
+    @pytest.mark.parametrize("direction", ["creation", "detection"])
+    @pytest.mark.parametrize("t_f,eps", [(8.0, 0.03), (3.2, 1e-3), (4.0, 0.2)])
+    def test_designed_polynomials(self, t_f, eps, direction):
+        self.assert_bitwise(solve_aux_polynomials(t_f, eps, direction))
+
+    def test_replaced_coefficients(self):
+        # The constant-angle stand-in swaps the coefficients after
+        # construction; a derivative copied at construction would go stale.
+        aux = TestInvariant3.chain_aux(0.3, 1.1)
+        self.assert_bitwise(aux)
+        assert not np.any(aux.chi_deriv(np.linspace(0.0, 1.0, 11)))
+
+
 class TestAuxPolynomials:
     def test_cubic_coefficients_against_linear_solve(self):
         # Independent oracle: assemble and solve the boundary system here.

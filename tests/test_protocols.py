@@ -6,6 +6,7 @@ import pytest
 from chainwise_sta import (
     DeltaTwoMode,
     StateVector,
+    ThreeLevelAux,
     TimeGrid,
     build_roundtrip,
     design_chainwise,
@@ -193,10 +194,10 @@ class TestChainwise:
             delta_single=chain_schedule.delta_single,
             duration=8.0,
         ))
-        designed_e1, designed_e2 = _chain_effective_couplings(chain_schedule.design["aux"])
+        designed_pair = _chain_effective_couplings(chain_schedule.design["aux"])
         t = np.linspace(0.05, 7.95, 501)
         got1, got2 = np.asarray(eff.omega_e1(t)), np.asarray(eff.omega_e2(t))
-        want1, want2 = designed_e1(t), designed_e2(t)
+        want1, want2 = designed_pair(t)
         scale = np.max(np.hypot(want1, want2))
         same = max(np.max(np.abs(got1 - want1)), np.max(np.abs(got2 - want2)))
         flipped = max(np.max(np.abs(got1 + want1)), np.max(np.abs(got2 + want2)))
@@ -305,6 +306,34 @@ class TestModelRules:
         assert m[1, 2] == pytest.approx(om / 2)
         assert m[1, 1] == pytest.approx(p2_schedule.delta_single)
         assert m[2, 2] == 0.0
+
+    def test_chain_h_evaluates_angles_three_times(self, chain_schedule, monkeypatch):
+        # One angle evaluation per distinct channel: omega1 (= omega4),
+        # omega2 and omega3.
+        h = hamiltonian_rule(chain_schedule)
+        angles = ThreeLevelAux.angles
+        calls = []
+
+        def counted(aux, t):
+            calls.append(np.size(t))
+            return angles(aux, t)
+
+        monkeypatch.setattr(ThreeLevelAux, "angles", counted)
+        h.matrices(np.linspace(0.0, chain_schedule.duration, 64))
+        assert calls == [64, 64, 64]
+
+    def test_p2_h_evaluates_omega_once(self, p2_schedule, monkeypatch):
+        # Pump and Stokes are the same channel.
+        omega = p2_schedule.channels["omega"]
+        calls = []
+
+        def counted(t):
+            calls.append(np.size(t))
+            return omega(t)
+
+        monkeypatch.setitem(p2_schedule.channels, "omega", counted)
+        hamiltonian_rule(p2_schedule).matrices(np.linspace(0.0, p2_schedule.duration, 64))
+        assert calls == [64]
 
     def test_chain_roundtrip_effective_fallback(self):
         # A round trip carries no design aux, so effective_rule reduces the

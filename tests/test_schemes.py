@@ -56,6 +56,31 @@ class TestBuildLambda:
         assert m[1, 0, 1] == pytest.approx(0.5)
 
 
+class TestSharedChannels:
+    @pytest.mark.parametrize("scheme", ["lambda", "m"])
+    def test_shared_channel_evaluated_once(self, scheme):
+        # Pump = Stokes in the ladder, omega4 = omega1 in the chain: the
+        # shared function runs once per H(t) call and fills both entries.
+        calls = []
+
+        def omega(t):
+            calls.append(np.size(t))
+            return np.sin(t)
+
+        if scheme == "lambda":
+            h, pairs = build_lambda(LambdaParams(omega, omega, delta_single=4.0)), [(0, 1)]
+        else:
+            h, pairs = build_m(MParams(omega, 1.5, 2.5, omega, delta_single=7.0)), [(0, 1), (3, 4)]
+        t = np.array([0.3, 1.2, 2.0])
+        m = h.matrices(t)
+        assert calls == [3]
+        for k, l in pairs:
+            assert np.array_equal(m[:, k, l], 0.5 * np.sin(t))
+            assert np.array_equal(m[:, l, k], 0.5 * np.sin(t))
+        if scheme == "lambda":
+            assert np.array_equal(m[:, 1, 2], 0.5 * np.sin(t))
+
+
 class TestBuildM:
     def test_zero_drive_is_diagonal(self):
         h = build_m(MParams(0.0, 0.0, 0.0, 0.0, delta_single=7.0))
