@@ -372,6 +372,9 @@ def _cmd_sweep(cfg: dict) -> int:
         fh.write("\n")
     _write_manifest(cfg, out)
     finite = grid.cells[np.isfinite(grid.cells)]
+    if finite.size == 0:
+        print(f"numerical failure: all {grid.cells.size} cells failed", file=sys.stderr)
+        return 3
     print(f"cells={grid.cells.size} max={np.max(finite):.6f} "
           f"min={np.min(finite):.6f} failed={len(grid.metadata['failed_cells'])}")
     return 0

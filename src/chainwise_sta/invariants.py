@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .qcore import HamiltonianRule, StateVector, TimeGrid
 
@@ -390,6 +389,10 @@ def lr_phase(
     ``n`` selects the eigenstate: "plus"/"minus" for a two-level aux,
     "zero"/"plus"/"minus" for a three-level aux.
     """
+    # Imported here: scipy.integrate costs most of the package's import time,
+    # and nothing else needs it.
+    from scipy.integrate import cumulative_simpson
+
     times = grid.times
     if isinstance(aux, TwoLevelAux):
         vec, dvec = _eigvec_and_deriv_2(aux, n, times)

@@ -379,12 +379,17 @@ def design_chainwise(
 
 
 def _piecewise(forward: Callable, backward: Callable, t_leg: float, hold: float) -> Callable:
+    """Forward leg, zero through the hold, return leg; each design is
+    evaluated only at the times of its own leg."""
+
     def combined(t):
         t_arr = np.asarray(t, dtype=float)
-        fwd = forward(np.clip(t_arr, 0.0, t_leg))
-        bwd = backward(np.clip(t_arr - t_leg - hold, 0.0, t_leg))
-        out = np.where(t_arr < t_leg, fwd, 0.0)
-        return np.where(t_arr >= t_leg + hold, bwd, out)
+        out = np.zeros(t_arr.shape)
+        fwd = t_arr < t_leg
+        bwd = t_arr >= t_leg + hold
+        out[fwd] = forward(np.clip(t_arr[fwd], 0.0, t_leg))
+        out[bwd] = backward(np.clip(t_arr[bwd] - t_leg - hold, 0.0, t_leg))
+        return out
 
     return combined
 
@@ -415,10 +420,15 @@ def build_roundtrip(leg: PulseSchedule, hold_duration: float) -> PulseSchedule:
     else:
         back = leg
 
-    channels = {
-        name: _piecewise(leg.channels[name], back.channels[name], t_leg, hold_duration)
-        for name in leg.channel_names
-    }
+    # One piecewise function per distinct (forward, backward) pair, so that a
+    # channel serving two names (omega4 = omega1) stays one object.
+    pieces = {}
+    channels = {}
+    for name in leg.channel_names:
+        pair = (leg.channels[name], back.channels[name])
+        if pair not in pieces:
+            pieces[pair] = _piecewise(*pair, t_leg, hold_duration)
+        channels[name] = pieces[pair]
     delta_two = _piecewise(leg.delta_two, back.delta_two, t_leg, hold_duration)
     return PulseSchedule(
         scheme=leg.scheme,

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,28 @@ class TestUnitParsing:
             parse_frequency(value)
         with pytest.raises(ConfigError, match="bool"):
             parse_angle(value)
+
+
+class TestStartup:
+    def test_cli_import_and_simulate_load_no_scipy(self, tmp_path):
+        # scipy.integrate is most of the package's import time; only
+        # invariants.lr_phase needs it, and it imports it on call.
+        import chainwise_sta
+
+        src = str(Path(chainwise_sta.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from chainwise_sta.cli import run_cli\n"
+            "code = run_cli(['simulate', '--preset', 'rb2_lambda', '--protocol', 'p2',\n"
+            "                '--tol', '1e-4', '--n-samples', '2', '--out', sys.argv[1]])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sim")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
 class TestPresets:
@@ -221,6 +247,33 @@ class TestSweepCommand:
         rows = (out / "map.csv").read_text().strip().splitlines()
         top_left = float(rows[1].split(",")[1])
         assert top_left == pytest.approx(30 * np.pi, rel=5e-3)
+
+    @pytest.mark.parametrize("failing_tf, code, failed", [((2.0, 4.0), 3, 4), ((4.0,), 0, 2)],
+                             ids=["all", "partial"])
+    def test_failed_cells(self, tmp_path, capsys, monkeypatch, failing_tf, code, failed):
+        import chainwise_sta.sweeps as sweeps_mod
+        from chainwise_sta import IntegrationError
+
+        real = sweeps_mod.propagate_density
+
+        def flaky(h, gamma, rho0, grid, **kw):
+            if any(abs(grid.t_end - tf) < 1e-9 for tf in failing_tf):
+                raise IntegrationError("synthetic failure")
+            return real(h, gamma, rho0, grid, **kw)
+
+        monkeypatch.setattr(sweeps_mod, "propagate_density", flaky)
+        out = tmp_path / "sw"
+        assert run_cli(["sweep", "--protocol", "p2", "--tf", "2:4:2",
+                        "--delta", "1pi_GHz:2pi_GHz:2", "--metric", "efficiency",
+                        "--preset", "rb2_lambda", "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert len((out / "map.csv").read_text().strip().splitlines()) == 3
+        meta = json.loads((out / "map_meta.json").read_text())
+        assert len(meta["failed_cells"]) == failed
+        if code == 3:
+            assert "numerical failure" in captured.err and "all 4 cells failed" in captured.err
+        else:
+            assert f"failed={failed}" in captured.out
 
     def test_bad_range_syntax(self, tmp_path, capsys):
         code = run_cli(["sweep", "--protocol", "p2", "--tf", "2-4",

@@ -254,6 +254,20 @@ class TestRoundtrip:
         assert aux.vartheta(0.0) == pytest.approx(np.pi / 2, abs=1e-12)
         assert aux.vartheta(8.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_scalar_times_match_array(self, p1_schedule_clamped, chain_schedule):
+        for leg in (p1_schedule_clamped, chain_schedule):
+            rt = build_roundtrip(leg, 0.1)
+            t_leg = leg.duration
+            times = np.array([-0.5, 0.0, t_leg / 3, t_leg, t_leg + 0.05, t_leg + 0.1,
+                              rt.duration - 0.2, rt.duration, rt.duration + 0.5])
+            for chan in (*rt.channels.values(), rt.delta_two):
+                values = chan(times)
+                for k, t in enumerate(times):
+                    for scalar in (float(t), np.float64(t), np.array(t)):
+                        got = chan(scalar)
+                        assert np.shape(got) == ()
+                        assert got == values[k]
+
     def test_negative_hold_rejected(self, p1_schedule):
         with pytest.raises(ValueError):
             build_roundtrip(p1_schedule, -0.1)
@@ -321,6 +335,24 @@ class TestModelRules:
         monkeypatch.setattr(ThreeLevelAux, "angles", counted)
         h.matrices(np.linspace(0.0, chain_schedule.duration, 64))
         assert calls == [64, 64, 64]
+
+    def test_chain_roundtrip_h_evaluates_each_leg_on_its_own_times(self, chain_schedule,
+                                                                  monkeypatch):
+        # Three distinct channels (omega1 = omega4 stays one object), each
+        # evaluating the forward design only before the hold and the return
+        # design only after it.
+        h = hamiltonian_rule(build_roundtrip(chain_schedule, 0.1))
+        angles = ThreeLevelAux.angles
+        calls = []
+
+        def counted(aux, t):
+            calls.append(np.size(t))
+            return angles(aux, t)
+
+        monkeypatch.setattr(ThreeLevelAux, "angles", counted)
+        h.matrices(np.linspace(0.0, 16.1, 1000))
+        assert len(calls) <= 6
+        assert sum(calls) <= 3 * 1000
 
     def test_p2_h_evaluates_omega_once(self, p2_schedule, monkeypatch):
         # Pump and Stokes are the same channel.

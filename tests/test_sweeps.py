@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from chainwise_sta import DecayVector, IntegrationError
+import chainwise_sta.sweeps as sweeps_mod
+from chainwise_sta import DecayVector, IntegrationError, peak_amplitude
 from chainwise_sta.sweeps import (
     GridMap,
     SweepSpec,
+    design_schedule,
     run_scenario,
     sweep_efficiency,
     sweep_peak_amplitude,
+    thread_cap,
 )
 
 from conftest import LAMBDA_DECAYS, M_DECAYS
@@ -79,6 +82,24 @@ class TestPeakAmplitudeMaps:
         grid = sweep_peak_amplitude(lambda_spec("p2"))
         assert np.all(grid.cells > 0)
 
+    @pytest.mark.parametrize("protocol", ["p1", "p2", "chainwise"])
+    def test_cells_run_in_calling_thread(self, monkeypatch, protocol):
+        # Peak cells hold the GIL; a worker pool would only contend for it.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("peak sweep built a thread pool")
+
+        monkeypatch.setattr(sweeps_mod, "ThreadPoolExecutor", no_pool)
+        decays = M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS
+        spec = SweepSpec(protocol, (2.0, 8.0, 3), (1270 * np.pi, 4000 * np.pi, 4),
+                         DecayVector(decays))
+        grid = sweep_peak_amplitude(spec)
+        expected = np.array([
+            [peak_amplitude(design_schedule(protocol, tf, delta)) for delta in spec.delta_values]
+            for tf in spec.tf_values
+        ])
+        assert np.array_equal(grid.cells, expected)
+        assert grid.metadata["failed_cells"] == []
+
     def test_design_error_carries_coordinates(self):
         spec = SweepSpec("chainwise", (2.0, 4.0, 2), (1000 * np.pi, 2000 * np.pi, 2),
                          DecayVector(M_DECAYS), epsilon=0.9)
@@ -123,8 +144,6 @@ class TestEfficiencyMaps:
         assert np.array_equal(serial.cells, threaded.cells)
 
     def test_failed_cell_becomes_sentinel(self, monkeypatch):
-        import chainwise_sta.sweeps as sweeps_mod
-
         real = sweeps_mod.propagate_density
         target_tf = 3.0
 
@@ -159,6 +178,29 @@ class TestEfficiencyMaps:
         assert md["decays_rad_us"] == pytest.approx(list(LAMBDA_DECAYS))
         assert md["tolerance"] == spec.tol
         assert "timestamp" in md
+
+
+class TestThreadCap:
+    def test_default_counts_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("CHAINWISE_STA_THREADS", raising=False)
+        monkeypatch.setattr(sweeps_mod.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: 8)
+        assert thread_cap() == 2
+
+    @pytest.mark.parametrize("count, expected", [(6, 6), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, count, expected):
+        monkeypatch.delenv("CHAINWISE_STA_THREADS", raising=False)
+        monkeypatch.delattr(sweeps_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: count)
+        assert thread_cap() == expected
+
+    def test_environment_overrides(self, monkeypatch):
+        monkeypatch.setattr(sweeps_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setenv("CHAINWISE_STA_THREADS", "3")
+        assert thread_cap() == 3
+        monkeypatch.setenv("CHAINWISE_STA_THREADS", "many")
+        with pytest.raises(ValueError, match="CHAINWISE_STA_THREADS"):
+            thread_cap()
 
 
 class TestGridMapExport:
