@@ -373,6 +373,32 @@ def _eigvec_and_deriv_3(aux: ThreeLevelAux, which: str, times: np.ndarray):
     return vec, dvec
 
 
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Integral of the samples y(x) from x[0] to each x[k], starting at 0.
+
+    Interval [x_k, x_k+1] takes the integral of the parabola through its
+    ends and one neighbour: x_k+2 for even k, x_k-1 for odd k and for the
+    last interval.  Two samples fall back to the trapezoid.  Same formulas
+    as ``scipy.integrate.cumulative_simpson``.
+    """
+    dx = np.diff(x)
+    if y.size < 3:
+        return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
+
+    def leading(y, dx):  # over [x_k, x_k+1], parabola through x_k, x_k+1, x_k+2
+        h1, h2 = dx[:-1], dx[1:]
+        r1 = h1 / (h1 + h2)
+        r12 = r1 * (h1 / h2)
+        return h1 / 6 * ((3 - r1) * y[:-2] + (3 + r12 + r1) * y[1:-1] + (-r12) * y[2:])
+
+    forward, backward = leading(y, dx), leading(y[::-1], dx[::-1])[::-1]
+    parts = np.empty(dx.size)
+    parts[:-1:2] = forward[::2]
+    parts[1::2] = backward[::2]
+    parts[-1] = backward[-1]
+    return np.concatenate(([0.0], np.cumsum(parts)))
+
+
 def lr_phase(
     n: str,
     aux: TwoLevelAux | ThreeLevelAux,
@@ -389,10 +415,6 @@ def lr_phase(
     ``n`` selects the eigenstate: "plus"/"minus" for a two-level aux,
     "zero"/"plus"/"minus" for a three-level aux.
     """
-    # Imported here: scipy.integrate costs most of the package's import time,
-    # and nothing else needs it.
-    from scipy.integrate import cumulative_simpson
-
     times = grid.times
     if isinstance(aux, TwoLevelAux):
         vec, dvec = _eigvec_and_deriv_2(aux, n, times)
@@ -401,7 +423,7 @@ def lr_phase(
     h_m = eff_h.matrices(times)
     geometric = np.real(1j * np.einsum("ti,ti->t", vec.conj(), dvec))
     dynamic = np.real(np.einsum("ti,tij,tj->t", vec.conj(), h_m, vec))
-    zeta = cumulative_simpson(geometric - dynamic, x=times, initial=0.0)
+    zeta = _cumulative_simpson(geometric - dynamic, times)
 
     def phase(t):
         return np.interp(t, times, zeta)

@@ -44,6 +44,7 @@ __all__ = [
     "hamiltonian_rule",
     "effective_rule",
     "peak_amplitude",
+    "peak_amplitudes",
 ]
 
 DEFAULT_BETA = np.pi / 1.99
@@ -197,19 +198,17 @@ def design_protocol1(
         raise ValueError("delta_single must be finite and nonzero")
     if not (np.isfinite(beta) and abs(np.sin(beta)) >= 1e-12):
         raise ValueError("beta must be finite with sin(beta) nonzero")
-    sb, cb = np.sin(beta), np.cos(beta)
-    radicand = 2.0 * delta_single * np.pi / (t_f * sb)
-    if radicand < 0:
+    omega_bar = float(_p1_coupling(t_f, delta_single, beta))
+    if np.isnan(omega_bar):
         raise ValueError(
             "delta_single * sin(beta) < 0 makes the squared coupling negative"
         )
     mode = mode or DeltaTwoMode.dropped()
-    omega_bar = float(np.sqrt(radicand))
 
     def omega(t):
         return np.full(np.asarray(t, dtype=float).shape, omega_bar)
 
-    cot_beta = cb / sb
+    cot_beta = np.cos(beta) / np.sin(beta)
     if printed_delta_form:
         if cot_beta == 0:
             raise ValueError("printed delta form divides by cot(beta) = 0")
@@ -251,6 +250,26 @@ def design_protocol1(
     )
 
 
+def _p1_coupling(t_f, delta_single, beta):
+    """sqrt(2 pi delta_single / (t_f sin beta)), NaN where the square is negative.
+
+    ``delta_single`` may be an array: the value at each entry is bitwise the
+    coupling a p1 design at that detuning carries.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(2.0 * delta_single * np.pi / (t_f * np.sin(beta)))
+
+
+def _p2_rate(aux: TwoLevelAux, t):
+    """The delta-free p2 profile: d(theta)/dt clipped at zero."""
+    return np.clip(aux.theta_dot(t), 0.0, None)
+
+
+def _p2_coupling(delta_single, rate):
+    """sqrt(2 delta_single rate); non-decreasing in ``rate`` for delta_single > 0."""
+    return np.sqrt(2.0 * delta_single * rate)
+
+
 def design_protocol2(t_f: float, delta_single: float) -> PulseSchedule:
     """Smooth-bump schedule from a cubic mixing-angle ramp with flat ends.
 
@@ -266,8 +285,7 @@ def design_protocol2(t_f: float, delta_single: float) -> PulseSchedule:
     aux = TwoLevelAux.cubic_sweep(t_f)
 
     def omega(t):
-        theta_dot = np.clip(aux.theta_dot(t), 0.0, None)
-        return np.sqrt(2.0 * delta_single * theta_dot)
+        return _p2_coupling(delta_single, _p2_rate(aux, t))
 
     return PulseSchedule(
         scheme="lambda3",
@@ -303,6 +321,26 @@ def _chain_effective_couplings(aux: ThreeLevelAux):
     return pair
 
 
+def _chain_amplitude(effective_pair, floor: float):
+    """The delta-free omega1 profile (omega_e1^2 + omega_e2^2)^(1/4).
+
+    Squared couplings at or below ``floor`` are exact zeros of the design
+    (the fourth root would amplify float dust into visible channel values).
+    """
+
+    def amplitude(t):
+        e1, e2 = effective_pair(t)
+        s = e1**2 + e2**2
+        return np.where(s > floor, s**0.25, 0.0)
+
+    return amplitude
+
+
+def _chain_root(delta_single):
+    """sqrt(2 delta_single), the factor every chainwise channel carries."""
+    return np.sqrt(2.0 * delta_single)
+
+
 def design_chainwise(
     t_f: float,
     delta_single: float,
@@ -334,18 +372,16 @@ def design_chainwise(
     e1, e2 = effective_pair(probe)
     gauge = 1.0 if float(np.trapezoid(e1, probe)) >= 0.0 else -1.0
 
-    root = np.sqrt(2.0 * delta_single)
-    # Squared couplings at roundoff level are exact zeros of the design (the
-    # fourth root would amplify float dust into visible channel values).
+    root = _chain_root(delta_single)
     floor = 1e-24 * float(np.max(e1**2 + e2**2))
+    amplitude = _chain_amplitude(effective_pair, floor)
 
     def _parts(t):
         e1, e2 = effective_pair(t)
         return e1, e2, e1**2 + e2**2
 
     def omega1(t):
-        _, _, s = _parts(t)
-        return np.where(s > floor, root * s**0.25, 0.0)
+        return root * amplitude(t)
 
     def omega2(t):
         e1, _, s = _parts(t)
@@ -374,6 +410,7 @@ def design_chainwise(
             "direction": direction,
             "aux": aux,
             "gauge": gauge,
+            "floor": floor,
         },
     )
 
@@ -491,11 +528,20 @@ def effective_rule(schedule: PulseSchedule) -> HamiltonianRule:
     aux = schedule.design.get("aux")
     if aux is not None:
         effective_pair = _chain_effective_couplings(aux)
-        return schemes.EffThreeLevel(
-            omega_e1=lambda t: effective_pair(t)[0],
-            omega_e2=lambda t: effective_pair(t)[1],
-        ).hamiltonian()
+        return schemes.EffThreeLevel(lambda t: np.stack(effective_pair(t), axis=-1)).hamiltonian()
     return schemes.reduce_m(_m_params(schedule)).hamiltonian()
+
+
+def _leg_peak(schedule: PulseSchedule, func) -> float:
+    """Largest |func| over 2001 endpoint-inclusive samples per leg."""
+    best = 0.0
+    start = 0.0
+    for seg in schedule.segments:
+        if seg.duration > 0:
+            t = np.linspace(start, start + seg.duration, 2001)
+            best = max(best, float(np.max(np.abs(func(t)))))
+        start += seg.duration
+    return best
 
 
 def peak_amplitude(schedule: PulseSchedule) -> float:
@@ -504,12 +550,29 @@ def peak_amplitude(schedule: PulseSchedule) -> float:
     The first channel is ``omega`` or ``omega1``; the odd sample count puts
     each leg's midpoint on the grid, where the smooth designs peak.
     """
-    chan = schedule.channels[schedule.channel_names[0]]
-    best = 0.0
-    start = 0.0
-    for seg in schedule.segments:
-        if seg.duration > 0:
-            t = np.linspace(start, start + seg.duration, 2001)
-            best = max(best, float(np.max(np.abs(chan(t)))))
-        start += seg.duration
-    return best
+    return _leg_peak(schedule, schedule.channels[schedule.channel_names[0]])
+
+
+def peak_amplitudes(leg: PulseSchedule, deltas) -> np.ndarray:
+    """``peak_amplitude`` of a designed leg redone at each detuning in ``deltas``.
+
+    Every designer's first channel is a delta-free profile with the detuning
+    applied as a positive scalar through a non-decreasing map (the p1
+    coupling, sqrt(2 delta rate), sqrt(2 delta) * amplitude).  Such a map
+    commutes with the maximum in floating point, so one sampling of the
+    profile on the ``peak_amplitude`` grid serves every detuning, and entry j
+    is bitwise equal to ``peak_amplitude`` of the same design at
+    ``deltas[j]``.  The leg fixes every other design parameter; ``deltas``
+    must be positive.
+    """
+    d = leg.design
+    deltas = np.asarray(deltas, dtype=float)
+    protocol = d.get("protocol")
+    if protocol == "p1":
+        return _p1_coupling(d["t_f"], deltas, d["beta"])
+    if protocol == "p2":
+        return _p2_coupling(deltas, _leg_peak(leg, lambda t: _p2_rate(d["aux"], t)))
+    if protocol == "chainwise":
+        amplitude = _chain_amplitude(_chain_effective_couplings(d["aux"]), d["floor"])
+        return _chain_root(deltas) * _leg_peak(leg, amplitude)
+    raise ValueError(f"peak rows need a designed p1, p2 or chainwise leg, got {protocol!r}")

@@ -413,8 +413,11 @@ def _magnus_nodes(grid: TimeGrid, breakpoints, n_target: int):
 
 
 def _magnus_step_count(tol: float, action: float) -> int:
-    # Calibrated on the level schemes this package targets: global error of a
-    # few times 1e-6 at tol 1e-8 on the worst smooth pulses, scaling ~h^3..h^4.
+    # tol sets the step count here and is not a checked error bound.  Against
+    # 200k-400k-step references, the final target population of p2 and
+    # chainwise cells over the map domain (t_f 1-8 us, delta 1000pi-5000pi)
+    # is off by at most 8.7e-9 at tol 1e-8, but chainwise at (1 us, 1000pi)
+    # is off by 3.8e-6, 3.8 x tol, at tol 1e-6.
     factor = (1e-8 / tol) ** 0.25
     factor = min(max(factor, 0.1), 4.0)
     return int(np.clip(np.ceil(0.75 * action * factor), 1024, 200_000))
@@ -519,8 +522,11 @@ def propagate_state(
     grid : TimeGrid
         Output window and sampling density.
     tol : float
-        Accuracy knob in [1e-12, 1e-4]; norm drift over the run stays
-        within 100 * tol.
+        In [1e-12, 1e-4].  It sets the number of Magnus steps, but the
+        error of the result is not checked against it and can exceed it
+        (3.8 x tol for a chainwise leg at 1 us, 1000pi rad/us and tol
+        1e-6).  Norm drift over the run is checked to stay within
+        100 * tol.
     breakpoints : sequence of float, optional
         Interior times where H is not smooth (segment boundaries of a
         composite pulse schedule); integration restarts there.
@@ -571,7 +577,9 @@ def propagate_density(
     The anticommutator term drains each level k at rate gamma[k] with no
     refilling, so the trace is the fraction of population still inside the
     modelled levels.  Trace monotonicity (within 10 * tol) and Hermiticity
-    (within 1e-9) are enforced on the output samples.
+    (within 1e-9) are enforced on the output samples.  ``tol`` sets the
+    step count as in :func:`propagate_state` and, like there, is not a
+    checked bound on the error of the populations.
 
     Raises as :func:`propagate_state`, plus ValueError for a rho0 violating
     the DensityMatrix invariants (checked at construction) and

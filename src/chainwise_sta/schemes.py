@@ -80,21 +80,23 @@ def as_channel(value: Channel) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _chain_rule(diagonal: tuple[Channel, ...] | Callable[[np.ndarray], np.ndarray],
-                couplings: tuple[Channel, ...]) -> HamiltonianRule:
+                couplings: tuple[Channel, ...] | Callable[[np.ndarray], np.ndarray]
+                ) -> HamiltonianRule:
     """Tridiagonal chain: H[k,k] = diagonal[k](t), H[k,k+1] = H[k+1,k] = couplings[k](t) / 2.
 
     Every chain Hamiltonian of this module, full or eliminated, is built
-    here.  Constant diagonal entries are assigned as scalars.  ``diagonal``
-    may instead be one function of t returning all n entries on a last axis,
-    so that entries sharing a channel evaluate it once per call.  A coupling
-    passed twice as the same object (pump = Stokes in the ladder, omega4 =
-    omega1 in a designed chain) is likewise evaluated once per call.
+    here.  Constant diagonal entries are assigned as scalars.  Either
+    ``diagonal`` or ``couplings`` (not both) may instead be one function of
+    t returning all its entries on a last axis, so that entries sharing a
+    computation make it once per call.  A coupling passed twice as the same
+    object (pump = Stokes in the ladder, omega4 = omega1 in a designed
+    chain) is likewise evaluated once per call.
     """
-    n = len(couplings) + 1
+    n = len(diagonal) if callable(couplings) else len(couplings) + 1
     levels = np.arange(n)
     diag = diagonal if callable(diagonal) else [
         as_channel(d) if callable(d) else float(d) for d in diagonal]
-    sources = list({id(c): c for c in couplings}.values())
+    sources = [] if callable(couplings) else list({id(c): c for c in couplings}.values())
     chans = [as_channel(c) for c in sources]
     slots = [[k for k, c in enumerate(couplings) if c is src] for src in sources]
 
@@ -106,6 +108,10 @@ def _chain_rule(diagonal: tuple[Channel, ...] | Callable[[np.ndarray], np.ndarra
         else:
             for k, d in enumerate(diag):
                 out[..., k, k] = d(t_arr) if callable(d) else d
+        if callable(couplings):
+            val = 0.5 * couplings(t_arr)
+            out[..., levels[:-1], levels[1:]] = val
+            out[..., levels[1:], levels[:-1]] = val
         for chan, ks in zip(chans, slots):
             val = 0.5 * chan(t_arr)
             for k in ks:
@@ -158,13 +164,22 @@ class EffTwoLevel:
 
 @dataclass(frozen=True)
 class EffThreeLevel:
-    """Effective resonant three-level chain after eliminating both bridges."""
+    """Effective resonant three-level chain after eliminating both bridges.
 
-    omega_e1: Callable[[np.ndarray], np.ndarray]
-    omega_e2: Callable[[np.ndarray], np.ndarray]
+    ``couplings`` maps times to (omega_e1, omega_e2) on a last axis, so H(t)
+    evaluates what the two couplings share once per call.
+    """
+
+    couplings: Callable[[np.ndarray], np.ndarray]
+
+    def omega_e1(self, t):
+        return self.couplings(t)[..., 0]
+
+    def omega_e2(self, t):
+        return self.couplings(t)[..., 1]
 
     def hamiltonian(self) -> HamiltonianRule:
-        return _chain_rule((0.0, 0.0, 0.0), (self.omega_e1, self.omega_e2))
+        return _chain_rule((0.0, 0.0, 0.0), self.couplings)
 
 
 def _probe_times(duration: float | None) -> np.ndarray:
@@ -271,19 +286,14 @@ def reduce_m(p: MParams) -> EffThreeLevel:
 
     om2, om3 = chans[1], chans[2]
 
-    def omega_e1(t):
+    def couplings(t):
         t_arr = np.asarray(t, dtype=float)
         o2 = om2(t_arr)
         o3 = om3(t_arr)
-        return -o2 * np.sqrt(o2**2 + o3**2) / (2.0 * delta)
+        root = np.sqrt(o2**2 + o3**2)
+        return np.stack([-o2 * root / (2.0 * delta), -o3 * root / (2.0 * delta)], axis=-1)
 
-    def omega_e2(t):
-        t_arr = np.asarray(t, dtype=float)
-        o2 = om2(t_arr)
-        o3 = om3(t_arr)
-        return -o3 * np.sqrt(o2**2 + o3**2) / (2.0 * delta)
-
-    return EffThreeLevel(omega_e1=omega_e1, omega_e2=omega_e2)
+    return EffThreeLevel(couplings)
 
 
 def adiabaticity_margin(e: EffTwoLevel, grid: TimeGrid) -> float:

@@ -3,16 +3,15 @@
 A sweep evaluates a designer over a rectangular grid of leg duration and
 single-photon detuning, producing a :class:`GridMap` of either peak channel
 amplitude (no propagation) or transfer efficiency (full lossy propagation
-per cell).  Peak cells are pure-Python design work that holds the GIL, so
-they run in a plain loop in the calling thread: a pool only made them
-contend for the lock (one pass of 41x41 p1, p2 and chainwise peak maps on
-a 2-vCPU x86_64 VM took 1.96-2.14 s on two pool workers, 1.26-1.35 s on
-one, and 0.83-0.85 s in the calling thread).  Efficiency cells spend their
-time in large numpy operations that release the GIL; they run as
-independent tasks on a thread pool capped by the ``CHAINWISE_STA_THREADS``
-environment variable (default: the cores this process may run on), and
-the assembled map is bitwise-identical regardless of evaluation order or
-worker count.
+per cell).  A peak map designs one schedule per t_f row: every designed
+first channel is a delta-free profile with the detuning applied as a
+positive scalar, so one sampling of the profile gives the whole row
+(``protocols.peak_amplitudes``), bitwise equal to designing each cell.
+The rows run in the calling thread.  Efficiency cells spend their time in
+large numpy operations that release the GIL; they run as independent
+tasks on a thread pool capped by the ``CHAINWISE_STA_THREADS`` environment
+variable (default: the cores this process may run on), and the assembled
+map is bitwise-identical regardless of evaluation order or worker count.
 
 Efficiency is the population of the target level at the end of the
 schedule: level 3 of the three-level ladder, level 5 of the chain.  Cells
@@ -38,7 +37,8 @@ from .protocols import (
     design_protocol1,
     design_protocol2,
     hamiltonian_rule,
-    peak_amplitude,
+    peak_amplitude,  # noqa: F401 (part of this module's namespace; bench/tracing.py wraps it)
+    peak_amplitudes,
 )
 from .qcore import (
     DecayVector,
@@ -210,25 +210,33 @@ def _run_cells(spec: SweepSpec, cell_fn) -> tuple[np.ndarray, list]:
 def sweep_peak_amplitude(spec: SweepSpec) -> GridMap:
     """Peak channel amplitude per cell; pure design, no propagation.
 
-    Design errors abort the sweep with the failing cell coordinates in the
-    message (an invalid design is a configuration problem, not a lost cell).
+    Each t_f row designs one schedule, at the row's first detuning, and
+    takes every cell of the row from it through ``peak_amplitudes``; each
+    cell is bitwise equal to ``peak_amplitude(design_schedule(...))`` of
+    that cell.  Design errors, and a cell whose peak is not finite, abort
+    the sweep with the cell coordinates in the message (an invalid design
+    is a configuration problem, not a lost cell).
     """
     tf_vals = spec.tf_values
     dl_vals = spec.delta_values
     cells = np.empty((tf_vals.size, dl_vals.size))
     for i, tf in enumerate(tf_vals):
-        for j, delta in enumerate(dl_vals):
-            try:
-                sched = design_schedule(
-                    spec.protocol, tf, delta,
-                    beta=spec.beta, epsilon=spec.epsilon, delta_two_mode=spec.delta_two_mode,
-                )
-            except ValueError as exc:
-                raise ValueError(
-                    f"design failed at t_f={tf:.6g} us, delta={delta:.6g} rad/us: {exc}"
-                ) from exc
-            cells[i, j] = peak_amplitude(sched)
+        try:
+            leg = design_schedule(
+                spec.protocol, tf, dl_vals[0],
+                beta=spec.beta, epsilon=spec.epsilon, delta_two_mode=spec.delta_two_mode,
+            )
+        except ValueError as exc:
+            raise _cell_error(tf, dl_vals[0], exc) from exc
+        cells[i] = peak_amplitudes(leg, dl_vals)
+        bad = np.flatnonzero(~np.isfinite(cells[i]))
+        if bad.size:
+            raise _cell_error(tf, dl_vals[bad[0]], "peak amplitude is not finite")
     return GridMap(tf_vals, dl_vals, cells, _base_metadata(spec, "peak_amplitude"))
+
+
+def _cell_error(tf: float, delta: float, reason) -> ValueError:
+    return ValueError(f"design failed at t_f={tf:.6g} us, delta={delta:.6g} rad/us: {reason}")
 
 
 def sweep_efficiency(spec: SweepSpec) -> GridMap:

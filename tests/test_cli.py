@@ -85,8 +85,8 @@ class TestUnitParsing:
 
 class TestStartup:
     def test_cli_import_and_simulate_load_no_scipy(self, tmp_path):
-        # scipy.integrate is most of the package's import time; only
-        # invariants.lr_phase needs it, and it imports it on call.
+        # The package runs on numpy alone; scipy.integrate would be most of
+        # its import time.
         import chainwise_sta
 
         src = str(Path(chainwise_sta.__file__).resolve().parents[1])

@@ -21,6 +21,7 @@ from chainwise_sta import (
     propagate_state,
     solve_aux_polynomials,
 )
+from chainwise_sta.invariants import _cumulative_simpson
 from chainwise_sta.protocols import effective_rule
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -325,6 +326,16 @@ class TestLRPhase:
             predicted = np.exp(1j * zeta(t)) * phi_t.amplitudes
             overlap = np.vdot(predicted, traj.states[idx])
             assert abs(overlap - 1.0) < 1e-5
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 801, 2000])
+    def test_quadrature_matches_scipy(self, n):
+        integrate = pytest.importorskip("scipy.integrate")
+        rng = np.random.default_rng(n)
+        for x in (np.linspace(0.0, 8.0, n), np.sort(rng.uniform(0.0, 8.0, n))):
+            y = np.sin(3.0 * x) * 40.0 + rng.normal(size=n)
+            want = integrate.cumulative_simpson(y, x=x, initial=0.0)
+            got = _cumulative_simpson(y, x)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want)))
 
     def test_three_level_phase_zero_state(self, chain_schedule):
         # The transported null eigenstate accumulates only its LR phase.

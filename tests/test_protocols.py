@@ -15,7 +15,8 @@ from chainwise_sta import (
     peak_amplitude,
     propagate_state,
 )
-from chainwise_sta.protocols import effective_rule, hamiltonian_rule
+from chainwise_sta.protocols import _chain_effective_couplings, effective_rule, hamiltonian_rule
+from chainwise_sta.schemes import _chain_rule
 
 from conftest import CHAIN_STAR, P1_STAR
 
@@ -353,6 +354,54 @@ class TestModelRules:
         h.matrices(np.linspace(0.0, 16.1, 1000))
         assert len(calls) <= 6
         assert sum(calls) <= 3 * 1000
+
+    def test_chain_effective_h_evaluates_angles_once(self, chain_schedule, monkeypatch):
+        # One angle evaluation gives both effective couplings.
+        h = effective_rule(chain_schedule)
+        angles = ThreeLevelAux.angles
+        calls = []
+
+        def counted(aux, t):
+            calls.append(np.size(t))
+            return angles(aux, t)
+
+        monkeypatch.setattr(ThreeLevelAux, "angles", counted)
+        h.matrices(np.linspace(0.0, chain_schedule.duration, 64))
+        assert calls == [64]
+
+    def test_chain_roundtrip_effective_h_evaluates_each_channel_once(self, chain_schedule,
+                                                                     monkeypatch):
+        # The generic reduction evaluates omega2 and omega3 once per call; each
+        # runs the forward and the return design on their own times.
+        h = effective_rule(build_roundtrip(chain_schedule, 0.1))
+        angles = ThreeLevelAux.angles
+        calls = []
+
+        def counted(aux, t):
+            calls.append(np.size(t))
+            return angles(aux, t)
+
+        monkeypatch.setattr(ThreeLevelAux, "angles", counted)
+        h.matrices(np.linspace(0.0, 16.1, 1000))
+        assert len(calls) <= 4
+        assert sum(calls) <= 2 * 1000
+
+    def test_effective_h_equals_per_coupling_form_bitwise(self, chain_schedule):
+        # Evaluating the couplings jointly changes how often they run, not H(t).
+        pair = _chain_effective_couplings(chain_schedule.design["aux"])
+        want = _chain_rule((0.0, 0.0, 0.0), (lambda t: pair(t)[0], lambda t: pair(t)[1]))
+        t = np.linspace(0.0, chain_schedule.duration, 5001)
+        assert np.array_equal(effective_rule(chain_schedule).matrices(t), want.matrices(t))
+
+        rt = build_roundtrip(chain_schedule, 0.1)
+        om2, om3, delta = rt.channels["omega2"], rt.channels["omega3"], rt.delta_single
+
+        def reduced(om):
+            return lambda t: -om(t) * np.sqrt(om2(t) ** 2 + om3(t) ** 2) / (2.0 * delta)
+
+        want_rt = _chain_rule((0.0, 0.0, 0.0), (reduced(om2), reduced(om3)))
+        t_rt = np.linspace(0.0, rt.duration, 5001)
+        assert np.array_equal(effective_rule(rt).matrices(t_rt), want_rt.matrices(t_rt))
 
     def test_p2_h_evaluates_omega_once(self, p2_schedule, monkeypatch):
         # Pump and Stokes are the same channel.

@@ -191,10 +191,7 @@ class TestReduceM:
 
         p = MParams(2.0, np.sqrt(2), np.sqrt(2), 2.0, delta_single=100.0)
         eff = reduce_m(p)
-        flipped = EffThreeLevel(
-            omega_e1=lambda t: -np.asarray(eff.omega_e1(t)),
-            omega_e2=lambda t: -np.asarray(eff.omega_e2(t)),
-        )
+        flipped = EffThreeLevel(lambda t: -eff.couplings(t))
         grid = TimeGrid(0.0, 30.0, 31)
         a = propagate_state(eff.hamiltonian(), StateVector.basis(3, 0), grid)
         b = propagate_state(flipped.hamiltonian(), StateVector.basis(3, 0), grid)

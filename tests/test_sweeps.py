@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import chainwise_sta.protocols as protocols_mod
 import chainwise_sta.sweeps as sweeps_mod
-from chainwise_sta import DecayVector, IntegrationError, peak_amplitude
+from chainwise_sta import DecayVector, DeltaTwoMode, IntegrationError, peak_amplitude
 from chainwise_sta.sweeps import (
     GridMap,
     SweepSpec,
@@ -105,6 +106,70 @@ class TestPeakAmplitudeMaps:
                          DecayVector(M_DECAYS), epsilon=0.9)
         with pytest.raises(ValueError, match="t_f=2"):
             sweep_peak_amplitude(spec)
+
+
+def per_cell_peaks(spec):
+    return np.array([
+        [peak_amplitude(design_schedule(spec.protocol, tf, delta, beta=spec.beta,
+                                        epsilon=spec.epsilon,
+                                        delta_two_mode=spec.delta_two_mode))
+         for delta in spec.delta_values]
+        for tf in spec.tf_values
+    ])
+
+
+class TestPeakRows:
+    """A peak map designs one schedule per t_f row and scales it to every delta."""
+
+    @pytest.mark.parametrize("protocol", ["p1", "p2", "chainwise"])
+    def test_one_design_per_row(self, monkeypatch, protocol):
+        designer = {"p1": "design_protocol1", "p2": "design_protocol2",
+                    "chainwise": "design_chainwise"}[protocol]
+        designs, solves = [], []
+        real_design = getattr(sweeps_mod, designer)
+        real_solve = protocols_mod.solve_aux_polynomials
+        monkeypatch.setattr(sweeps_mod, designer,
+                            lambda *a, **kw: designs.append(a[0]) or real_design(*a, **kw))
+        monkeypatch.setattr(protocols_mod, "solve_aux_polynomials",
+                            lambda *a, **kw: solves.append(a[0]) or real_solve(*a, **kw))
+        decays = M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS
+        spec = SweepSpec(protocol, (1.0, 8.0, 5), (1000 * np.pi, 5000 * np.pi, 7),
+                         DecayVector(decays))
+        sweep_peak_amplitude(spec)
+        assert designs == list(spec.tf_values)
+        assert solves == (designs if protocol == "chainwise" else [])
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec("p1", (1.3, 5.7, 4), (1100 * np.pi, 4900 * np.pi, 6),
+                  DecayVector(LAMBDA_DECAYS), beta=1.2,
+                  delta_two_mode=DeltaTwoMode.exact_clamped()),
+        SweepSpec("chainwise", (1.0, 8.0, 4), (1000 * np.pi, 5000 * np.pi, 5),
+                  DecayVector(M_DECAYS), epsilon=0.001),
+        SweepSpec("chainwise", (1.0, 8.0, 4), (1000 * np.pi, 5000 * np.pi, 5),
+                  DecayVector(M_DECAYS), epsilon=0.2),
+        # Non-round axes, as a jittered grid makes them.
+        SweepSpec("p2", (1.0 * 0.9714, 6.0 * 0.9714, 7),
+                  (1000 * np.pi / 0.9714, 5000 * np.pi / 0.9714, 9), DecayVector(LAMBDA_DECAYS)),
+        SweepSpec("chainwise", (1.0 * 1.0286, 8.0 * 1.0286, 5),
+                  (1000 * np.pi / 1.0286, 5000 * np.pi / 1.0286, 9), DecayVector(M_DECAYS)),
+    ], ids=["p1-clamped-beta", "chainwise-eps0.001", "chainwise-eps0.2", "p2-jittered",
+            "chainwise-jittered"])
+    def test_rows_equal_per_cell_designs_bitwise(self, spec):
+        assert np.array_equal(sweep_peak_amplitude(spec).cells, per_cell_peaks(spec))
+
+    def test_design_error_names_cell(self):
+        # sin(beta) < 0 makes every p1 coupling imaginary.
+        spec = lambda_spec("p1", tf=(2.0, 4.0, 2), delta=(1000 * np.pi, 2000 * np.pi, 2),
+                           beta=4.0)
+        with pytest.raises(ValueError, match=r"t_f=2 us, delta=3141.59 rad/us: .*sin\(beta\)"):
+            sweep_peak_amplitude(spec)
+
+    def test_non_finite_peak_names_cell(self):
+        # The row designs at delta = 1000; the coupling overflows at 5e307.
+        spec = lambda_spec("p2", tf=(1.0, 2.0, 2), delta=(1000.0, 1e308, 3))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"t_f=1 us, delta=5e\+307 rad/us: .*not finite"):
+                sweep_peak_amplitude(spec)
 
 
 class TestEfficiencyMaps:
