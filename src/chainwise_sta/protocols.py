@@ -103,10 +103,16 @@ class PulseSchedule:
     the schedule.  ``design`` records the generating parameters so derived
     schedules (round trips, effective models) can be rebuilt.
 
+    ``stacked_channels``, when set, returns every channel on a last axis in
+    channel order, from one shared computation; the full-model H(t) then
+    evaluates it once per call in place of the channel functions, which
+    must agree with it (each chainwise channel is a column of it).
+
     Construction checks that every channel and ``delta_two`` are finite on
-    257 probe times; a function that serves two channel names (omega1 =
-    omega4 in a chainwise design) is evaluated once, and a failure names
-    its first channel.
+    257 probe times.  The channels are checked through
+    ``stacked_channels`` in one call when it is set; otherwise a function
+    that serves two channel names is evaluated once.  A failure names the
+    first channel that is not finite.
     """
 
     scheme: str
@@ -116,6 +122,7 @@ class PulseSchedule:
     duration: float
     segments: tuple[Segment, ...]
     design: dict = field(default_factory=dict)
+    stacked_channels: Callable | None = None
 
     def __post_init__(self):
         if self.scheme not in ("lambda3", "m5"):
@@ -127,13 +134,22 @@ class PulseSchedule:
         if abs(total - self.duration) > 1e-9 * max(1.0, self.duration):
             raise ValueError("segment durations do not add up to the schedule duration")
         probe = np.linspace(0.0, self.duration, 257)
-        first_name = {}
-        for name, chan in self.channels.items():
-            first_name.setdefault(chan, name)
-        for chan, name in first_name.items():
-            vals = np.asarray(chan(probe), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"channel {name!r} is not finite everywhere")
+        if self.stacked_channels is not None:
+            vals = np.asarray(self.stacked_channels(probe), dtype=float)
+            if vals.shape != probe.shape + (len(expected),):
+                raise ValueError(f"stacked channels must give one column per channel "
+                                 f"{expected}, got shape {vals.shape}")
+            finite = np.all(np.isfinite(vals), axis=0)
+            if not np.all(finite):
+                raise ValueError(f"channel {expected[np.argmin(finite)]!r} is not finite everywhere")
+        else:
+            first_name = {}
+            for name, chan in self.channels.items():
+                first_name.setdefault(chan, name)
+            for chan, name in first_name.items():
+                vals = np.asarray(chan(probe), dtype=float)
+                if not np.all(np.isfinite(vals)):
+                    raise ValueError(f"channel {name!r} is not finite everywhere")
         if not np.all(np.isfinite(np.asarray(self.delta_two(probe), dtype=float))):
             raise ValueError("delta_two is not finite everywhere")
 
@@ -321,19 +337,55 @@ def _chain_effective_couplings(aux: ThreeLevelAux):
     return pair
 
 
-def _chain_amplitude(effective_pair, floor: float):
-    """The delta-free omega1 profile (omega_e1^2 + omega_e2^2)^(1/4).
+def _chain_profile(effective_pair, floor: float):
+    """t -> (omega_e1, omega_e2, amplitude), from one effective-pair evaluation.
 
-    Squared couplings at or below ``floor`` are exact zeros of the design
-    (the fourth root would amplify float dust into visible channel values).
+    The amplitude is the delta-free omega1 profile (omega_e1^2 +
+    omega_e2^2)^(1/4).  Squared couplings at or below ``floor`` are exact
+    zeros of the design (the fourth root would amplify float dust into
+    visible channel values).
     """
 
-    def amplitude(t):
+    def profile(t):
         e1, e2 = effective_pair(t)
         s = e1**2 + e2**2
-        return np.where(s > floor, s**0.25, 0.0)
+        return e1, e2, np.where(s > floor, s**0.25, 0.0)
 
-    return amplitude
+    return profile
+
+
+def _chain_channels(profile, root, gauge: float):
+    """t -> (omega1, omega2, omega3, omega4) on a last axis, from one profile evaluation.
+
+    With the profile's amplitude a and root = sqrt(2 delta):
+
+        omega1 = omega4 = root * a
+        omega2 = gauge * root * omega_e1 / a,   omega3 = gauge * root * omega_e2 / a
+
+    and omega2 = omega3 = 0 where a is zero (the profile's floor; a > 0
+    holds exactly where the squared couplings exceed it).
+    """
+    scale = gauge * root
+
+    def channels(t):
+        e1, e2, amp = profile(t)
+        on = amp > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            o2 = np.where(on, scale * e1 / amp, 0.0)
+            o3 = np.where(on, scale * e2 / amp, 0.0)
+        o1 = root * amp
+        return np.stack([o1, o2, o3, o1], axis=-1)
+
+    return channels
+
+
+def _column(stacked, k: int):
+    """Channel k of a stacked channel function."""
+
+    def channel(t):
+        return stacked(t)[..., k]
+
+    return channel
 
 
 def _chain_root(delta_single):
@@ -372,32 +424,15 @@ def design_chainwise(
     e1, e2 = effective_pair(probe)
     gauge = 1.0 if float(np.trapezoid(e1, probe)) >= 0.0 else -1.0
 
-    root = _chain_root(delta_single)
     floor = 1e-24 * float(np.max(e1**2 + e2**2))
-    amplitude = _chain_amplitude(effective_pair, floor)
-
-    def _parts(t):
-        e1, e2 = effective_pair(t)
-        return e1, e2, e1**2 + e2**2
-
-    def omega1(t):
-        return root * amplitude(t)
-
-    def omega2(t):
-        e1, _, s = _parts(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = gauge * root * e1 / s**0.25
-        return np.where(s > floor, val, 0.0)
-
-    def omega3(t):
-        _, e2, s = _parts(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = gauge * root * e2 / s**0.25
-        return np.where(s > floor, val, 0.0)
+    stacked = _chain_channels(_chain_profile(effective_pair, floor),
+                              _chain_root(delta_single), gauge)
+    omega1 = _column(stacked, 0)
 
     return PulseSchedule(
         scheme="m5",
-        channels={"omega1": omega1, "omega2": omega2, "omega3": omega3, "omega4": omega1},
+        channels={"omega1": omega1, "omega2": _column(stacked, 1),
+                  "omega3": _column(stacked, 2), "omega4": omega1},
         delta_single=float(delta_single),
         delta_two=_zero_channel,
         duration=float(t_f),
@@ -412,20 +447,24 @@ def design_chainwise(
             "gauge": gauge,
             "floor": floor,
         },
+        stacked_channels=stacked,
     )
 
 
 def _piecewise(forward: Callable, backward: Callable, t_leg: float, hold: float) -> Callable:
     """Forward leg, zero through the hold, return leg; each design is
-    evaluated only at the times of its own leg."""
+    evaluated only at the times of its own leg.  Stacked channels keep
+    their last axis."""
 
     def combined(t):
         t_arr = np.asarray(t, dtype=float)
-        out = np.zeros(t_arr.shape)
         fwd = t_arr < t_leg
         bwd = t_arr >= t_leg + hold
-        out[fwd] = forward(np.clip(t_arr[fwd], 0.0, t_leg))
-        out[bwd] = backward(np.clip(t_arr[bwd] - t_leg - hold, 0.0, t_leg))
+        ahead = forward(np.clip(t_arr[fwd], 0.0, t_leg))
+        back = backward(np.clip(t_arr[bwd] - t_leg - hold, 0.0, t_leg))
+        out = np.zeros(t_arr.shape + np.shape(ahead)[1:])
+        out[fwd] = ahead
+        out[bwd] = back
         return out
 
     return combined
@@ -467,6 +506,9 @@ def build_roundtrip(leg: PulseSchedule, hold_duration: float) -> PulseSchedule:
             pieces[pair] = _piecewise(*pair, t_leg, hold_duration)
         channels[name] = pieces[pair]
     delta_two = _piecewise(leg.delta_two, back.delta_two, t_leg, hold_duration)
+    stacked = None
+    if leg.stacked_channels is not None and back.stacked_channels is not None:
+        stacked = _piecewise(leg.stacked_channels, back.stacked_channels, t_leg, hold_duration)
     return PulseSchedule(
         scheme=leg.scheme,
         channels=channels,
@@ -484,6 +526,7 @@ def build_roundtrip(leg: PulseSchedule, hold_duration: float) -> PulseSchedule:
             "forward": leg.design,
             "backward": back.design,
         },
+        stacked_channels=stacked,
     )
 
 
@@ -495,6 +538,7 @@ def _m_params(schedule: PulseSchedule) -> schemes.MParams:
         omega4=schedule.channels["omega4"],
         delta_single=schedule.delta_single,
         duration=schedule.duration,
+        couplings=schedule.stacked_channels,
     )
 
 
@@ -573,6 +617,6 @@ def peak_amplitudes(leg: PulseSchedule, deltas) -> np.ndarray:
     if protocol == "p2":
         return _p2_coupling(deltas, _leg_peak(leg, lambda t: _p2_rate(d["aux"], t)))
     if protocol == "chainwise":
-        amplitude = _chain_amplitude(_chain_effective_couplings(d["aux"]), d["floor"])
-        return _chain_root(deltas) * _leg_peak(leg, amplitude)
+        profile = _chain_profile(_chain_effective_couplings(d["aux"]), d["floor"])
+        return _chain_root(deltas) * _leg_peak(leg, lambda t: profile(t)[2])
     raise ValueError(f"peak rows need a designed p1, p2 or chainwise leg, got {protocol!r}")

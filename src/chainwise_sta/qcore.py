@@ -19,12 +19,17 @@ trajectories on one platform.
 
 Inside the Magnus core every stack of step matrices is held entries first,
 as (n, n, steps): entry (i, j) of all steps is one contiguous vector.  A
-product of two stacks is then n * n elementwise multiply-adds over those
-vectors, where numpy's batched ``@`` on (steps, n, n) stacks makes one BLAS
-call per 3 x 3 or 5 x 5 matrix.  Large elementwise operations also release
-the GIL, so the sweep thread pool runs cells in parallel.  H(t) is turned to
-this layout once per block of steps, and only the per-sample propagators
-handed to callers are turned back.
+product of two stacks is then 2k - 1 whole-stack elementwise calls (one
+multiply per inner index j and one add per further j), where numpy's batched
+``@`` on (steps, n, n) stacks makes one BLAS call per 3 x 3 or 5 x 5 matrix.
+Each propagation call allocates one workspace of such stacks and every block
+of steps writes its H(t) samples, Magnus generator, matrix powers and
+squarings into it with ``out=``.  The call count matters as much as the
+arithmetic: every numpy call hands the GIL back and forth, so fewer, larger
+calls per block are what lets the sweep thread pool run cells in parallel.
+H(t) is evaluated once per block, at both Gauss nodes together, and turned
+to this layout there; only the per-sample propagators handed to callers are
+turned back.
 """
 
 from __future__ import annotations
@@ -268,64 +273,95 @@ class DensityTrajectory:
 # ---------------------------------------------------------------------------
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+            term: np.ndarray | None = None) -> np.ndarray:
     """Matrix product of two stacks in the entries-first layout.
 
     ``a`` is (n, k, *batch) and ``b`` is (k, m, *batch); the result is
-    (n, m, *batch).  Row i of the product is the sum over j of
-    ``a[i, j] * b[j]``: n * k elementwise multiply-adds, each over an
-    (m, *batch) block.
+    (n, m, *batch), written into ``out`` when given.  Each inner index j is
+    one whole-stack multiply ``a[:, j] * b[j]`` (into ``term``, scratch of
+    the result's shape) and one add, 2k - 1 numpy calls in all: every entry
+    is the left-to-right sum over j of ``a[i, j] * b[j]``.  ``out`` and
+    ``term`` must not overlap ``a`` or ``b``.
     """
-    n, k = a.shape[:2]
-    out = np.empty((n, b.shape[1]) + a.shape[2:], dtype=complex)
-    term = np.empty_like(out[0])
-    for i in range(n):
-        row = out[i]
-        np.multiply(a[i, 0], b[0], out=row)
-        for j in range(1, k):
-            np.multiply(a[i, j], b[j], out=term)
-            row += term
+    shape = (a.shape[0], b.shape[1]) + a.shape[2:]
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    if term is None:
+        term = np.empty(shape, dtype=complex)
+    np.multiply(a[:, 0, None], b[None, 0], out=out)
+    for j in range(1, a.shape[1]):
+        np.multiply(a[:, j, None], b[None, j], out=term)
+        out += term
     return out
 
 
-def _expm_batch(a: np.ndarray) -> np.ndarray:
+def _diagonal(x: np.ndarray) -> np.ndarray:
+    """Writable (n, *batch) view of the diagonal entries of an entries-first stack."""
+    return np.lib.stride_tricks.as_strided(
+        x, shape=x.shape[1:], strides=(x.strides[0] + x.strides[1],) + x.strides[2:])
+
+
+_WORK_STACKS = 6
+
+
+def _workspace(n: int, size: int) -> np.ndarray:
+    """Scratch for blocks of up to ``size`` steps: _WORK_STACKS (n, n, size) stacks.
+
+    A block of m steps uses ``work[..., :m]``.  Each propagation call makes
+    its own, so concurrent calls never share one.
+    """
+    return np.empty((_WORK_STACKS, n, n, size), dtype=complex)
+
+
+def _expm_batch(a: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Matrix exponential of a stack of small matrices, entries first.
 
     ``a`` has shape (n, n, *batch): entry (i, j) of every matrix is one
-    contiguous batch vector, so each product is a few dozen elementwise
-    operations over the whole batch (:func:`_matmul`) rather than one BLAS
-    call per 3 x 3 or 5 x 5 matrix, and numpy releases the GIL inside them.
-    Each matrix's mean diagonal ``mu = tr(a) / n`` is split off as the exact
-    scalar factor ``exp(mu)``, which lowers the norm of the remainder ``b``.
-    The remainder is scaled by ``2**-s`` to max-row-sum norm at most 0.5, with
-    ``s`` shared across the batch so that every matrix takes the same
-    products.  Its degree-12 Taylor polynomial is evaluated by
-    Paterson-Stockmeyer (``b**2``, ``b**3``, then three Horner steps in
-    ``b**3``: five products in place of eleven), and ``s`` squarings undo the
-    scaling.  See Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
-    (2009), and Bader, Blanes & Casas (2019).
+    contiguous batch vector, so each product is a few whole-stack
+    elementwise calls (:func:`_matmul`) rather than one BLAS call per 3 x 3
+    or 5 x 5 matrix.  Each matrix's mean diagonal ``mu = tr(a) / n`` is
+    split off as the exact scalar factor ``exp(mu)``, which lowers the norm
+    of the remainder ``b``.  The remainder is scaled by ``2**-s`` to
+    max-row-sum norm at most 0.5, with ``s`` shared across the batch so that
+    every matrix takes the same products.  Its degree-12 Taylor polynomial
+    is evaluated by Paterson-Stockmeyer (``b**2``, ``b**3``, then three
+    Horner steps in ``b**3``: five products in place of eleven), and ``s``
+    squarings undo the scaling.  See Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 31, 970 (2009), and Bader, Blanes & Casas (2019).
+
+    Every power, Horner level and squaring is written with ``out=`` into
+    ``work``, (_WORK_STACKS, n, n, *batch) scratch that is allocated when not
+    given; the result is a view into it.  ``a`` is read once, into
+    ``work[0]``, before any other stack is written, so it may be one of
+    ``work[1:]`` (which the call then overwrites); otherwise it is left
+    unchanged.
     """
+    if work is None:
+        work = np.empty((_WORK_STACKS,) + a.shape, dtype=complex)
+    b, b2, b3, e, f, term = work
     n = a.shape[0]
-    diag = np.arange(n)
-    mu = np.trace(a) / n
-    b = a.copy()
-    b[diag, diag] -= mu
+    np.copyto(b, a)
+    mu = np.trace(b) / n
+    diag = _diagonal(b)
+    diag -= mu
     norm = float(np.max(np.sum(np.abs(b), axis=1))) if b.size else 0.0
     s = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.5))))
     b *= 2.0**-s
-    b2 = _matmul(b, b)
-    b3 = _matmul(b2, b)
+    _matmul(b, b, b2, term)
+    _matmul(b2, b, b3, term)
     # Horner in b**3 from b**3 / 12! down, adding sum_{i<3} b**i / (k+i)!
-    # in place at each level.
-    e = b3 * _INV_FACTORIAL[12]
+    # in place at each level; e and f swap as product and operand.
+    np.multiply(b3, _INV_FACTORIAL[12], out=e)
     for k in (9, 6, 3, 0):
         if k < 9:
-            e = _matmul(b3, e)
-        e += b * _INV_FACTORIAL[k + 1]
-        e += b2 * _INV_FACTORIAL[k + 2]
-        e[diag, diag] += _INV_FACTORIAL[k]
+            e, f = _matmul(b3, e, f, term), e
+        e += np.multiply(b, _INV_FACTORIAL[k + 1], out=term)
+        e += np.multiply(b2, _INV_FACTORIAL[k + 2], out=term)
+        diag = _diagonal(e)
+        diag += _INV_FACTORIAL[k]
     for _ in range(s):
-        e = _matmul(e, e)
+        e, f = _matmul(e, e, f, term), e
     e *= np.exp(mu)
     return e
 
@@ -423,31 +459,42 @@ def _magnus_step_count(tol: float, action: float) -> int:
     return int(np.clip(np.ceil(0.75 * action * factor), 1024, 200_000))
 
 
-def _magnus_propagators(h: HamiltonianRule, gamma: np.ndarray | None, edges: np.ndarray):
+def _magnus_propagators(h: HamiltonianRule, gamma: np.ndarray | None, edges: np.ndarray,
+                        work: np.ndarray | None = None) -> np.ndarray:
     """One fourth-order Magnus propagator per step between consecutive edges.
 
-    The result is entries first, (n, n, steps), as is all work inside.
+    The result is entries first, (n, n, steps), as is all work inside.  H is
+    evaluated in one call on both Gauss nodes of every step.  The generator
+    is assembled in ``work`` (see :func:`_workspace`; allocated when not
+    given) and the result is a view into it.
     """
     dt = np.diff(edges)
-    h1 = h.matrices(edges[:-1] + _GL_C1 * dt).transpose(1, 2, 0).copy()
-    h2 = h.matrices(edges[:-1] + _GL_C2 * dt).transpose(1, 2, 0).copy()
+    m = dt.size
+    n = h.dimension
+    if work is None:
+        work = _workspace(n, m)
+    h1, h2, p, comm, omega, term = work
+    nodes = h.matrices(np.concatenate([edges[:-1] + _GL_C1 * dt, edges[:-1] + _GL_C2 * dt]))
+    np.copyto(work[:2], nodes.reshape(2, m, n, n).transpose(0, 2, 3, 1))
     # h1 and h2 are Hermitian, so [h1, h2] = p - p^dagger with p = h1 h2.
-    p = _matmul(h1, h2)
-    comm = p - p.transpose(1, 0, 2).conj()
-    omega = -0.5j * dt * (h1 + h2)
+    _matmul(h1, h2, p, term)
+    np.subtract(p, np.conjugate(p.transpose(1, 0, 2), out=comm), out=comm)
+    np.multiply(-0.5j * dt, np.add(h1, h2, out=omega), out=omega)
     if gamma is not None and np.any(gamma):
         # With the diagonal loss L = -i/2 diag(gamma) on both nodes,
         # [h1 + L, h2 + L] = [h1, h2] + [L, h2 - h1], entrywise in L.
         loss = -0.5j * gamma
-        comm += (loss[:, None] - loss[None, :])[:, :, None] * (h2 - h1)
-        omega[np.arange(gamma.size), np.arange(gamma.size)] -= 0.5 * dt * gamma[:, None]
-    omega += (np.sqrt(3.0) / 12.0 * dt * dt) * comm
+        comm += np.multiply((loss[:, None] - loss[None, :])[:, :, None],
+                            np.subtract(h2, h1, out=term), out=term)
+        diag = _diagonal(omega)
+        diag -= 0.5 * dt * gamma[:, None]
+    omega += np.multiply(np.sqrt(3.0) / 12.0 * dt * dt, comm, out=comm)
     finite = np.all(np.isfinite(omega), axis=(0, 1))
     if not np.all(finite):
         raise IntegrationError(
             f"non-finite Magnus generator on the step starting at t = {edges[:-1][~finite][0]:.6g}"
         )
-    return _expm_batch(omega)
+    return _expm_batch(omega, work)
 
 
 # Propagators are built in blocks of this many steps.  The block bounds the
@@ -474,18 +521,20 @@ def _magnus_sample_propagators(h: HamiltonianRule, gamma: np.ndarray | None,
 
     Entry j maps the state at edge ``sample_idx[j]`` to the state at edge
     ``sample_idx[j + 1]``: the ordered product of the step propagators in
-    between.  Steps are built in blocks of ``_MAGNUS_CHUNK``; a product that
-    straddles a block boundary is carried into the next block.  All work is
-    entries first; only the result is turned back to one matrix per sample.
+    between.  Steps are built in blocks of ``_MAGNUS_CHUNK`` that share one
+    workspace; a product that straddles a block boundary is carried into the
+    next block.  All work is entries first; only the result is turned back
+    to one matrix per sample.
     """
     n = h.dimension
     out = np.empty((n, n, len(sample_idx) - 1), dtype=complex)
     out[:] = np.eye(n)[:, :, None]  # stays the identity between samples on one edge
     n_steps = len(edges) - 1
+    work = _workspace(n, min(_MAGNUS_CHUNK, n_steps))
     carry = None
     for c0 in range(0, n_steps, _MAGNUS_CHUNK):
         c1 = min(c0 + _MAGNUS_CHUNK, n_steps)
-        u = _magnus_propagators(h, gamma, edges[c0:c1 + 1])
+        u = _magnus_propagators(h, gamma, edges[c0:c1 + 1], work[..., :c1 - c0])
         # Cut the block at the samples inside it; pieces of equal length
         # are reduced together as one batch.
         inside = sample_idx[(sample_idx > c0) & (sample_idx < c1)]

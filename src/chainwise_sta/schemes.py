@@ -139,7 +139,13 @@ class LambdaParams:
 
 @dataclass(frozen=True)
 class MParams:
-    """Drive parameters of the five-level chain (four Rabi channels)."""
+    """Drive parameters of the five-level chain (four Rabi channels).
+
+    ``couplings``, when set, maps times to (omega1, omega2, omega3, omega4)
+    on a last axis, so that channels sharing a computation make it once per
+    H(t) call; :func:`build_m` then uses it in place of the four channel
+    fields, which must agree with it and still serve :func:`reduce_m`.
+    """
 
     omega1: Channel
     omega2: Channel
@@ -147,6 +153,7 @@ class MParams:
     omega4: Channel
     delta_single: float
     duration: float | None = None
+    couplings: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -200,7 +207,8 @@ def build_lambda(p: LambdaParams) -> HamiltonianRule:
 def build_m(p: MParams) -> HamiltonianRule:
     """Five-level chain Hamiltonian with diagonal (0, delta, 0, delta, 0)."""
     delta = p.delta_single
-    return _chain_rule((0.0, delta, 0.0, delta, 0.0), (p.omega1, p.omega2, p.omega3, p.omega4))
+    couplings = (p.omega1, p.omega2, p.omega3, p.omega4) if p.couplings is None else p.couplings
+    return _chain_rule((0.0, delta, 0.0, delta, 0.0), couplings)
 
 
 def _warn_regime(delta: float, coupling_scale: float, context: str) -> None:

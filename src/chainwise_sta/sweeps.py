@@ -10,8 +10,12 @@ positive scalar, so one sampling of the profile gives the whole row
 The rows run in the calling thread.  Efficiency cells spend their time in
 large numpy operations that release the GIL; they run as independent
 tasks on a thread pool capped by the ``CHAINWISE_STA_THREADS`` environment
-variable (default: the cores this process may run on), and the assembled
-map is bitwise-identical regardless of evaluation order or worker count.
+variable (a positive integer; default: the cores this process may run on).
+Cells are submitted heaviest first, in descending t_f * delta (the phase
+budget that sets a cell's Magnus step count), so that the longest cells
+do not start last and leave one worker finishing alone.  Results are
+placed by index: the assembled map is bitwise-identical regardless of
+evaluation order or worker count.
 
 Efficiency is the population of the target level at the end of the
 schedule: level 3 of the three-level ladder, level 5 of the chain.  Cells
@@ -74,9 +78,12 @@ def thread_cap() -> int:
     raw = os.environ.get("CHAINWISE_STA_THREADS", "")
     if raw.strip():
         try:
-            return max(1, int(raw))
+            cap = int(raw)
         except ValueError:
-            raise ValueError(f"CHAINWISE_STA_THREADS must be an integer, got {raw!r}")
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"CHAINWISE_STA_THREADS must be a positive integer, got {raw!r}")
+        return cap
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -196,7 +203,9 @@ def _run_cells(spec: SweepSpec, cell_fn) -> tuple[np.ndarray, list]:
         i, j = idx
         return i, j, cell_fn(tf_vals[i], dl_vals[j])
 
-    indices = [(i, j) for i in range(tf_vals.size) for j in range(dl_vals.size)]
+    # Heaviest first: t_f * delta sets a cell's phase budget and step count.
+    indices = sorted(((i, j) for i in range(tf_vals.size) for j in range(dl_vals.size)),
+                     key=lambda ij: -tf_vals[ij[0]] * dl_vals[ij[1]])
     with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
         for i, j, outcome in pool.map(task, indices):
             value, err = outcome

@@ -282,6 +282,14 @@ class TestSweepCommand:
         assert code == 2
         assert "min:max:count" in capsys.readouterr().err
 
+    def test_non_positive_thread_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CHAINWISE_STA_THREADS", "0")
+        code = run_cli(["sweep", "--protocol", "p2", "--preset", "rb2_lambda",
+                        "--tf", "1:2:2", "--delta", "1pi_GHz:2pi_GHz:2",
+                        "--metric", "efficiency", "--tol", "1e-4", "--out", str(tmp_path)])
+        assert code == 2
+        assert "CHAINWISE_STA_THREADS" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_unknown_command(self):

@@ -209,6 +209,35 @@ class TestChainwise:
                  for tf in (4.0, 6.0, 8.0, 12.0)]
         assert all(a > b for a, b in zip(peaks, peaks[1:]))
 
+    def test_design_checks_channels_in_one_angle_evaluation(self, monkeypatch):
+        # The angle polynomials run on the 3 boundary-check times, then on
+        # the 257 probe times once for the gauge sign and once for the
+        # finiteness check of all four channels.
+        angles = ThreeLevelAux.angles
+        calls = []
+
+        def counted(aux, t):
+            calls.append(np.size(t))
+            return angles(aux, t)
+
+        monkeypatch.setattr(ThreeLevelAux, "angles", counted)
+        design_chainwise(*CHAIN_STAR)
+        assert calls == [3, 257, 257]
+
+    def test_stacked_channel_check_names_channel(self, chain_schedule):
+        import dataclasses
+
+        def broken(t):
+            out = chain_schedule.stacked_channels(t).copy()
+            out[..., 2] = np.nan
+            return out
+
+        with pytest.raises(ValueError, match="'omega3' is not finite"):
+            dataclasses.replace(chain_schedule, stacked_channels=broken)
+        with pytest.raises(ValueError, match="one column per channel"):
+            dataclasses.replace(chain_schedule,
+                                stacked_channels=lambda t: chain_schedule.stacked_channels(t)[..., :3])
+
     def test_epsilon_window_enforced(self):
         with pytest.raises(ValueError, match="epsilon"):
             design_chainwise(8.0, 1270 * np.pi, 1e-5)
@@ -322,9 +351,8 @@ class TestModelRules:
         assert m[1, 1] == pytest.approx(p2_schedule.delta_single)
         assert m[2, 2] == 0.0
 
-    def test_chain_h_evaluates_angles_three_times(self, chain_schedule, monkeypatch):
-        # One angle evaluation per distinct channel: omega1 (= omega4),
-        # omega2 and omega3.
+    def test_chain_h_evaluates_angles_once(self, chain_schedule, monkeypatch):
+        # All four channels come from one effective-pair evaluation.
         h = hamiltonian_rule(chain_schedule)
         angles = ThreeLevelAux.angles
         calls = []
@@ -335,7 +363,42 @@ class TestModelRules:
 
         monkeypatch.setattr(ThreeLevelAux, "angles", counted)
         h.matrices(np.linspace(0.0, chain_schedule.duration, 64))
-        assert calls == [64, 64, 64]
+        assert calls == [64]
+
+    @pytest.mark.parametrize("direction", ["creation", "detection"])
+    @pytest.mark.parametrize("epsilon", [0.001, 0.2])
+    def test_chain_h_equals_per_channel_form_bitwise(self, direction, epsilon):
+        # The stacked channels change how often the pair runs, not H(t): the
+        # reference assembles H from each channel's own closed form.
+        t_f, delta = 6.0, 1500 * np.pi
+        leg = design_chainwise(t_f, delta, epsilon, direction)
+        d = leg.design
+        pair = _chain_effective_couplings(d["aux"])
+        root, gauge, floor = np.sqrt(2.0 * delta), d["gauge"], d["floor"]
+
+        def omega1(t):
+            e1, e2 = pair(t)
+            s = e1**2 + e2**2
+            return root * np.where(s > floor, s**0.25, 0.0)
+
+        def lab(k):
+            def omega(t):
+                e = pair(t)
+                s = e[0] ** 2 + e[1] ** 2
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    val = gauge * root * e[k] / s**0.25
+                return np.where(s > floor, val, 0.0)
+            return omega
+
+        want = _chain_rule((0.0, delta, 0.0, delta, 0.0), (omega1, lab(0), lab(1), omega1))
+        t = np.linspace(0.0, t_f, 5001)
+        assert np.array_equal(hamiltonian_rule(leg).matrices(t), want.matrices(t))
+
+        rt = build_roundtrip(leg, 0.1)
+        want_rt = _chain_rule((0.0, delta, 0.0, delta, 0.0),
+                              tuple(rt.channels[k] for k in rt.channel_names))
+        t_rt = np.linspace(0.0, rt.duration, 5001)
+        assert np.array_equal(hamiltonian_rule(rt).matrices(t_rt), want_rt.matrices(t_rt))
 
     def test_chain_roundtrip_h_evaluates_each_leg_on_its_own_times(self, chain_schedule,
                                                                   monkeypatch):

@@ -334,6 +334,79 @@ class TestMagnusKernel:
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matmul_bitwise_equals_entry_sums(self, n):
+        # Each entry is the left-to-right sum over j of a[i, j] * b[j, l],
+        # bit for bit, whether the result and scratch are fresh, reused, or
+        # [:, :, :m] views of larger buffers.
+        rng = np.random.default_rng(n)
+
+        def stack(m):
+            return rng.normal(size=(n, n, m)) + 1j * rng.normal(size=(n, n, m))
+
+        def reference(a, b):
+            want = np.empty(a.shape, dtype=complex)
+            for i in range(n):
+                for col in range(n):
+                    acc = a[i, 0] * b[0, col]
+                    for j in range(1, n):
+                        acc = acc + a[i, j] * b[j, col]
+                    want[i, col] = acc
+            return want
+
+        a, b = stack(37), stack(37)
+        assert np.array_equal(qcore._matmul(a, b), reference(a, b))
+        out, term = np.empty_like(a), np.empty_like(a)
+        for _ in range(2):
+            a, b = stack(37), stack(37)
+            assert qcore._matmul(a, b, out, term) is out
+            assert np.array_equal(out, reference(a, b))
+        big = np.full((3, n, n, 64), np.nan, dtype=complex)
+        a, b = big[0, :, :, :29], big[1, :, :, :29]
+        a[...], b[...] = stack(29), stack(29)
+        got = qcore._matmul(a, b, big[2, :, :, :29], np.empty((n, n, 29), dtype=complex))
+        assert np.array_equal(got, reference(a, b))
+        assert np.all(np.isnan(big[2, :, :, 29:]))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_expm_batch_workspace_reuse_bitwise(self, n):
+        # Blocks of 40, 40 and a short 13 through one reused workspace give
+        # the bytes of fresh per-block calls, and leave the input unchanged.
+        rng = np.random.default_rng(7 + n)
+        h = rng.normal(size=(n, n, 93)) + 1j * rng.normal(size=(n, n, 93))
+        a = -1j * (h + h.transpose(1, 0, 2).conj()) * np.geomspace(1e-2, 20.0, 93)
+        a_before = a.copy()
+        work = qcore._workspace(n, 40)
+        for c0 in (0, 40, 80):
+            block = a[:, :, c0:c0 + 40]
+            got = qcore._expm_batch(block, work[..., :block.shape[2]])
+            assert np.array_equal(got, qcore._expm_batch(block))
+        assert np.array_equal(a, a_before)
+
+    def test_sample_propagators_workspace_reuse_bitwise(self, monkeypatch):
+        # Two and a half blocks share one workspace; giving every block a
+        # fresh one must not change a byte.
+        def evaluate(t):
+            t_arr = np.asarray(t, dtype=float)
+            out = np.zeros(t_arr.shape + (5, 5), dtype=complex)
+            for k in range(4):
+                out[..., k, k + 1] = out[..., k + 1, k] = (k + 2.0) * np.sin((k + 1) * t_arr)
+            out[..., 1, 1] = out[..., 3, 3] = 40.0
+            return out
+
+        h = HamiltonianRule(5, evaluate)
+        gamma = np.array([0.01, 30.0, 0.01, 30.0, 0.0])
+        chunk = qcore._MAGNUS_CHUNK
+        n_steps = 2 * chunk + chunk // 2
+        edges = np.linspace(0.0, 2.0, n_steps + 1)
+        sample_idx = np.array([0, 5, chunk + 3, n_steps])
+        shared = qcore._magnus_sample_propagators(h, gamma, edges, sample_idx)
+        blocks = qcore._magnus_propagators
+        monkeypatch.setattr(qcore, "_magnus_propagators",
+                            lambda h, gamma, edges, work: blocks(h, gamma, edges))
+        fresh = qcore._magnus_sample_propagators(h, gamma, edges, sample_idx)
+        assert np.array_equal(shared, fresh)
+
     @pytest.mark.parametrize("length", [1, 2, 3, 7])
     def test_ordered_product_matches_sequential(self, length):
         # Two independent chains of length matrices, reduced together.

@@ -208,6 +208,28 @@ class TestEfficiencyMaps:
         threaded = sweep_efficiency(spec)
         assert np.array_equal(serial.cells, threaded.cells)
 
+    def test_heaviest_cells_submitted_first(self, monkeypatch):
+        # Cells go to the pool in descending t_f * delta; placement by index
+        # keeps the map bitwise equal at any worker count.
+        spec = SweepSpec("p2", (1.0, 3.0, 3), (1000 * np.pi, 3000 * np.pi, 3),
+                         DecayVector(LAMBDA_DECAYS), tol=1e-4)
+        monkeypatch.setenv("CHAINWISE_STA_THREADS", "2")
+        threaded = sweep_efficiency(spec)
+        order = []
+        real = sweeps_mod.design_schedule
+
+        def recording(protocol, tf, delta, **kw):
+            order.append(tf * delta)
+            return real(protocol, tf, delta, **kw)
+
+        monkeypatch.setattr(sweeps_mod, "design_schedule", recording)
+        monkeypatch.setenv("CHAINWISE_STA_THREADS", "1")
+        serial = sweep_efficiency(spec)
+        assert np.array_equal(serial.cells, threaded.cells)
+        assert len(order) == 9
+        assert order == sorted(order, reverse=True)
+        assert order[0] > order[-1]
+
     def test_failed_cell_becomes_sentinel(self, monkeypatch):
         real = sweeps_mod.propagate_density
         target_tf = 3.0
@@ -266,6 +288,19 @@ class TestThreadCap:
         monkeypatch.setenv("CHAINWISE_STA_THREADS", "many")
         with pytest.raises(ValueError, match="CHAINWISE_STA_THREADS"):
             thread_cap()
+
+    @pytest.mark.parametrize("raw", ["0", "-2"])
+    def test_non_positive_override_rejected(self, monkeypatch, raw):
+        # Rejected before any pool starts, not silently run on one worker.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(sweeps_mod, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("CHAINWISE_STA_THREADS", raw)
+        with pytest.raises(ValueError, match="CHAINWISE_STA_THREADS"):
+            thread_cap()
+        with pytest.raises(ValueError, match="CHAINWISE_STA_THREADS"):
+            sweep_efficiency(lambda_spec("p2", tol=1e-4))
 
 
 class TestGridMapExport:
