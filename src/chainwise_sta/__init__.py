@@ -4,7 +4,6 @@ for chainwise-coupled three- and five-level molecular schemes."""
 from .qcore import (
     DecayVector,
     DensityMatrix,
-    DensityTrajectory,
     HamiltonianRule,
     IntegrationError,
     StateTrajectory,

@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -389,7 +390,9 @@ def _cmd_presets() -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="chainwise-sta",
         description="Design and verify invariant-based STA pulse schedules",

@@ -4,8 +4,12 @@ systems.
 All routines work on systems of dimension 1 to 5, with time measured in
 microseconds and every angular frequency (Rabi frequencies, detunings, decay
 rates) in rad/us.  Decay is modelled as population loss out of the system:
-each level k leaks amplitude at rate ``gamma[k]`` and nothing is refilled, so
-the trace of the density matrix is the surviving fraction.
+each level k leaks population at rate ``gamma[k]`` and nothing is refilled.
+Every propagation therefore carries amplitudes: a lossy run integrates
+psi under the non-Hermitian H - i/2 diag(gamma), |psi|^2 is the surviving
+fraction, and a pure start stays pure (rho(t) = psi psi^dagger exactly).
+:func:`propagate_density` is the lossy entry point; it takes a rank-1 rho0
+and returns the same :class:`StateTrajectory` as :func:`propagate_state`.
 
 Propagation uses one integrator: a fixed-step fourth-order Magnus method with
 two-point Gauss collocation and batched matrix exponentials (Blanes, Casas,
@@ -47,7 +51,6 @@ __all__ = [
     "TimeGrid",
     "HamiltonianRule",
     "StateTrajectory",
-    "DensityTrajectory",
     "propagate_state",
     "propagate_density",
     "population",
@@ -104,9 +107,6 @@ class StateVector:
         amp[level] = 1.0
         return cls(amp)
 
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -137,17 +137,10 @@ class DensityMatrix:
     def dimension(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
     @classmethod
     def pure(cls, state: StateVector) -> "DensityMatrix":
         a = state.amplitudes
         return cls(np.outer(a, a.conj()))
-
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.entries))
 
 
 @dataclass(frozen=True)
@@ -230,7 +223,11 @@ class HamiltonianRule:
 
 @dataclass
 class StateTrajectory:
-    """Sampled solution of the Schrodinger equation i dpsi/dt = H(t) psi."""
+    """Sampled amplitudes of i dpsi/dt = (H(t) - i/2 diag(gamma)) psi.
+
+    Without loss ``norms_sq`` stays at |psi0|^2; with loss it is the
+    population still inside the modelled levels.
+    """
 
     times: np.ndarray
     states: np.ndarray  # (n_samples, n) complex
@@ -246,26 +243,6 @@ class StateTrajectory:
     @property
     def norms_sq(self) -> np.ndarray:
         return np.sum(np.abs(self.states) ** 2, axis=1)
-
-
-@dataclass
-class DensityTrajectory:
-    """Sampled solution of the lossy von Neumann equation."""
-
-    times: np.ndarray
-    matrices: np.ndarray  # (n_samples, n, n) complex
-
-    @property
-    def dimension(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.real(np.diagonal(self.matrices, axis1=1, axis2=2))
-
-    @property
-    def traces(self) -> np.ndarray:
-        return np.real(np.trace(self.matrices, axis1=1, axis2=2))
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +530,22 @@ def _magnus_sample_propagators(h: HamiltonianRule, gamma: np.ndarray | None,
     return out.transpose(2, 0, 1).copy()
 
 
+def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
+               grid: TimeGrid, tol: float, breakpoints) -> StateTrajectory:
+    """Amplitudes from ``psi0`` under H - i/2 diag(gamma), sampled on the grid.
+
+    ``gamma`` is None for a closed system; all-zero rates take the same
+    steps and propagators.  Each entry point checks its own norm contract.
+    """
+    action = _checked_action(h, grid, gamma)
+    edges, sample_idx = _magnus_nodes(grid, breakpoints, _magnus_step_count(tol, action))
+    states = np.empty((grid.n_samples, h.dimension), dtype=complex)
+    states[0] = psi0
+    for j, u in enumerate(_magnus_sample_propagators(h, gamma, edges, sample_idx)):
+        states[j + 1] = u @ states[j]
+    return StateTrajectory(times=grid.times, states=states)
+
+
 def propagate_state(
     h: HamiltonianRule,
     psi0: StateVector,
@@ -597,20 +590,27 @@ def propagate_state(
         )
     if abs(psi0.norm_sq - 1.0) > 1e-9:
         raise ValueError(f"initial state not normalized: |psi|^2 = {psi0.norm_sq:.12f}")
-    action = _checked_action(h, grid, None)
-    edges, sample_idx = _magnus_nodes(grid, breakpoints, _magnus_step_count(tol, action))
-    states = np.empty((grid.n_samples, h.dimension), dtype=complex)
-    states[0] = psi0.amplitudes
-    for j, u in enumerate(_magnus_sample_propagators(h, None, edges, sample_idx)):
-        states[j + 1] = u @ states[j]
-
-    traj = StateTrajectory(times=grid.times, states=states)
+    traj = _propagate(h, None, psi0.amplitudes, grid, tol, breakpoints)
     drift = float(np.max(np.abs(traj.norms_sq - psi0.norm_sq)))
     if drift > 100.0 * tol:
         raise IntegrationError(
             f"norm drift {drift:.3e} exceeds 100*tol; input may be stiff or singular"
         )
     return traj
+
+
+def _pure_amplitudes(rho0: DensityMatrix) -> np.ndarray:
+    """psi0 with rho0 = psi0 psi0^dagger: rho0's largest-diagonal column over its root."""
+    rho = rho0.entries
+    k = int(np.argmax(np.real(np.diagonal(rho))))
+    psi = rho[:, k] / np.sqrt(rho[k, k].real)
+    defect = float(np.max(np.abs(rho - np.outer(psi, psi.conj()))))
+    if defect > 1e-10:
+        raise ValueError(
+            f"propagate_density needs a pure (rank-1) rho0: it differs from "
+            f"psi0 psi0^dagger by {defect:.3e}"
+        )
+    return psi
 
 
 def propagate_density(
@@ -620,19 +620,23 @@ def propagate_density(
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
     breakpoints: Sequence[float] | None = None,
-) -> DensityTrajectory:
-    """Integrate drho/dt = -i[H, rho] - 1/2 {diag(gamma), rho}.
+) -> StateTrajectory:
+    """Integrate drho/dt = -i[H, rho] - 1/2 {diag(gamma), rho} from a pure rho0.
 
     The anticommutator term drains each level k at rate gamma[k] with no
-    refilling, so the trace is the fraction of population still inside the
-    modelled levels.  Trace monotonicity (within 10 * tol) and Hermiticity
-    (within 1e-9) are enforced on the output samples.  ``tol`` sets the
-    step count as in :func:`propagate_state` and, like there, is not a
-    checked bound on the error of the populations.
+    refilling, so a pure start stays pure: rho(t) = psi psi^dagger, with
+    psi propagated under H - i/2 diag(gamma).  rho0 must therefore be rank 1
+    (psi0 psi0^dagger within 1e-10 entrywise; its trace may be below 1),
+    and the call returns the sampled psi as a :class:`StateTrajectory`:
+    ``populations`` is the diagonal of rho and ``norms_sq`` its trace, the
+    fraction of population still inside the modelled levels.  The trace is
+    checked not to grow by more than 10 * tol between samples.  ``tol``
+    sets the step count as in :func:`propagate_state` and, like there, is
+    not a checked bound on the error of the populations.
 
     Raises as :func:`propagate_state`, plus ValueError for a rho0 violating
-    the DensityMatrix invariants (checked at construction) and
-    IntegrationError on trace/Hermiticity contract violations.
+    the DensityMatrix invariants (checked at construction) or of rank above
+    1, and IntegrationError on a growing trace.
     """
     tol = _validated_tol(tol)
     n = h.dimension
@@ -641,28 +645,14 @@ def propagate_density(
             f"dimension mismatch: rho {rho0.dimension}, gamma {gamma.dimension}, "
             f"Hamiltonian {n}"
         )
-    action = _checked_action(h, grid, gamma.rates)
-    edges, sample_idx = _magnus_nodes(grid, breakpoints, _magnus_step_count(tol, action))
-    mats = np.empty((grid.n_samples, n, n), dtype=complex)
-    mats[0] = rho0.entries
-    for j, u in enumerate(_magnus_sample_propagators(h, gamma.rates, edges, sample_idx)):
-        mats[j + 1] = u @ mats[j] @ u.conj().T
-
-    traj = DensityTrajectory(times=grid.times, matrices=mats)
-    herm = float(np.max(np.abs(mats - np.swapaxes(mats, -1, -2).conj())))
-    if herm > 1e-9:
-        raise IntegrationError(f"Hermiticity drift {herm:.3e} exceeds 1e-9")
-    traces = traj.traces
-    growth = float(np.max(np.diff(traces))) if traces.size > 1 else 0.0
+    traj = _propagate(h, gamma.rates, _pure_amplitudes(rho0), grid, tol, breakpoints)
+    growth = float(np.max(np.diff(traj.norms_sq)))
     if growth > 10.0 * tol:
         raise IntegrationError(f"trace increased by {growth:.3e} (> 10*tol)")
-    lo = float(np.min(np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2).conj()))))
-    if lo < -1e-8:
-        raise IntegrationError(f"density lost positivity: eigenvalue {lo:.3e}")
     return traj
 
 
-def population(traj: StateTrajectory | DensityTrajectory, level_index: int, t: float) -> float:
+def population(traj: StateTrajectory, level_index: int, t: float) -> float:
     """Population of one level at time t, linearly interpolated between samples."""
     if not 0 <= level_index < traj.dimension:
         raise ValueError(f"level index {level_index} out of range for n={traj.dimension}")

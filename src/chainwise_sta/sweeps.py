@@ -360,7 +360,7 @@ def run_scenario(
             schedule=schedule,
             times=traj.times,
             populations=pops,
-            traces=traj.traces,
+            traces=traj.norms_sq,
             final_efficiency=float(pops[-1, target]),
             peak_excited=peak_excited,
         )
@@ -370,7 +370,7 @@ def run_scenario(
         schedule=schedule,
         times=traj.times,
         populations=pops,
-        traces=traj.traces,
+        traces=traj.norms_sq,
         final_efficiency=recovered,
         peak_excited=peak_excited,
         one_way_efficiency=one_way,

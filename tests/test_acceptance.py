@@ -277,8 +277,8 @@ def test_criterion_10_structural_invariants(monkeypatch):
 
     # Trace monotone, Hermiticity and positivity on a lossy reference run.
     traj = lossy_final_populations(design_protocol2(*P2_STAR), DecayVector(LAMBDA_DECAYS))
-    assert np.all(np.diff(traj.traces) <= 1e-7)
-    mats = traj.matrices
+    assert np.all(np.diff(traj.norms_sq) <= 1e-7)
+    mats = traj.states[:, :, None] * traj.states[:, None, :].conj()  # rho = psi psi^dagger
     assert np.max(np.abs(mats - np.swapaxes(mats, 1, 2).conj())) <= 1e-9
     assert np.min(np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, 1, 2).conj()))) >= -1e-8
 

@@ -292,6 +292,23 @@ class TestSweepCommand:
 
 
 class TestConfigHandling:
+    def test_consecutive_calls_do_not_share_flags(self, tmp_path, capsys):
+        # The parser is built once per process; each call must still see only
+        # its own flags, and a rejected call must not break the next one.
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(["design", "--protocol", "p1", "--tf", "4", "--delta", "1.8pi_GHz",
+                        "--beta", "pi/1.99", "--points-per-leg", "7",
+                        "--out", str(first)]) == 0
+        assert run_cli(["design", "--protocol", "nope", "--out", str(tmp_path / "bad")]) == 2
+        assert run_cli(["design", "--protocol", "p2", "--tf", "4", "--delta", "1000",
+                        "--out", str(second)]) == 0
+        manifest = json.loads((second / "manifest.json").read_text())
+        assert manifest == {"command": "design", "delta": 1000.0, "out": str(second),
+                            "protocol": "p2", "tf": 4.0}
+        assert json.loads((first / "manifest.json").read_text())["points_per_leg"] == 7
+        assert run_cli(["presets"]) == 0
+        assert "rb2_m" in capsys.readouterr().out
+
     def test_unknown_command(self):
         assert run_cli(["bogus"]) == 2
 

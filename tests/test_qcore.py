@@ -15,8 +15,10 @@ from chainwise_sta import (
     propagate_density,
     propagate_state,
 )
-from chainwise_sta import qcore, schemes
+from chainwise_sta import design_chainwise, design_protocol2, qcore, schemes
 from chainwise_sta.protocols import hamiltonian_rule
+
+from conftest import CHAIN_STAR, LAMBDA_DECAYS, M_DECAYS
 
 
 def two_level(omega, delta_e):
@@ -157,7 +159,8 @@ class TestPropagateDensity:
         psi = propagate_state(h, StateVector.basis(2, 0), grid, tol=tol)
         rho = propagate_density(h, DecayVector.none(2),
                                 DensityMatrix.pure(StateVector.basis(2, 0)), grid, tol=tol)
-        assert np.max(np.abs(psi.populations - rho.populations)) <= 10 * tol
+        # Zero decay takes the same steps and propagators as propagate_state.
+        assert np.array_equal(psi.populations, rho.populations)
 
     def test_pure_exponential_decay(self):
         h = HamiltonianRule.constant(np.zeros((1, 1)))
@@ -194,22 +197,22 @@ class TestPropagateDensity:
         traj = propagate_density(h, DecayVector([0.0, 0.8]),
                                  DensityMatrix.pure(StateVector.basis(2, 0)),
                                  TimeGrid(0.0, 6.0, 121))
-        assert np.all(np.diff(traj.traces) <= 10 * 1e-8)
-        assert traj.traces[-1] < 1.0
+        assert np.all(np.diff(traj.norms_sq) <= 10 * 1e-8)
+        assert traj.norms_sq[-1] < 1.0
 
     def test_trace_constant_without_loss(self):
         h = two_level(2.0, 1.0)
         traj = propagate_density(h, DecayVector.none(2),
                                  DensityMatrix.pure(StateVector.basis(2, 0)),
                                  TimeGrid(0.0, 6.0, 61))
-        assert np.max(np.abs(traj.traces - 1.0)) < 1e-7
+        assert np.max(np.abs(traj.norms_sq - 1.0)) < 1e-7
 
     def test_hermiticity_and_psd_at_samples(self):
         h = two_level(3.0, 0.7)
         traj = propagate_density(h, DecayVector([0.1, 0.4]),
                                  DensityMatrix.pure(StateVector.basis(2, 0)),
                                  TimeGrid(0.0, 5.0, 101))
-        m = traj.matrices
+        m = traj.states[:, :, None] * traj.states[:, None, :].conj()  # rho = psi psi^dagger
         assert np.max(np.abs(m - np.swapaxes(m, 1, 2).conj())) < 1e-9
         eigs = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2).conj()))
         assert np.min(eigs) > -1e-8
@@ -223,13 +226,23 @@ class TestPropagateDensity:
         with pytest.raises(ValueError, match="dimension"):
             propagate_state(h, StateVector.basis(3, 0), TimeGrid(0.0, 1.0, 5))
 
-    def test_mixed_state_input(self):
-        # Sub-unit trace mixed input: trace conserved without loss.
+    def test_mixed_state_input_rejected(self):
         h = two_level(1.5, 0.3)
         rho0 = DensityMatrix(np.diag([0.5, 0.3]))
-        traj = propagate_density(h, DecayVector.none(2), rho0, TimeGrid(0.0, 3.0, 61))
-        assert np.max(np.abs(traj.traces - 0.8)) < 1e-7
-        assert np.max(traj.populations[:, 1]) > 0.3
+        with pytest.raises(ValueError, match="pure"):
+            propagate_density(h, DecayVector.none(2), rho0, TimeGrid(0.0, 3.0, 61))
+
+    def test_sub_unit_trace_pure_input(self):
+        # A rank-1 rho0 of trace 0.8 scales every population by 0.8.
+        h = two_level(1.5, 0.3)
+        psi0 = StateVector(np.array([0.6, 0.8j]))
+        grid = TimeGrid(0.0, 3.0, 61)
+        gamma = DecayVector([0.2, 0.5])
+        full = propagate_density(h, gamma, DensityMatrix.pure(psi0), grid)
+        scaled = propagate_density(h, gamma, DensityMatrix(0.8 * DensityMatrix.pure(psi0).entries),
+                                   grid)
+        assert np.allclose(scaled.populations, 0.8 * full.populations, rtol=0, atol=1e-14)
+        assert scaled.norms_sq[0] == pytest.approx(0.8, abs=1e-15)
 
 
 def rk45_reference(rhs, y0, grid, breakpoints=()):
@@ -249,6 +262,38 @@ def rk45_reference(rhs, y0, grid, breakpoints=()):
         out[inside] = sol.y[:, :np.count_nonzero(inside)].T
         y = sol.y[:, -1]
     return out
+
+
+# tol sets the Magnus step count but is not yet a checked error bound
+# (ROADMAP item 1).  These cells pin where the final target population of a
+# public propagate_density call lands against the same core at 200k steps:
+# the two xfail cells measure 3.75 x tol and 2.81 x tol, the others stay
+# far inside tol.
+_TOL_CELLS = [
+    pytest.param("chainwise", 1.0, 1000 * np.pi, 1e-6, id="chainwise-1us-1000pi",
+                 marks=pytest.mark.xfail(strict=True, reason="error 3.75 x tol")),
+    pytest.param("chainwise", *CHAIN_STAR[:2], 6.3e-6, id="m5-star-tol-6.3e-6",
+                 marks=pytest.mark.xfail(strict=True, reason="error 2.81 x tol")),
+    pytest.param("chainwise", 8.0, 5000 * np.pi, 1e-6, id="chainwise-8us-5000pi"),
+    pytest.param("p2", 6.0, 5000 * np.pi, 1e-6, id="p2-6us-5000pi"),
+]
+
+
+@pytest.mark.parametrize("protocol, t_f, delta, tol", _TOL_CELLS)
+def test_final_population_within_tol(protocol, t_f, delta, tol):
+    if protocol == "chainwise":
+        sched, decays = design_chainwise(t_f, delta, CHAIN_STAR[2]), M_DECAYS
+    else:
+        sched, decays = design_protocol2(t_f, delta), LAMBDA_DECAYS
+    h = hamiltonian_rule(sched)
+    target = h.dimension - 1
+    grid = TimeGrid(0.0, sched.duration, 2)
+    got = propagate_density(h, DecayVector(decays),
+                            DensityMatrix.pure(StateVector.basis(h.dimension, 0)), grid,
+                            tol=tol, breakpoints=sched.breakpoints)
+    edges, sample_idx = qcore._magnus_nodes(grid, sched.breakpoints, 200_000)
+    u = qcore._magnus_sample_propagators(h, np.array(decays), edges, sample_idx)[0]
+    assert abs(got.populations[-1, target] - abs(u[target, 0]) ** 2) <= tol
 
 
 class TestBackEndEquivalence:
