@@ -83,16 +83,12 @@ class TwoLevelAux:
             s = np.asarray(t, dtype=float) / t_f
             return np.pi * s * s * (3.0 - 2.0 * s)
 
-        def theta_dot(t):
-            s = np.asarray(t, dtype=float) / t_f
-            return 6.0 * np.pi * s * (1.0 - s) / t_f
-
         half_pi = np.pi / 2
 
         return cls(
             theta=theta,
             beta=lambda t: np.full(np.asarray(t, dtype=float).shape, half_pi),
-            theta_dot=theta_dot,
+            theta_dot=lambda t: _cubic_rate(np.asarray(t, dtype=float), t_f),
             beta_dot=lambda t: np.zeros(np.asarray(t, dtype=float).shape),
         )
 
@@ -154,14 +150,7 @@ class ThreeLevelAux:
 
     def angles(self, t):
         """(chi, chi_dot, vartheta, vartheta_dot) at times t, in rad and rad/us."""
-        s = np.asarray(t, dtype=float) / self.t_f
-        a, b = self.scaled_a, self.scaled_b
-        return (
-            _polyval(s, a),
-            _polyval(s, a[1:] * np.arange(1, a.size)) / self.t_f,
-            _polyval(s, b),
-            _polyval(s, b[1:] * np.arange(1, b.size)) / self.t_f,
-        )
+        return _scaled_angles(np.asarray(t, dtype=float), self.t_f, self.scaled_a, self.scaled_b)
 
     def chi(self, t):
         return self.angles(t)[0]
@@ -176,11 +165,41 @@ class ThreeLevelAux:
         return self.angles(t)[3]
 
 
+def _cubic_rate(t, t_f):
+    """d(theta)/dt of the cubic sweep: 6 pi s (1 - s) / t_f at s = t / t_f.
+
+    ``t_f`` may be a column of durations against one row of times each.
+    """
+    s = t / t_f
+    return 6.0 * np.pi * s * (1.0 - s) / t_f
+
+
+def _scaled_angles(t, t_f, scaled_a, scaled_b):
+    """(chi, chi_dot, vartheta, vartheta_dot) of scaled-time coefficients at times t.
+
+    The derivative coefficients are formed here as ``c[1:] * arange(1, n)``.
+    ``t_f`` may be a column of durations against one row of times each;
+    every entry is then bitwise the value for its own duration alone.
+    """
+    s = t / t_f
+    a, b = scaled_a, scaled_b
+    chi_d = _polyval(s, a[1:] * np.arange(1, a.size))
+    chi_d /= t_f
+    vt_d = _polyval(s, b[1:] * np.arange(1, b.size))
+    vt_d /= t_f
+    return _polyval(s, a), chi_d, _polyval(s, b), vt_d
+
+
 def _polyval(s, coeffs):
-    """sum_k coeffs[k] s^k by Horner's rule, in numpy ``polyval``'s operation order."""
-    val = coeffs[-1] + s * 0
+    """sum_k coeffs[k] s^k by Horner's rule, in numpy ``polyval``'s operation order.
+
+    The steps run in place on one array: (val * s) + c is bitwise c + val * s.
+    """
+    val = s * 0
+    val += coeffs[-1]
     for c in coeffs[-2::-1]:
-        val = c + val * s
+        val *= s
+        val += c
     return val
 
 
@@ -195,7 +214,9 @@ def solve_aux_polynomials(t_f: float, epsilon: float, direction: str = "creation
     The coefficients are written in the scaled time s = t / t_f as small
     integer multiples of pi/4 - epsilon and pi/2, which makes the
     flat-endpoint conditions exact in floating point; ``ThreeLevelAux``
-    checks all nine conditions on construction.
+    checks all nine conditions on construction.  They depend on epsilon
+    and direction alone: t_f enters the angles only through s and the
+    1/t_f of the rates.
     """
     if not 0 < t_f < np.inf:
         raise ValueError("t_f must be finite and positive")

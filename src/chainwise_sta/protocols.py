@@ -29,7 +29,13 @@ from typing import Callable
 import numpy as np
 
 from . import schemes
-from .invariants import ThreeLevelAux, TwoLevelAux, solve_aux_polynomials
+from .invariants import (
+    ThreeLevelAux,
+    TwoLevelAux,
+    _cubic_rate,
+    _scaled_angles,
+    solve_aux_polynomials,
+)
 from .qcore import HamiltonianRule
 
 __all__ = [
@@ -50,6 +56,8 @@ __all__ = [
 DEFAULT_BETA = np.pi / 1.99
 DEFAULT_CLAMP = 200.0 * np.pi
 CSV_POINTS_PER_LEG = 2000
+_PROBE_POINTS = 257   # finiteness probe of a schedule, chainwise gauge and floor
+_PEAK_POINTS = 2001   # endpoint-inclusive peak samples per leg
 
 _LAMBDA_CHANNELS = ("omega",)
 _M_CHANNELS = ("omega1", "omega2", "omega3", "omega4")
@@ -133,7 +141,7 @@ class PulseSchedule:
         total = sum(s.duration for s in self.segments)
         if abs(total - self.duration) > 1e-9 * max(1.0, self.duration):
             raise ValueError("segment durations do not add up to the schedule duration")
-        probe = np.linspace(0.0, self.duration, 257)
+        probe = np.linspace(0.0, self.duration, _PROBE_POINTS)
         if self.stacked_channels is not None:
             vals = np.asarray(self.stacked_channels(probe), dtype=float)
             if vals.shape != probe.shape + (len(expected),):
@@ -276,9 +284,9 @@ def _p1_coupling(t_f, delta_single, beta):
         return np.sqrt(2.0 * delta_single * np.pi / (t_f * np.sin(beta)))
 
 
-def _p2_rate(aux: TwoLevelAux, t):
+def _p2_rate(theta_dot):
     """The delta-free p2 profile: d(theta)/dt clipped at zero."""
-    return np.clip(aux.theta_dot(t), 0.0, None)
+    return np.clip(theta_dot, 0.0, None)
 
 
 def _p2_coupling(delta_single, rate):
@@ -301,7 +309,7 @@ def design_protocol2(t_f: float, delta_single: float) -> PulseSchedule:
     aux = TwoLevelAux.cubic_sweep(t_f)
 
     def omega(t):
-        return _p2_coupling(delta_single, _p2_rate(aux, t))
+        return _p2_coupling(delta_single, _p2_rate(aux.theta_dot(t)))
 
     return PulseSchedule(
         scheme="lambda3",
@@ -320,21 +328,40 @@ def design_protocol2(t_f: float, delta_single: float) -> PulseSchedule:
 
 
 def _chain_effective_couplings(aux: ThreeLevelAux):
-    """The effective pair t -> (omega_e1, omega_e2) of the chain transport.
+    """The effective pair t -> (omega_e1, omega_e2) of the chain transport,
+    from one ``aux.angles`` call."""
 
-    Both couplings come from one ``aux.angles`` call:
+    def pair(t):
+        return _effective_pair(*aux.angles(t))
+
+    return pair
+
+
+def _effective_pair(chi, chi_d, vt, vt_d):
+    """(omega_e1, omega_e2) from the chain angles and their rates:
 
         omega_e1 = 2 (vartheta_dot cot(chi) sin(vartheta) + chi_dot cos(vartheta))
         omega_e2 = 2 (vartheta_dot cot(chi) cos(vartheta) - chi_dot sin(vartheta))
     """
+    rate = vt_d / np.tan(chi)
+    sv, cv = np.sin(vt), np.cos(vt)
+    # In place where the inputs are arrays; each step is bitwise the
+    # formula's (products and sums commute exactly).
+    e1 = rate * sv
+    e2 = rate
+    e2 *= cv
+    cv *= chi_d
+    sv *= chi_d
+    e1 += cv
+    e2 -= sv
+    e1 *= 2.0
+    e2 *= 2.0
+    return e1, e2
 
-    def pair(t):
-        chi, chi_d, vt, vt_d = aux.angles(t)
-        rate = vt_d / np.tan(chi)
-        sv, cv = np.sin(vt), np.cos(vt)
-        return 2.0 * (rate * sv + chi_d * cv), 2.0 * (rate * cv - chi_d * sv)
 
-    return pair
+def _chain_floor(e1, e2):
+    """1e-24 times the largest squared effective coupling over the last axis."""
+    return 1e-24 * np.max(e1**2 + e2**2, axis=-1)
 
 
 def _chain_profile(effective_pair, floor: float):
@@ -348,8 +375,11 @@ def _chain_profile(effective_pair, floor: float):
 
     def profile(t):
         e1, e2 = effective_pair(t)
-        s = e1**2 + e2**2
-        return e1, e2, np.where(s > floor, s**0.25, 0.0)
+        s = e1**2
+        s += e2**2
+        on = s > floor
+        s **= 0.25
+        return e1, e2, np.where(on, s, 0.0)
 
     return profile
 
@@ -420,11 +450,11 @@ def design_chainwise(
     effective_pair = _chain_effective_couplings(aux)
 
     # Joint gauge sign: make the dominant lobe of omega_2 positive.
-    probe = np.linspace(0.0, t_f, 257)
+    probe = np.linspace(0.0, t_f, _PROBE_POINTS)
     e1, e2 = effective_pair(probe)
     gauge = 1.0 if float(np.trapezoid(e1, probe)) >= 0.0 else -1.0
 
-    floor = 1e-24 * float(np.max(e1**2 + e2**2))
+    floor = float(_chain_floor(e1, e2))
     stacked = _chain_channels(_chain_profile(effective_pair, floor),
                               _chain_root(delta_single), gauge)
     omega1 = _column(stacked, 0)
@@ -576,47 +606,75 @@ def effective_rule(schedule: PulseSchedule) -> HamiltonianRule:
     return schemes.reduce_m(_m_params(schedule)).hamiltonian()
 
 
-def _leg_peak(schedule: PulseSchedule, func) -> float:
-    """Largest |func| over 2001 endpoint-inclusive samples per leg."""
-    best = 0.0
-    start = 0.0
-    for seg in schedule.segments:
-        if seg.duration > 0:
-            t = np.linspace(start, start + seg.duration, 2001)
-            best = max(best, float(np.max(np.abs(func(t)))))
-        start += seg.duration
-    return best
-
-
 def peak_amplitude(schedule: PulseSchedule) -> float:
     """Largest |first channel| over 2001 endpoint-inclusive samples per leg.
 
     The first channel is ``omega`` or ``omega1``; the odd sample count puts
     each leg's midpoint on the grid, where the smooth designs peak.
     """
-    return _leg_peak(schedule, schedule.channels[schedule.channel_names[0]])
+    channel = schedule.channels[schedule.channel_names[0]]
+    best = 0.0
+    start = 0.0
+    for seg in schedule.segments:
+        if seg.duration > 0:
+            t = np.linspace(start, start + seg.duration, _PEAK_POINTS)
+            best = max(best, float(np.max(np.abs(channel(t)))))
+        start += seg.duration
+    return best
 
 
-def peak_amplitudes(leg: PulseSchedule, deltas) -> np.ndarray:
-    """``peak_amplitude`` of a designed leg redone at each detuning in ``deltas``.
+def _rows_linspace(stops, num: int) -> np.ndarray:
+    """Row i is ``np.linspace(0.0, stops[i], num)``, bitwise, C-contiguous.
 
-    Every designer's first channel is a delta-free profile with the detuning
-    applied as a positive scalar through a non-decreasing map (the p1
-    coupling, sqrt(2 delta rate), sqrt(2 delta) * amplitude).  Such a map
-    commutes with the maximum in floating point, so one sampling of the
-    profile on the ``peak_amplitude`` grid serves every detuning, and entry j
-    is bitwise equal to ``peak_amplitude`` of the same design at
-    ``deltas[j]``.  The leg fixes every other design parameter; ``deltas``
-    must be positive.
+    numpy builds the rows along axis 0; the copy lays each row out
+    contiguously, so that elementwise work against a column of durations
+    runs in long inner loops.
+    """
+    return np.ascontiguousarray(np.linspace(0.0, stops, num, axis=1))
+
+
+def peak_amplitudes(leg: PulseSchedule, tf_values, deltas) -> np.ndarray:
+    """``peak_amplitude`` of a designed leg redone at every (t_f, delta) cell.
+
+    Entry (i, j) is bitwise ``peak_amplitude`` of the same designer at
+    ``tf_values[i]`` and ``deltas[j]``; the leg fixes every other design
+    parameter (beta, epsilon, direction), and both axes must be positive.
+
+    Every designer's first channel is a delta-free profile with the
+    detuning applied as a positive scalar through a non-decreasing map (the
+    p1 coupling, sqrt(2 delta rate), sqrt(2 delta) * amplitude).  Such a map
+    commutes with the maximum in floating point, so one sampling of a row's
+    profile on the ``peak_amplitude`` grid serves every detuning.  The
+    profiles depend on t_f only through s = t / t_f and factors of 1/t_f
+    (the chainwise angle coefficients in s come from epsilon and direction
+    alone), so every row is sampled in one batched evaluation with t_f as a
+    column: each row's times, 257-point floor probe and values are bitwise
+    those of its own design.  A row with a non-finite sampled profile has
+    NaN cells.
     """
     d = leg.design
+    tf_values = np.asarray(tf_values, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
+    column = tf_values[:, None]
     protocol = d.get("protocol")
     if protocol == "p1":
-        return _p1_coupling(d["t_f"], deltas, d["beta"])
+        return _p1_coupling(column, deltas, d["beta"])
+    if protocol not in ("p2", "chainwise"):
+        raise ValueError(f"peak maps need a designed p1, p2 or chainwise leg, got {protocol!r}")
+    times = _rows_linspace(tf_values, _PEAK_POINTS)
     if protocol == "p2":
-        return _p2_coupling(deltas, _leg_peak(leg, lambda t: _p2_rate(d["aux"], t)))
-    if protocol == "chainwise":
-        profile = _chain_profile(_chain_effective_couplings(d["aux"]), d["floor"])
-        return _chain_root(deltas) * _leg_peak(leg, lambda t: profile(t)[2])
-    raise ValueError(f"peak rows need a designed p1, p2 or chainwise leg, got {protocol!r}")
+        # max propagates a non-finite rate into the row's cells.
+        rate = _p2_rate(_cubic_rate(times, column))
+        return _p2_coupling(deltas, np.max(np.abs(rate), axis=1)[:, None])
+    aux = d["aux"]
+
+    def pair(t):
+        return _effective_pair(*_scaled_angles(t, column, aux.scaled_a, aux.scaled_b))
+
+    floor = _chain_floor(*pair(_rows_linspace(tf_values, _PROBE_POINTS)))
+    e1, e2, amp = _chain_profile(pair, floor[:, None])(times)
+    # The profile zeroes a NaN square, so the samples are checked here.  The
+    # amplitude is never negative, so its maximum is that of |omega1| / root.
+    finite = np.isfinite(floor) & np.all(np.isfinite(e1) & np.isfinite(e2), axis=1)
+    peaks = np.where(finite, np.max(amp, axis=1), np.nan)
+    return _chain_root(deltas) * peaks[:, None]

@@ -27,10 +27,11 @@ product of two stacks is then 2k - 1 whole-stack elementwise calls (one
 multiply per inner index j and one add per further j), where numpy's batched
 ``@`` on (steps, n, n) stacks makes one BLAS call per 3 x 3 or 5 x 5 matrix.
 Each propagation call allocates one workspace of such stacks and every block
-of steps writes its H(t) samples, Magnus generator, matrix powers and
-squarings into it with ``out=``.  The call count matters as much as the
-arithmetic: every numpy call hands the GIL back and forth, so fewer, larger
-calls per block are what lets the sweep thread pool run cells in parallel.
+of steps writes its H(t) samples, Magnus generator, matrix powers,
+squarings and product-tree levels into it with ``out=``.  The call count
+matters as much as the arithmetic: every numpy call hands the GIL back and
+forth, so fewer, larger calls per block are what lets the sweep thread
+pool run cells in parallel.
 H(t) is evaluated once per block, at both Gauss nodes together, and turned
 to this layout there; only the per-sample propagators handed to callers are
 turned back.
@@ -38,7 +39,7 @@ turned back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -226,11 +227,17 @@ class StateTrajectory:
     """Sampled amplitudes of i dpsi/dt = (H(t) - i/2 diag(gamma)) psi.
 
     Without loss ``norms_sq`` stays at |psi0|^2; with loss it is the
-    population still inside the modelled levels.
+    population still inside the modelled levels.  ``breakpoint_times`` are
+    the run's breakpoints inside the window, sorted and without repeats;
+    every one is a step edge, and ``breakpoint_states`` holds the amplitudes
+    there, one row each, from the same propagation.
     """
 
     times: np.ndarray
     states: np.ndarray  # (n_samples, n) complex
+    breakpoint_times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    breakpoint_states: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0), dtype=complex))
 
     @property
     def dimension(self) -> int:
@@ -480,15 +487,40 @@ def _magnus_propagators(h: HamiltonianRule, gamma: np.ndarray | None, edges: np.
 _MAGNUS_CHUNK = 4096
 
 
-def _ordered_product(x: np.ndarray) -> np.ndarray:
+def _stack_view(stack: np.ndarray, shape: tuple) -> np.ndarray:
+    """A C-contiguous ``shape`` array on the leading memory of a contiguous stack.
+
+    Packed rows keep a small tree level compact; the stack's own rows lie
+    a power of two apart, and strided streams that far apart collide in
+    the caches.
+    """
+    return stack.reshape(-1)[:int(np.prod(shape))].reshape(shape)
+
+
+def _ordered_product(x: np.ndarray, stacks=None) -> np.ndarray:
     """``x[:, :, m-1] @ ... @ x[:, :, 0]`` by a pairwise tree.
 
     ``x`` is entries first, (n, n, m, *batch); the product over axis 2 is
-    (n, n, *batch).
+    (n, n, *batch).  Each level pairs neighbours and carries an odd last
+    factor up unchanged.  The levels alternate between the first two of
+    ``stacks``, three contiguous (n, n, size) workspace stacks that ``x``
+    does not overlap (allocated when not given), and the third is the products'
+    scratch; ``size`` must hold ceil(m / 2) * batch columns.  The result is
+    a view into a stack.
     """
+    if stacks is None:
+        size = -(-x.shape[2] // 2) * int(np.prod(x.shape[3:]))
+        stacks = np.empty((3,) + x.shape[:2] + (size,), dtype=complex)
+    level, spare, term = stacks
     while (m := x.shape[2]) > 1:
-        pairs = _matmul(x[:, :, 1::2], x[:, :, 0:m - 1:2])
-        x = np.concatenate([pairs, x[:, :, -1:]], axis=2) if m % 2 else pairs
+        half = m // 2
+        shape = x.shape[:2] + (half + m % 2,) + x.shape[3:]
+        out = _stack_view(level, shape)
+        _matmul(x[:, :, 1::2], x[:, :, 0:m - 1:2], out[:, :, :half],
+                _stack_view(term, x.shape[:2] + (half,) + x.shape[3:]))
+        if m % 2:
+            out[:, :, half] = x[:, :, -1]
+        x, level, spare = out, spare, level
     return x[:, :, 0]
 
 
@@ -518,9 +550,16 @@ def _magnus_sample_propagators(h: HamiltonianRule, gamma: np.ndarray | None,
         cuts = np.unique(np.concatenate(([c0], inside, [c1])))
         lengths = np.diff(cuts)
         prods = np.empty((n, n, lengths.size), dtype=complex)
-        for length in np.unique(lengths):
-            sel = np.flatnonzero(lengths == length)
-            prods[:, :, sel] = _ordered_product(u[:, :, np.arange(length)[:, None] + cuts[sel] - c0])
+        # The tree's levels and gathered pieces go to the stacks u is not in.
+        gather, *stacks = [w for w in work if not np.may_share_memory(w, u)][:4]
+        if lengths.size == 1:  # one piece: reduce the block where it lies
+            prods[:, :, 0] = _ordered_product(u, stacks)
+        else:
+            for length in np.unique(lengths):
+                sel = np.flatnonzero(lengths == length)
+                idx = np.arange(length)[:, None] + cuts[sel] - c0
+                pieces = np.take(u, idx, axis=2, out=_stack_view(gather, (n, n) + idx.shape))
+                prods[:, :, sel] = _ordered_product(pieces, stacks)
         if carry is not None:
             prods[:, :, 0] = _matmul(prods[:, :, 0], carry)
         ends = cuts[1:]
@@ -539,11 +578,18 @@ def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     """
     action = _checked_action(h, grid, gamma)
     edges, sample_idx = _magnus_nodes(grid, breakpoints, _magnus_step_count(tol, action))
-    states = np.empty((grid.n_samples, h.dimension), dtype=complex)
-    states[0] = psi0
-    for j, u in enumerate(_magnus_sample_propagators(h, gamma, edges, sample_idx)):
-        states[j + 1] = u @ states[j]
-    return StateTrajectory(times=grid.times, states=states)
+    # Breakpoints are step edges; cutting the products there too gives their states.
+    inner = _segment_edges(grid, breakpoints)[1:-1]
+    marks = np.concatenate([sample_idx, np.searchsorted(edges, inner)])
+    order = np.argsort(marks, kind="stable")
+    walk = np.empty((marks.size, h.dimension), dtype=complex)
+    walk[0] = psi0
+    for j, u in enumerate(_magnus_sample_propagators(h, gamma, edges, marks[order])):
+        walk[j + 1] = u @ walk[j]
+    states = np.empty_like(walk)
+    states[order] = walk
+    return StateTrajectory(times=grid.times, states=states[:grid.n_samples],
+                           breakpoint_times=inner, breakpoint_states=states[grid.n_samples:])
 
 
 def propagate_state(

@@ -3,13 +3,14 @@
 A sweep evaluates a designer over a rectangular grid of leg duration and
 single-photon detuning, producing a :class:`GridMap` of either peak channel
 amplitude (no propagation) or transfer efficiency (full lossy propagation
-per cell).  A peak map designs one schedule per t_f row: every designed
-first channel is a delta-free profile with the detuning applied as a
-positive scalar, so one sampling of the profile gives the whole row
-(``protocols.peak_amplitudes``), bitwise equal to designing each cell.
-The rows run in the calling thread.  Efficiency cells spend their time in
-large numpy operations that release the GIL; they run as independent
-tasks on a thread pool capped by the ``CHAINWISE_STA_THREADS`` environment
+per cell).  A peak map makes one design, at its first cell, and then one
+batched evaluation of every row: each designed first channel is a
+delta-free profile with the detuning applied as a positive scalar, and the
+profiles differ between rows only through t_f, so all rows are sampled
+together (``protocols.peak_amplitudes``), bitwise equal to designing each
+cell.  The map runs in the calling thread.  Efficiency cells spend their
+time in large numpy operations that release the GIL; they run as
+independent tasks on a thread pool capped by the ``CHAINWISE_STA_THREADS`` environment
 variable (a positive integer; default: the cores this process may run on).
 Cells are submitted heaviest first, in descending t_f * delta (the phase
 budget that sets a cell's Magnus step count), so that the longest cells
@@ -153,8 +154,9 @@ class GridMap:
         """Matrix layout: first row the delta axis, first column the t_f axis."""
         with open(path, "w", newline="") as fh:
             fh.write("tf_us\\delta_rad_us," + ",".join(f"{d:.17g}" for d in self.delta_values) + "\n")
-            for i, tf in enumerate(self.tf_values):
-                row = ",".join(f"{v:.17g}" for v in self.cells[i])
+            # Python floats format faster than numpy scalars, to the same text.
+            for tf, cells in zip(self.tf_values.tolist(), self.cells.tolist()):
+                row = ",".join(f"{v:.17g}" for v in cells)
                 fh.write(f"{tf:.17g},{row}\n")
 
 
@@ -219,28 +221,29 @@ def _run_cells(spec: SweepSpec, cell_fn) -> tuple[np.ndarray, list]:
 def sweep_peak_amplitude(spec: SweepSpec) -> GridMap:
     """Peak channel amplitude per cell; pure design, no propagation.
 
-    Each t_f row designs one schedule, at the row's first detuning, and
-    takes every cell of the row from it through ``peak_amplitudes``; each
-    cell is bitwise equal to ``peak_amplitude(design_schedule(...))`` of
-    that cell.  Design errors, and a cell whose peak is not finite, abort
-    the sweep with the cell coordinates in the message (an invalid design
-    is a configuration problem, not a lost cell).
+    The map makes one design, with every check of the designer, at its
+    first cell; ``peak_amplitudes`` then takes every cell from one batched
+    evaluation of each row's delta-free profile.  Each cell is bitwise
+    equal to ``peak_amplitude(design_schedule(...))`` of that cell.  A
+    design error, or the first cell in row-major order whose peak (or
+    whose row's sampled profile) is not finite, aborts the sweep with the
+    cell coordinates in the message (an invalid design is a configuration
+    problem, not a lost cell).
     """
     tf_vals = spec.tf_values
     dl_vals = spec.delta_values
-    cells = np.empty((tf_vals.size, dl_vals.size))
-    for i, tf in enumerate(tf_vals):
-        try:
-            leg = design_schedule(
-                spec.protocol, tf, dl_vals[0],
-                beta=spec.beta, epsilon=spec.epsilon, delta_two_mode=spec.delta_two_mode,
-            )
-        except ValueError as exc:
-            raise _cell_error(tf, dl_vals[0], exc) from exc
-        cells[i] = peak_amplitudes(leg, dl_vals)
-        bad = np.flatnonzero(~np.isfinite(cells[i]))
-        if bad.size:
-            raise _cell_error(tf, dl_vals[bad[0]], "peak amplitude is not finite")
+    try:
+        leg = design_schedule(
+            spec.protocol, tf_vals[0], dl_vals[0],
+            beta=spec.beta, epsilon=spec.epsilon, delta_two_mode=spec.delta_two_mode,
+        )
+    except ValueError as exc:
+        raise _cell_error(tf_vals[0], dl_vals[0], exc) from exc
+    cells = peak_amplitudes(leg, tf_vals, dl_vals)
+    bad = np.argwhere(~np.isfinite(cells))
+    if bad.size:
+        i, j = bad[0]
+        raise _cell_error(tf_vals[i], dl_vals[j], "peak amplitude is not finite")
     return GridMap(tf_vals, dl_vals, cells, _base_metadata(spec, "peak_amplitude"))
 
 
@@ -280,7 +283,12 @@ def sweep_efficiency(spec: SweepSpec) -> GridMap:
 
 @dataclass
 class ScenarioResult:
-    """Full time series and summary scalars for one designed run."""
+    """Full time series and summary scalars for one designed run.
+
+    ``peak_excited`` maps each intermediate level to its largest population
+    over the output samples; ``one_way_efficiency`` (round trips only) is
+    the target population at the end of the forward leg.
+    """
 
     schedule: PulseSchedule
     times: np.ndarray
@@ -335,8 +343,13 @@ def run_scenario(
 
     With ``roundtrip_hold`` set, the forward leg is extended into a
     forward/hold/return sequence; ``one_way_efficiency`` is then the target
-    population at the end of the forward leg and ``final_efficiency`` (and
-    ``roundtrip_efficiency``) the population recovered in the initial level.
+    population at t_f, the end of the forward leg, and ``final_efficiency``
+    (and ``roundtrip_efficiency``) the population recovered in the initial
+    level.  t_f is a breakpoint of the round trip, hence a Magnus step
+    edge, so the one-way value is the state there from the same
+    propagation, whatever ``n_samples`` is.  ``peak_excited`` is the
+    largest population of each intermediate level over the ``n_samples``
+    output samples only: a coarse grid can miss the true peak.
     """
     leg = design_schedule(protocol, t_f, delta, beta=beta, epsilon=epsilon,
                           delta_two_mode=delta_two_mode)
@@ -364,7 +377,8 @@ def run_scenario(
             final_efficiency=float(pops[-1, target]),
             peak_excited=peak_excited,
         )
-    one_way = float(np.interp(t_f, traj.times, pops[:, target]))
+    # The forward leg ends at the first breakpoint, a step edge of the run.
+    one_way = float((np.abs(traj.breakpoint_states) ** 2)[0, target])
     recovered = float(pops[-1, 0])
     return ScenarioResult(
         schedule=schedule,

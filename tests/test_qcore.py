@@ -267,11 +267,15 @@ def rk45_reference(rhs, y0, grid, breakpoints=()):
 # tol sets the Magnus step count but is not yet a checked error bound
 # (ROADMAP item 1).  These cells pin where the final target population of a
 # public propagate_density call lands against the same core at 200k steps:
-# the two xfail cells measure 3.75 x tol and 2.81 x tol, the others stay
-# far inside tol.
+# the four xfail cells measure 3.75, 4.31, 5.27 and 2.81 x tol, the others
+# stay far inside tol.
 _TOL_CELLS = [
     pytest.param("chainwise", 1.0, 1000 * np.pi, 1e-6, id="chainwise-1us-1000pi",
                  marks=pytest.mark.xfail(strict=True, reason="error 3.75 x tol")),
+    pytest.param("chainwise", 1.0, 2333 * np.pi, 5e-6, id="chainwise-1us-2333pi-tol-5e-6",
+                 marks=pytest.mark.xfail(strict=True, reason="error 4.31 x tol")),
+    pytest.param("chainwise", 1.0, 2333 * np.pi, 1e-5, id="chainwise-1us-2333pi-tol-1e-5",
+                 marks=pytest.mark.xfail(strict=True, reason="error 5.27 x tol")),
     pytest.param("chainwise", *CHAIN_STAR[:2], 6.3e-6, id="m5-star-tol-6.3e-6",
                  marks=pytest.mark.xfail(strict=True, reason="error 2.81 x tol")),
     pytest.param("chainwise", 8.0, 5000 * np.pi, 1e-6, id="chainwise-8us-5000pi"),

@@ -119,10 +119,10 @@ def per_cell_peaks(spec):
 
 
 class TestPeakRows:
-    """A peak map designs one schedule per t_f row and scales it to every delta."""
+    """A peak map makes one design and samples every row in one batched evaluation."""
 
     @pytest.mark.parametrize("protocol", ["p1", "p2", "chainwise"])
-    def test_one_design_per_row(self, monkeypatch, protocol):
+    def test_one_design_per_map(self, monkeypatch, protocol):
         designer = {"p1": "design_protocol1", "p2": "design_protocol2",
                     "chainwise": "design_chainwise"}[protocol]
         designs, solves = [], []
@@ -135,9 +135,30 @@ class TestPeakRows:
         decays = M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS
         spec = SweepSpec(protocol, (1.0, 8.0, 5), (1000 * np.pi, 5000 * np.pi, 7),
                          DecayVector(decays))
-        sweep_peak_amplitude(spec)
-        assert designs == list(spec.tf_values)
+        grid = sweep_peak_amplitude(spec)
+        assert designs == [spec.tf_values[0]]
         assert solves == (designs if protocol == "chainwise" else [])
+        assert np.array_equal(grid.cells, per_cell_peaks(spec))
+
+    @pytest.mark.parametrize("protocol", ["p1", "p2", "chainwise"])
+    def test_two_row_map(self, protocol):
+        decays = M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS
+        spec = SweepSpec(protocol, (1.7, 7.3, 2), (1100 * np.pi, 4700 * np.pi, 3),
+                         DecayVector(decays))
+        assert np.array_equal(sweep_peak_amplitude(spec).cells, per_cell_peaks(spec))
+
+    def test_rows_independent_of_batch(self):
+        # A row's bytes do not depend on where it sits in the batch: a
+        # 41-row chainwise map equals its rows computed as two bands.
+        spec = SweepSpec("chainwise", (1.0 * 1.0286, 8.0 * 1.0286, 41),
+                         (1000 * np.pi / 1.0286, 5000 * np.pi / 1.0286, 41),
+                         DecayVector(M_DECAYS))
+        tf, deltas = spec.tf_values, spec.delta_values
+        full = sweep_peak_amplitude(spec).cells
+        bands = [protocols_mod.peak_amplitudes(design_schedule("chainwise", rows[0], deltas[0]),
+                                               rows, deltas)
+                 for rows in (tf[:17], tf[17:])]
+        assert np.array_equal(full, np.concatenate(bands))
 
     @pytest.mark.parametrize("spec", [
         SweepSpec("p1", (1.3, 5.7, 4), (1100 * np.pi, 4900 * np.pi, 6),
@@ -353,6 +374,22 @@ class TestRunScenario:
         assert len(lines) == 102
         row = [float(x) for x in lines[1].split(",")]
         assert row[1] == pytest.approx(1.0)
+
+    def test_one_way_efficiency_independent_of_sampling(self, m_decays):
+        # The one-way value is the state at t_f, a step edge of the run, not
+        # an interpolation between output samples (2 samples once gave 0.0019).
+        one_way = [run_scenario("chainwise", 8.0, 1270 * np.pi, m_decays, epsilon=0.03,
+                                roundtrip_hold=0.1, tol=1e-4, n_samples=n).one_way_efficiency
+                   for n in (2, 1201)]
+        assert one_way[0] == pytest.approx(one_way[1], abs=1e-3)
+        assert one_way[0] > 0.9
+
+    def test_one_way_at_a_sample_is_that_sample(self, lambda_decays):
+        # No hold and 3 samples: t_f is both the middle sample and the breakpoint.
+        result = run_scenario("p2", 4.0, 1200 * np.pi, lambda_decays, roundtrip_hold=0.0,
+                              tol=1e-4, n_samples=3)
+        assert result.times[1] == 4.0
+        assert result.one_way_efficiency == result.populations[1, 2]
 
     def test_roundtrip_summary_fields(self, lambda_decays):
         result = run_scenario("p1", 2.0, 1800 * np.pi, lambda_decays,
