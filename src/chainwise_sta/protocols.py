@@ -59,8 +59,7 @@ CSV_POINTS_PER_LEG = 2000
 _PROBE_POINTS = 257   # finiteness probe of a schedule, chainwise gauge and floor
 _PEAK_POINTS = 2001   # endpoint-inclusive peak samples per leg
 
-_LAMBDA_CHANNELS = ("omega",)
-_M_CHANNELS = ("omega1", "omega2", "omega3", "omega4")
+_CHANNELS = {"lambda3": ("omega",), "m5": ("omega1", "omega2", "omega3", "omega4")}
 
 
 @dataclass(frozen=True)
@@ -101,65 +100,57 @@ def _zero_channel(t):
     return np.zeros(np.asarray(t, dtype=float).shape)
 
 
+def _column(couplings, k: int):
+    """Channel k of a stacked couplings function."""
+    return lambda t: couplings(t)[..., k]
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
     """A designed set of laboratory Rabi channels over a fixed duration.
 
-    ``channels`` maps channel names to functions of an array of times, in
-    rad/us; ``delta_two`` is the auxiliary two-photon detuning (identically
-    zero for the five-level scheme); ``segments`` lists the legs making up
-    the schedule.  ``design`` records the generating parameters so derived
+    ``couplings`` maps an array of times to every channel, in rad/us, on a
+    last axis in channel order: ``omega`` for the three-level scheme,
+    ``omega1`` .. ``omega4`` for the five-level one.  ``channels`` is built
+    from it, each name mapped to the function giving its column.
+    ``delta_two`` is the auxiliary two-photon detuning (identically zero for
+    the five-level scheme); ``segments`` lists the legs making up the
+    schedule.  ``design`` records the generating parameters so derived
     schedules (round trips, effective models) can be rebuilt.
 
-    ``stacked_channels``, when set, returns every channel on a last axis in
-    channel order, from one shared computation; the full-model H(t) then
-    evaluates it once per call in place of the channel functions, which
-    must agree with it (each chainwise channel is a column of it).
-
-    Construction checks that every channel and ``delta_two`` are finite on
-    257 probe times.  The channels are checked through
-    ``stacked_channels`` in one call when it is set; otherwise a function
-    that serves two channel names is evaluated once.  A failure names the
-    first channel that is not finite.
+    Construction checks, in one ``couplings`` call on 257 probe times, that
+    it gives one column per channel, all finite (a failure names the first
+    channel that is not), and that ``delta_two`` is finite there too.
     """
 
     scheme: str
-    channels: dict[str, Callable]
+    couplings: Callable
     delta_single: float
     delta_two: Callable
     duration: float
     segments: tuple[Segment, ...]
     design: dict = field(default_factory=dict)
-    stacked_channels: Callable | None = None
+    channels: dict[str, Callable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.scheme not in ("lambda3", "m5"):
+        if self.scheme not in _CHANNELS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        expected = _LAMBDA_CHANNELS if self.scheme == "lambda3" else _M_CHANNELS
-        if tuple(self.channels) != expected:
-            raise ValueError(f"{self.scheme} schedule needs channels {expected}")
+        names = _CHANNELS[self.scheme]
         total = sum(s.duration for s in self.segments)
         if abs(total - self.duration) > 1e-9 * max(1.0, self.duration):
             raise ValueError("segment durations do not add up to the schedule duration")
         probe = np.linspace(0.0, self.duration, _PROBE_POINTS)
-        if self.stacked_channels is not None:
-            vals = np.asarray(self.stacked_channels(probe), dtype=float)
-            if vals.shape != probe.shape + (len(expected),):
-                raise ValueError(f"stacked channels must give one column per channel "
-                                 f"{expected}, got shape {vals.shape}")
-            finite = np.all(np.isfinite(vals), axis=0)
-            if not np.all(finite):
-                raise ValueError(f"channel {expected[np.argmin(finite)]!r} is not finite everywhere")
-        else:
-            first_name = {}
-            for name, chan in self.channels.items():
-                first_name.setdefault(chan, name)
-            for chan, name in first_name.items():
-                vals = np.asarray(chan(probe), dtype=float)
-                if not np.all(np.isfinite(vals)):
-                    raise ValueError(f"channel {name!r} is not finite everywhere")
+        vals = np.asarray(self.couplings(probe), dtype=float)
+        if vals.shape != probe.shape + (len(names),):
+            raise ValueError(f"couplings must give one column per channel "
+                             f"{names}, got shape {vals.shape}")
+        finite = np.all(np.isfinite(vals), axis=0)
+        if not np.all(finite):
+            raise ValueError(f"channel {names[np.argmin(finite)]!r} is not finite everywhere")
         if not np.all(np.isfinite(np.asarray(self.delta_two(probe), dtype=float))):
             raise ValueError("delta_two is not finite everywhere")
+        object.__setattr__(self, "channels", {
+            name: _column(self.couplings, k) for k, name in enumerate(names)})
 
     @property
     def channel_names(self) -> tuple[str, ...]:
@@ -183,7 +174,7 @@ class PulseSchedule:
             start += seg.duration
         pieces.append(np.array([self.duration]))
         times = np.concatenate(pieces)
-        values = {name: np.asarray(chan(times), dtype=float) for name, chan in self.channels.items()}
+        values = dict(zip(self.channel_names, np.asarray(self.couplings(times), dtype=float).T))
         return times, values, np.asarray(self.delta_two(times), dtype=float)
 
     def to_csv(self, path, points_per_leg: int = CSV_POINTS_PER_LEG) -> None:
@@ -229,8 +220,8 @@ def design_protocol1(
         )
     mode = mode or DeltaTwoMode.dropped()
 
-    def omega(t):
-        return np.full(np.asarray(t, dtype=float).shape, omega_bar)
+    def couplings(t):
+        return np.full(np.shape(t) + (1,), omega_bar)
 
     cot_beta = np.cos(beta) / np.sin(beta)
     if printed_delta_form:
@@ -257,7 +248,7 @@ def design_protocol1(
     aux = TwoLevelAux.linear_sweep(t_f, beta)
     return PulseSchedule(
         scheme="lambda3",
-        channels={"omega": omega},
+        couplings=couplings,
         delta_single=float(delta_single),
         delta_two=delta_two,
         duration=float(t_f),
@@ -308,12 +299,12 @@ def design_protocol2(t_f: float, delta_single: float) -> PulseSchedule:
                          "squared coupling negative)")
     aux = TwoLevelAux.cubic_sweep(t_f)
 
-    def omega(t):
-        return _p2_coupling(delta_single, _p2_rate(aux.theta_dot(t)))
+    def couplings(t):
+        return _p2_coupling(delta_single, _p2_rate(aux.theta_dot(t)))[..., None]
 
     return PulseSchedule(
         scheme="lambda3",
-        channels={"omega": omega},
+        couplings=couplings,
         delta_single=float(delta_single),
         delta_two=_zero_channel,
         duration=float(t_f),
@@ -409,15 +400,6 @@ def _chain_channels(profile, root, gauge: float):
     return channels
 
 
-def _column(stacked, k: int):
-    """Channel k of a stacked channel function."""
-
-    def channel(t):
-        return stacked(t)[..., k]
-
-    return channel
-
-
 def _chain_root(delta_single):
     """sqrt(2 delta_single), the factor every chainwise channel carries."""
     return np.sqrt(2.0 * delta_single)
@@ -455,14 +437,11 @@ def design_chainwise(
     gauge = 1.0 if float(np.trapezoid(e1, probe)) >= 0.0 else -1.0
 
     floor = float(_chain_floor(e1, e2))
-    stacked = _chain_channels(_chain_profile(effective_pair, floor),
-                              _chain_root(delta_single), gauge)
-    omega1 = _column(stacked, 0)
 
     return PulseSchedule(
         scheme="m5",
-        channels={"omega1": omega1, "omega2": _column(stacked, 1),
-                  "omega3": _column(stacked, 2), "omega4": omega1},
+        couplings=_chain_channels(_chain_profile(effective_pair, floor),
+                                  _chain_root(delta_single), gauge),
         delta_single=float(delta_single),
         delta_two=_zero_channel,
         duration=float(t_f),
@@ -477,13 +456,12 @@ def design_chainwise(
             "gauge": gauge,
             "floor": floor,
         },
-        stacked_channels=stacked,
     )
 
 
 def _piecewise(forward: Callable, backward: Callable, t_leg: float, hold: float) -> Callable:
     """Forward leg, zero through the hold, return leg; each design is
-    evaluated only at the times of its own leg.  Stacked channels keep
+    evaluated only at the times of its own leg.  Stacked couplings keep
     their last axis."""
 
     def combined(t):
@@ -526,24 +504,11 @@ def build_roundtrip(leg: PulseSchedule, hold_duration: float) -> PulseSchedule:
     else:
         back = leg
 
-    # One piecewise function per distinct (forward, backward) pair, so that a
-    # channel serving two names (omega4 = omega1) stays one object.
-    pieces = {}
-    channels = {}
-    for name in leg.channel_names:
-        pair = (leg.channels[name], back.channels[name])
-        if pair not in pieces:
-            pieces[pair] = _piecewise(*pair, t_leg, hold_duration)
-        channels[name] = pieces[pair]
-    delta_two = _piecewise(leg.delta_two, back.delta_two, t_leg, hold_duration)
-    stacked = None
-    if leg.stacked_channels is not None and back.stacked_channels is not None:
-        stacked = _piecewise(leg.stacked_channels, back.stacked_channels, t_leg, hold_duration)
     return PulseSchedule(
         scheme=leg.scheme,
-        channels=channels,
+        couplings=_piecewise(leg.couplings, back.couplings, t_leg, hold_duration),
         delta_single=leg.delta_single,
-        delta_two=delta_two,
+        delta_two=_piecewise(leg.delta_two, back.delta_two, t_leg, hold_duration),
         duration=2.0 * t_leg + hold_duration,
         segments=(
             Segment("forward", t_leg),
@@ -556,7 +521,6 @@ def build_roundtrip(leg: PulseSchedule, hold_duration: float) -> PulseSchedule:
             "forward": leg.design,
             "backward": back.design,
         },
-        stacked_channels=stacked,
     )
 
 
@@ -568,7 +532,7 @@ def _m_params(schedule: PulseSchedule) -> schemes.MParams:
         omega4=schedule.channels["omega4"],
         delta_single=schedule.delta_single,
         duration=schedule.duration,
-        couplings=schedule.stacked_channels,
+        couplings=schedule.couplings,
     )
 
 

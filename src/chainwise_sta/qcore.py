@@ -13,8 +13,10 @@ and returns the same :class:`StateTrajectory` as :func:`propagate_state`.
 
 Propagation uses one integrator: a fixed-step fourth-order Magnus method with
 two-point Gauss collocation and batched matrix exponentials (Blanes, Casas,
-Oteo & Ros, Phys. Rep. 470, 151 (2009)); the step propagators between output
-samples are multiplied by a pairwise tree.  The matrix exponential treats an
+Oteo & Ros, Phys. Rep. 470, 151 (2009)).  The steps are built in blocks;
+each block is cut at the output samples and breakpoints inside it, each
+piece's step propagators are multiplied by a pairwise tree, and psi takes
+the pieces in order.  The matrix exponential treats an
 arbitrarily large static detuning exactly, so the step count follows the
 sampled spectral scale of H(t) rather than its stiffness.  Step edges are
 grade-refined at segment boundaries where pulse envelopes have square-root
@@ -33,8 +35,8 @@ matters as much as the arithmetic: every numpy call hands the GIL back and
 forth, so fewer, larger calls per block are what lets the sweep thread
 pool run cells in parallel.
 H(t) is evaluated once per block, at both Gauss nodes together, and turned
-to this layout there; only the per-sample propagators handed to callers are
-turned back.
+to this layout there; only the piece propagators that psi takes are turned
+back.
 """
 
 from __future__ import annotations
@@ -91,6 +93,8 @@ class StateVector:
         object.__setattr__(self, "amplitudes", arr)
         if arr.size < 1 or arr.size > 5:
             raise ValueError(f"state dimension must be 1..5, got {arr.size}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"state amplitudes must be finite, got {arr.tolist()}")
         if self.norm_sq > 1.0 + 1e-9:
             raise ValueError(f"squared norm {self.norm_sq:.3e} exceeds 1 + 1e-9")
 
@@ -174,10 +178,13 @@ class TimeGrid:
     n_samples: int = 201
 
     def __post_init__(self):
+        for name in ("t_start", "t_end"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be at least 2")
+        if not isinstance(self.n_samples, (int, np.integer)) or self.n_samples < 2:
+            raise ValueError(f"n_samples must be an integer of at least 2, got {self.n_samples!r}")
 
     @property
     def duration(self) -> float:
@@ -316,10 +323,10 @@ def _expm_batch(a: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
 
     Every power, Horner level and squaring is written with ``out=`` into
     ``work``, (_WORK_STACKS, n, n, *batch) scratch that is allocated when not
-    given; the result is a view into it.  ``a`` is read once, into
-    ``work[0]``, before any other stack is written, so it may be one of
-    ``work[1:]`` (which the call then overwrites); otherwise it is left
-    unchanged.
+    given; the result is ``work[0]``, and the other stacks are free again.
+    ``a`` is read once, into ``work[0]``, before any other stack is written,
+    so it may be one of ``work[1:]`` (which the call then overwrites);
+    otherwise it is left unchanged.
     """
     if work is None:
         work = np.empty((_WORK_STACKS,) + a.shape, dtype=complex)
@@ -346,8 +353,7 @@ def _expm_batch(a: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         diag += _INV_FACTORIAL[k]
     for _ in range(s):
         e, f = _matmul(e, e, f, term), e
-    e *= np.exp(mu)
-    return e
+    return np.multiply(e, np.exp(mu), out=work[0])
 
 
 def _validated_tol(tol: float) -> float:
@@ -450,7 +456,7 @@ def _magnus_propagators(h: HamiltonianRule, gamma: np.ndarray | None, edges: np.
     The result is entries first, (n, n, steps), as is all work inside.  H is
     evaluated in one call on both Gauss nodes of every step.  The generator
     is assembled in ``work`` (see :func:`_workspace`; allocated when not
-    given) and the result is a view into it.
+    given) and the result is ``work[0]``.
     """
     dt = np.diff(edges)
     m = dt.size
@@ -524,49 +530,42 @@ def _ordered_product(x: np.ndarray, stacks=None) -> np.ndarray:
     return x[:, :, 0]
 
 
-def _magnus_sample_propagators(h: HamiltonianRule, gamma: np.ndarray | None,
-                               edges: np.ndarray, sample_idx: np.ndarray) -> np.ndarray:
-    """Propagators between consecutive output samples, as (samples - 1, n, n).
+def _walk(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
+          edges: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Amplitudes at the step edges ``stops`` (sorted, distinct indices), from
+    ``psi0`` at ``edges[0]``; ``psi0`` may be (n, k), k states walked together.
 
-    Entry j maps the state at edge ``sample_idx[j]`` to the state at edge
-    ``sample_idx[j + 1]``: the ordered product of the step propagators in
-    between.  Steps are built in blocks of ``_MAGNUS_CHUNK`` that share one
-    workspace; a product that straddles a block boundary is carried into the
-    next block.  All work is entries first; only the result is turned back
-    to one matrix per sample.
+    Steps are built in blocks of ``_MAGNUS_CHUNK`` that share one workspace.
+    Each block is cut at the stops inside it, its pieces are reduced by the
+    pairwise tree (pieces of equal length as one batch), and the state
+    takes the pieces in order.
     """
     n = h.dimension
-    out = np.empty((n, n, len(sample_idx) - 1), dtype=complex)
-    out[:] = np.eye(n)[:, :, None]  # stays the identity between samples on one edge
     n_steps = len(edges) - 1
     work = _workspace(n, min(_MAGNUS_CHUNK, n_steps))
-    carry = None
+    # A block's propagators lie in work[0]; the tree gathers into work[1]
+    # and keeps its levels and scratch in work[2:5].
+    gather, *stacks = work[1:5]
+    psi = np.asarray(psi0, dtype=complex)
+    walked, ends = [psi], [0]
     for c0 in range(0, n_steps, _MAGNUS_CHUNK):
         c1 = min(c0 + _MAGNUS_CHUNK, n_steps)
         u = _magnus_propagators(h, gamma, edges[c0:c1 + 1], work[..., :c1 - c0])
-        # Cut the block at the samples inside it; pieces of equal length
-        # are reduced together as one batch.
-        inside = sample_idx[(sample_idx > c0) & (sample_idx < c1)]
-        cuts = np.unique(np.concatenate(([c0], inside, [c1])))
+        cuts = np.concatenate(([c0], stops[(stops > c0) & (stops < c1)], [c1]))
         lengths = np.diff(cuts)
         prods = np.empty((n, n, lengths.size), dtype=complex)
-        # The tree's levels and gathered pieces go to the stacks u is not in.
-        gather, *stacks = [w for w in work if not np.may_share_memory(w, u)][:4]
-        if lengths.size == 1:  # one piece: reduce the block where it lies
-            prods[:, :, 0] = _ordered_product(u, stacks)
-        else:
-            for length in np.unique(lengths):
-                sel = np.flatnonzero(lengths == length)
-                idx = np.arange(length)[:, None] + cuts[sel] - c0
-                pieces = np.take(u, idx, axis=2, out=_stack_view(gather, (n, n) + idx.shape))
-                prods[:, :, sel] = _ordered_product(pieces, stacks)
-        if carry is not None:
-            prods[:, :, 0] = _matmul(prods[:, :, 0], carry)
-        ends = cuts[1:]
-        at_sample = np.isin(ends, sample_idx)
-        out[:, :, np.searchsorted(sample_idx, ends[at_sample]) - 1] = prods[:, :, at_sample]
-        carry = None if at_sample[-1] else prods[:, :, -1]
-    return out.transpose(2, 0, 1).copy()
+        for length in np.unique(lengths):
+            sel = np.flatnonzero(lengths == length)
+            idx = np.arange(length)[:, None] + cuts[sel] - c0
+            # A block in one piece is reduced where it lies.
+            pieces = u[..., None] if lengths.size == 1 else np.take(
+                u, idx, axis=2, out=_stack_view(gather, (n, n) + idx.shape))
+            prods[:, :, sel] = _ordered_product(pieces, stacks)
+        for piece in prods.transpose(2, 0, 1).copy():
+            psi = piece @ psi
+            walked.append(psi)
+        ends.extend(cuts[1:])
+    return np.array(walked)[np.searchsorted(ends, stops)]
 
 
 def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
@@ -575,21 +574,18 @@ def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
 
     ``gamma`` is None for a closed system; all-zero rates take the same
     steps and propagators.  Each entry point checks its own norm contract.
+    Breakpoints are step edges, so the walk stops there too and gives
+    their states.
     """
     action = _checked_action(h, grid, gamma)
     edges, sample_idx = _magnus_nodes(grid, breakpoints, _magnus_step_count(tol, action))
-    # Breakpoints are step edges; cutting the products there too gives their states.
     inner = _segment_edges(grid, breakpoints)[1:-1]
-    marks = np.concatenate([sample_idx, np.searchsorted(edges, inner)])
-    order = np.argsort(marks, kind="stable")
-    walk = np.empty((marks.size, h.dimension), dtype=complex)
-    walk[0] = psi0
-    for j, u in enumerate(_magnus_sample_propagators(h, gamma, edges, marks[order])):
-        walk[j + 1] = u @ walk[j]
-    states = np.empty_like(walk)
-    states[order] = walk
-    return StateTrajectory(times=grid.times, states=states[:grid.n_samples],
-                           breakpoint_times=inner, breakpoint_states=states[grid.n_samples:])
+    inner_idx = np.searchsorted(edges, inner)
+    stops = np.unique(np.concatenate([sample_idx, inner_idx]))
+    states = _walk(h, gamma, psi0, edges, stops)
+    return StateTrajectory(times=grid.times, states=states[np.searchsorted(stops, sample_idx)],
+                           breakpoint_times=inner,
+                           breakpoint_states=states[np.searchsorted(stops, inner_idx)])
 
 
 def propagate_state(

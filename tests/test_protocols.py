@@ -224,19 +224,48 @@ class TestChainwise:
         design_chainwise(*CHAIN_STAR)
         assert calls == [3, 257, 257]
 
+    def test_sample_evaluates_angles_once(self, chain_schedule, monkeypatch):
+        # All four sampled channels come from one couplings call.
+        angles = ThreeLevelAux.angles
+        calls = []
+
+        def counted(aux, t):
+            calls.append(np.size(t))
+            return angles(aux, t)
+
+        monkeypatch.setattr(ThreeLevelAux, "angles", counted)
+        times, values, _ = chain_schedule.sample(100)
+        assert calls == [times.size]
+        assert np.array_equal(values["omega1"], values["omega4"])
+
+    @pytest.mark.parametrize("name", ["p2_schedule", "chain_schedule"])
+    def test_replaced_couplings_give_channels(self, name, request):
+        import dataclasses
+
+        sched = request.getfixturevalue(name)
+
+        def doubled(t):
+            return 2.0 * sched.couplings(t)
+
+        new = dataclasses.replace(sched, couplings=doubled)
+        t = np.linspace(0.0, sched.duration, 301)
+        assert new.channel_names == sched.channel_names
+        for k, chan in enumerate(new.channel_names):
+            assert np.array_equal(new.channels[chan](t), doubled(t)[..., k])
+
     def test_stacked_channel_check_names_channel(self, chain_schedule):
         import dataclasses
 
         def broken(t):
-            out = chain_schedule.stacked_channels(t).copy()
+            out = chain_schedule.couplings(t).copy()
             out[..., 2] = np.nan
             return out
 
         with pytest.raises(ValueError, match="'omega3' is not finite"):
-            dataclasses.replace(chain_schedule, stacked_channels=broken)
+            dataclasses.replace(chain_schedule, couplings=broken)
         with pytest.raises(ValueError, match="one column per channel"):
             dataclasses.replace(chain_schedule,
-                                stacked_channels=lambda t: chain_schedule.stacked_channels(t)[..., :3])
+                                couplings=lambda t: chain_schedule.couplings(t)[..., :3])
 
     def test_epsilon_window_enforced(self):
         with pytest.raises(ValueError, match="epsilon"):

@@ -56,6 +56,28 @@ class TestTypes:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, n_samples=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
+    def test_state_rejects_non_finite_amplitudes(self, bad):
+        # NaN passed the norm check once and propagated to an all-NaN trajectory.
+        with pytest.raises(ValueError, match="finite"):
+            StateVector([bad, 0.0, 0.0])
+
+    @pytest.mark.parametrize("args, field", [
+        ((0.0, np.inf, 2), "t_end"),
+        ((0.0, np.nan, 2), "t_end"),
+        ((-np.inf, 0.0, 2), "t_start"),
+        ((np.nan, 1.0, 2), "t_start"),
+        ((0.0, 1.0, 2.5), "n_samples"),
+        ((0.0, 1.0, 2.0), "n_samples"),
+    ], ids=["t_end-inf", "t_end-nan", "t_start-inf", "t_start-nan", "n_samples-2.5",
+            "n_samples-2.0"])
+    def test_time_grid_rejects_bad_fields(self, args, field):
+        with pytest.raises(ValueError, match=field):
+            TimeGrid(*args)
+
+    def test_time_grid_accepts_numpy_integer(self):
+        assert TimeGrid(0.0, 1.0, np.int64(3)).times.tolist() == [0.0, 0.5, 1.0]
+
     def test_constant_rule_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             HamiltonianRule.constant([[0.0, 1.0], [0.5, 0.0]])
@@ -296,7 +318,7 @@ def test_final_population_within_tol(protocol, t_f, delta, tol):
                             DensityMatrix.pure(StateVector.basis(h.dimension, 0)), grid,
                             tol=tol, breakpoints=sched.breakpoints)
     edges, sample_idx = qcore._magnus_nodes(grid, sched.breakpoints, 200_000)
-    u = qcore._magnus_sample_propagators(h, np.array(decays), edges, sample_idx)[0]
+    u = qcore._walk(h, np.array(decays), np.eye(h.dimension), edges, sample_idx)[-1]
     assert abs(got.populations[-1, target] - abs(u[target, 0]) ** 2) <= tol
 
 
@@ -449,11 +471,11 @@ class TestMagnusKernel:
         n_steps = 2 * chunk + chunk // 2
         edges = np.linspace(0.0, 2.0, n_steps + 1)
         sample_idx = np.array([0, 5, chunk + 3, n_steps])
-        shared = qcore._magnus_sample_propagators(h, gamma, edges, sample_idx)
+        shared = qcore._walk(h, gamma, np.eye(5), edges, sample_idx)
         blocks = qcore._magnus_propagators
         monkeypatch.setattr(qcore, "_magnus_propagators",
                             lambda h, gamma, edges, work: blocks(h, gamma, edges))
-        fresh = qcore._magnus_sample_propagators(h, gamma, edges, sample_idx)
+        fresh = qcore._walk(h, gamma, np.eye(5), edges, sample_idx)
         assert np.array_equal(shared, fresh)
 
     @pytest.mark.parametrize("length", [1, 2, 3, 7])
@@ -489,17 +511,30 @@ class TestMagnusKernel:
         n_steps = 3 * chunk + chunk // 2
         edges = np.linspace(0.0, 3.0, n_steps + 1)
         sample_idx = np.array([0, 1, 17, chunk - 1, chunk, chunk + 5, 3 * chunk + 3, n_steps])
-        got = qcore._magnus_sample_propagators(h, gamma, edges, sample_idx)
+        got = qcore._walk(h, gamma, np.eye(3), edges, sample_idx)
 
         u = qcore._magnus_propagators(h, gamma, edges)
-        want, acc = [], np.eye(3)
+        want, acc = [np.eye(3)], np.eye(3)
         for k in range(n_steps):
             acc = u[:, :, k] @ acc
             if k + 1 in sample_idx:
                 want.append(acc)
-                acc = np.eye(3)
-        assert got.shape == (sample_idx.size - 1, 3, 3)
+        assert got.shape == (sample_idx.size, 3, 3)
         assert np.max(np.abs(got - np.array(want))) <= 1e-12
+
+    def test_breakpoint_on_a_sample_is_that_sample(self, monkeypatch):
+        # The breakpoint and the middle sample are one step edge; a run takes
+        # at least 1024 steps, so blocks of 64 put several block edges before
+        # it.  The walk stops there once for both.
+        monkeypatch.setattr(qcore, "_MAGNUS_CHUNK", 64)
+        h = schemes.build_lambda(schemes.LambdaParams(
+            omega1=lambda t: 40.0 * np.sin(np.pi * t) ** 2, omega2=30.0, delta_single=50.0))
+        grid = TimeGrid(0.0, 2.0, 5)
+        traj = propagate_density(h, DecayVector([0.01, 30.0, 0.01]),
+                                 DensityMatrix.pure(StateVector.basis(3, 0)), grid,
+                                 tol=1e-6, breakpoints=[1.0])
+        assert traj.breakpoint_times.tolist() == [1.0]
+        assert np.array_equal(traj.breakpoint_states[0], traj.states[2])
 
     def test_fourth_order_convergence(self):
         # Smooth lossy ladder on uniform steps: halving the step must cut the
@@ -516,7 +551,7 @@ class TestMagnusKernel:
 
         def propagator(n_steps):
             edges = np.linspace(0.0, 1.0, n_steps + 1)
-            return qcore._magnus_sample_propagators(h, gamma, edges, np.array([0, n_steps]))[0]
+            return qcore._walk(h, gamma, np.eye(3), edges, np.array([n_steps]))[0]
 
         ref = propagator(32768)
         err_128, err_256 = (np.max(np.abs(propagator(n) - ref)) for n in (128, 256))
