@@ -33,7 +33,8 @@ from .protocols import CSV_POINTS_PER_LEG, DEFAULT_BETA, DEFAULT_CLAMP, DeltaTwo
 from .qcore import DecayVector, IntegrationError
 from .sweeps import (DEFAULT_EPSILON, DEFAULT_MAP_TOL, DEFAULT_SCENARIO_SAMPLES,
                      DEFAULT_SCENARIO_TOL, PROTOCOL_LEVELS, PROTOCOLS, SweepSpec,
-                     design_schedule, run_scenario, sweep_efficiency, sweep_peak_amplitude)
+                     design_schedule, run_scenario, sweep_efficiency, sweep_peak_amplitude,
+                     write_output)
 
 __all__ = [
     "ConfigError",
@@ -293,11 +294,12 @@ def _decays(cfg: dict, protocol: str) -> DecayVector:
     return DecayVector(np.asarray(gamma, dtype=float))
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    write_output(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _write_manifest(cfg: dict, out_dir: Path) -> None:
-    manifest = {k: v for k, v in sorted(cfg.items()) if v is not None}
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", {k: v for k, v in sorted(cfg.items()) if v is not None})
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -336,9 +338,7 @@ def _cmd_simulate(cfg: dict, roundtrip: bool) -> int:
     )
     out = _out_dir(cfg)
     result.to_csv(out / "timeseries.csv")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(result.summary(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", result.summary())
     _write_manifest(cfg, out)
     if roundtrip:
         print(f"roundtrip_efficiency={result.roundtrip_efficiency:.6f} "
@@ -368,9 +368,7 @@ def _cmd_sweep(cfg: dict) -> int:
     grid = sweep_peak_amplitude(spec) if cfg["metric"] == "peak" else sweep_efficiency(spec)
     out = _out_dir(cfg)
     grid.to_csv(out / "map.csv")
-    with open(out / "map_meta.json", "w") as fh:
-        json.dump(grid.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "map_meta.json", grid.metadata)
     _write_manifest(cfg, out)
     finite = grid.cells[np.isfinite(grid.cells)]
     if finite.size == 0:

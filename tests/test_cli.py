@@ -248,6 +248,61 @@ class TestSweepCommand:
         top_left = float(rows[1].split(",")[1])
         assert top_left == pytest.approx(30 * np.pi, rel=5e-3)
 
+    def test_peak_output_bytes(self, tmp_path, monkeypatch, capsys):
+        # map.csv, map_meta.json and manifest.json, byte for byte.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        out = tmp_path / "pk"
+        assert run_cli(["sweep", "--metric", "peak", "--protocol", "p2", "--tf", "1:2:2",
+                        "--delta", "1000:2000:2", "--out", str(out)]) == 0
+        assert (out / "map.csv").read_bytes() == (
+            b"tf_us\\delta_rad_us,1000,2000\n"
+            b"1,97.081295627784954,137.29368492956536\n"
+            b"2,68.646842464782679,97.081295627784954\n")
+        assert (out / "map_meta.json").read_text() == """{
+  "beta": 1.578689775673263,
+  "decays_rad_us": [
+    0.0,
+    0.0,
+    0.0
+  ],
+  "delta_range_rad_us": [
+    1000.0,
+    2000.0,
+    2
+  ],
+  "delta_two_clamp_rad_us": 628.3185307179587,
+  "delta_two_mode": "dropped",
+  "epsilon": 0.03,
+  "failed_cells": [],
+  "metric": "peak_amplitude",
+  "protocol": "p2",
+  "tf_range_us": [
+    1.0,
+    2.0,
+    2
+  ],
+  "timestamp": "1970-01-01T00:00:00Z",
+  "tolerance": 1e-06
+}
+"""
+        assert (out / "manifest.json").read_text() == """{
+  "command": "sweep",
+  "delta": [
+    1000.0,
+    2000.0,
+    2
+  ],
+  "metric": "peak",
+  "out": %s,
+  "protocol": "p2",
+  "tf": [
+    1.0,
+    2.0,
+    2
+  ]
+}
+""" % json.dumps(str(out))
+
     @pytest.mark.parametrize("failing_tf, code, failed", [((2.0, 4.0), 3, 4), ((4.0,), 0, 2)],
                              ids=["all", "partial"])
     def test_failed_cells(self, tmp_path, capsys, monkeypatch, failing_tf, code, failed):

@@ -6,6 +6,7 @@ import chainwise_sta.sweeps as sweeps_mod
 from chainwise_sta import DecayVector, DeltaTwoMode, IntegrationError, peak_amplitude
 from chainwise_sta.sweeps import (
     GridMap,
+    ScenarioResult,
     SweepSpec,
     design_schedule,
     run_scenario,
@@ -119,7 +120,7 @@ def per_cell_peaks(spec):
 
 
 class TestPeakRows:
-    """A peak map makes one design and samples every row in one batched evaluation."""
+    """A peak map makes one design, and its cells equal per-cell designs bitwise."""
 
     @pytest.mark.parametrize("protocol", ["p1", "p2", "chainwise"])
     def test_one_design_per_map(self, monkeypatch, protocol):
@@ -191,6 +192,46 @@ class TestPeakRows:
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match=r"t_f=1 us, delta=5e\+307 rad/us: .*not finite"):
                 sweep_peak_amplitude(spec)
+
+
+class TestOutputBytes:
+    """Each CSV line is one %-format and each file one write; the bytes are pinned."""
+
+    def test_grid_csv(self, tmp_path):
+        grid = GridMap(np.array([1.0, 2.5]), np.array([0.1, 5e-324, -np.inf]),
+                       np.array([[np.nan, -0.0, 1e300], [np.inf, 1 / 3, -2.0]]), {})
+        grid.to_csv(tmp_path / "map.csv")
+        assert (tmp_path / "map.csv").read_bytes() == (
+            b"tf_us\\delta_rad_us,0.10000000000000001,4.9406564584124654e-324,-inf\n"
+            b"1,nan,-0,1.0000000000000001e+300\n"
+            b"2.5,inf,0.33333333333333331,-2\n")
+
+    def test_scenario_csv(self, tmp_path):
+        result = ScenarioResult(
+            None, np.array([0.0, 1 / 3, 1.0]),
+            np.array([[1.0, 0.0, -0.0], [1 / 3, 2e-13, np.nan], [0.1, np.inf, 5e-324]]),
+            np.array([1.0, 0.999999999999, 1 / 7]), 0.0, {})
+        result.to_csv(tmp_path / "timeseries.csv")
+        assert (tmp_path / "timeseries.csv").read_bytes() == (
+            b"t_us,pop_1,pop_2,pop_3,trace\n"
+            b"0,1,0,-0,1\n"
+            b"0.333333333,0.333333333333,2e-13,nan,0.999999999999\n"
+            b"1,0.1,inf,4.94065645841e-324,0.142857142857\n")
+
+    def test_rewrite_replaces_longer_file(self, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_text("x" * 5000)
+        GridMap(np.array([1.0, 2.0]), np.array([3.0]), np.array([[4.0], [5.0]]), {}).to_csv(path)
+        assert path.read_bytes() == b"tf_us\\delta_rad_us,3\n1,4\n2,5\n"
+
+    @pytest.mark.parametrize("width", [".9g", ".12g", ".17g"])
+    def test_percent_format_is_format_spec(self, width):
+        # The writers use %-formats; the text is that of format() on every float.
+        bits = np.random.default_rng(3).integers(0, 2**64, 20000, dtype=np.uint64)
+        specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    1.7976931348623157e308, 0.1, 1 / 3, 1e16, 123456789.0]
+        for v in bits.view(np.float64).tolist() + specials:
+            assert f"%{width}" % v == format(v, width)
 
 
 class TestEfficiencyMaps:
