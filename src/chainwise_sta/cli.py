@@ -33,8 +33,7 @@ from .protocols import CSV_POINTS_PER_LEG, DEFAULT_BETA, DEFAULT_CLAMP, DeltaTwo
 from .qcore import DecayVector, IntegrationError
 from .sweeps import (DEFAULT_EPSILON, DEFAULT_MAP_TOL, DEFAULT_SCENARIO_SAMPLES,
                      DEFAULT_SCENARIO_TOL, PROTOCOL_LEVELS, PROTOCOLS, SweepSpec,
-                     design_schedule, run_scenario, sweep_efficiency, sweep_peak_amplitude,
-                     write_output)
+                     design_schedule, run_scenario, sweep_efficiency, sweep_peak_amplitude)
 
 __all__ = [
     "ConfigError",
@@ -295,7 +294,8 @@ def _decays(cfg: dict, protocol: str) -> DecayVector:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    write_output(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(cfg: dict, out_dir: Path) -> None:

@@ -652,11 +652,11 @@ def peak_amplitudes(leg: PulseSchedule, tf_values, deltas) -> np.ndarray:
     if protocol == "p2":
 
         def sample(rows, columns=None):
-            """(peaks, profile, tangents bounded) of ``rows`` at ``columns``."""
+            """(peaks, profile, chi) of ``rows`` at ``columns``; p2 has no chi."""
             times = _rows_linspace(tf_values[rows], _PEAK_POINTS, columns)
             rate = np.abs(_p2_rate(_cubic_rate(times, column[rows])))
             # max propagates a non-finite rate into the row's peak.
-            return np.max(rate, axis=1), rate, True
+            return np.max(rate, axis=1), rate, None
 
     elif protocol == "chainwise":
         aux = d["aux"]
@@ -665,18 +665,17 @@ def peak_amplitudes(leg: PulseSchedule, tf_values, deltas) -> np.ndarray:
             *_scaled_angles(probe, column, aux.scaled_a, aux.scaled_b)))
 
         def sample(rows, columns=None):
-            """(peaks, profile, tangents bounded) of ``rows`` at ``columns``."""
+            """(peaks, profile, chi) of ``rows`` at ``columns``."""
             times = _rows_linspace(tf_values[rows], _PEAK_POINTS, columns)
             chi, chi_d, vt, vt_d = _scaled_angles(times, column[rows],
                                                   aux.scaled_a, aux.scaled_b)
-            bounded = bool(np.all(np.abs(np.tan(chi)) >= _TAN_MARGIN))
             e1, e2 = _effective_pair(chi, chi_d, vt, vt_d)
             amp = _chain_amplitude(e1, e2, floor[rows, None])
             # The amplitude zeroes a NaN square, so the samples are checked
             # here.  It is never negative, so its maximum is that of
             # |omega1| / root.
             finite = np.isfinite(floor[rows]) & np.all(np.isfinite(e1) & np.isfinite(e2), axis=1)
-            return np.where(finite, np.max(amp, axis=1), np.nan), amp, bounded
+            return np.where(finite, np.max(amp, axis=1), np.nan), amp, chi
 
     else:
         raise ValueError(f"peak maps need a designed p1, p2 or chainwise leg, got {protocol!r}")
@@ -684,8 +683,8 @@ def peak_amplitudes(leg: PulseSchedule, tf_values, deltas) -> np.ndarray:
     def certified(peaks):
         return bool(np.all(np.isfinite(peaks) & (peaks >= _PEAK_FLOOR)))
 
-    peak, profile, bounded = sample(slice(0, 1))
-    ok = bounded and certified(peak)
+    peak, profile, chi = sample(slice(0, 1))
+    ok = certified(peak) and (chi is None or bool(np.all(np.abs(np.tan(chi)) >= _TAN_MARGIN)))
     if ok:
         candidates = np.flatnonzero(profile[0] >= (1.0 - _PEAK_MARGIN) * peak[0])
         rest = sample(slice(1, None), candidates)[0]

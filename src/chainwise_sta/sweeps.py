@@ -28,7 +28,6 @@ than aborting the map.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
@@ -91,20 +90,6 @@ def thread_cap() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def write_output(path, text: str) -> None:
-    """Write ``text`` to a fresh file at ``path``, replacing any file there.
-
-    An existing file is unlinked rather than truncated.  Closing a file
-    that was truncated and rewritten makes ext4 (auto_da_alloc) start its
-    writeback in the writing process: rewriting a 20 KB output measured
-    0.37-0.50 ms of wall time that way, and 0.04 ms as a fresh file.
-    """
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(path)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
 
 
 def _timestamp() -> str:
@@ -174,7 +159,8 @@ class GridMap:
         line = "%.17g," + cols + "\n"
         # Python floats format faster than numpy scalars, to the same text.
         table = np.column_stack([self.tf_values, self.cells]).tolist()
-        write_output(path, header + "".join(line % tuple(row) for row in table))
+        with open(path, "w", newline="") as fh:
+            fh.write(header + "".join(line % tuple(row) for row in table))
 
 
 def design_schedule(
@@ -325,7 +311,8 @@ class ScenarioResult:
         header = "t_us," + ",".join(f"pop_{k + 1}" for k in range(n)) + ",trace\n"
         line = "%.9g," + ",".join(["%.12g"] * n) + ",%.12g\n"
         table = np.column_stack([self.times, self.populations, self.traces]).tolist()
-        write_output(path, header + "".join(line % tuple(row) for row in table))
+        with open(path, "w", newline="") as fh:
+            fh.write(header + "".join(line % tuple(row) for row in table))
 
     def summary(self) -> dict:
         out = {

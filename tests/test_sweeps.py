@@ -224,6 +224,15 @@ class TestOutputBytes:
         GridMap(np.array([1.0, 2.0]), np.array([3.0]), np.array([[4.0], [5.0]]), {}).to_csv(path)
         assert path.read_bytes() == b"tf_us\\delta_rad_us,3\n1,4\n2,5\n"
 
+    def test_rewrite_writes_through_symlink(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("x" * 5000)
+        link = tmp_path / "map.csv"
+        link.symlink_to(target)
+        GridMap(np.array([1.0]), np.array([3.0]), np.array([[4.0]]), {}).to_csv(link)
+        assert link.is_symlink()
+        assert target.read_bytes() == b"tf_us\\delta_rad_us,3\n1,4\n"
+
     @pytest.mark.parametrize("width", [".9g", ".12g", ".17g"])
     def test_percent_format_is_format_spec(self, width):
         # The writers use %-formats; the text is that of format() on every float.
