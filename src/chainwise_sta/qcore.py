@@ -20,8 +20,11 @@ the pieces in order.  The matrix exponential treats an
 arbitrarily large static detuning exactly, so the step count follows the
 sampled spectral scale of H(t) rather than its stiffness.  Step edges are
 grade-refined at segment boundaries where pulse envelopes have square-root
-edges or clamped spikes.  Identical inputs produce bitwise-identical
-trajectories on one platform.
+edges or clamped spikes.  The step count is a heuristic in the sampled
+action, except where the couplings are weak against the static detuning:
+there two coarse counts are run and the finer is kept when their
+populations agree within tol (see ``_propagate``).  Identical inputs
+produce bitwise-identical trajectories on one platform.
 
 Inside the Magnus core every stack of step matrices is held entries first,
 as (n, n, steps): entry (i, j) of all steps is one contiguous vector.  A
@@ -362,13 +365,17 @@ def _validated_tol(tol: float) -> float:
     return float(tol)
 
 
-def _checked_action(h: HamiltonianRule, grid: TimeGrid, gamma: np.ndarray | None) -> float:
-    """Validate H and return the run's sampled phase budget in radians.
+def _checked_action(h: HamiltonianRule, grid: TimeGrid,
+                    gamma: np.ndarray | None) -> tuple[float, float, float]:
+    """Validate H and return the run's sampled scales: (action, rate, ratio).
 
     H is evaluated once, on the output samples followed by 33 to 129 evenly
     spaced probe times.  Every row must be finite and the sample rows
     Hermitian.  The action is the duration times the largest max-row-sum
-    norm over the probe rows, plus half the largest decay rate.
+    norm over the probe rows, plus half the largest decay rate, in radians.
+    The static phase rate is the largest spread of H's real diagonal over
+    the probe rows (rad/us), and the coupling ratio is that rate over the
+    largest off-diagonal absolute row sum (inf when H is diagonal).
     """
     samples = grid.times
     times = np.concatenate([samples, np.linspace(grid.t_start, grid.t_end,
@@ -386,10 +393,28 @@ def _checked_action(h: HamiltonianRule, grid: TimeGrid, gamma: np.ndarray | None
         raise ValueError(
             f"Hamiltonian evaluator is not Hermitian: max asymmetry {defect:.3e}"
         )
-    omega = float(np.max(np.sum(np.abs(at_probes), axis=-1)))
+    magnitude = np.abs(at_probes)
+    row_sums = np.sum(magnitude, axis=-1)
+    omega = float(np.max(row_sums))
     if gamma is not None and gamma.size:
         omega += 0.5 * float(np.max(gamma))
-    return grid.duration * omega
+    diagonal = np.diagonal(at_probes, axis1=-2, axis2=-1).real
+    rate = float(np.max(np.ptp(diagonal, axis=-1)))
+    coupling = float(np.max(row_sums - np.diagonal(magnitude, axis1=-2, axis2=-1)))
+    ratio = rate / coupling if coupling > 0.0 else np.inf
+    return grid.duration * omega, rate, ratio
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-d array, as ``np.unique`` gives them.
+
+    ``np.unique`` asks ``np.ma`` whether its input is masked, and that
+    imports ``numpy.ma`` on the first propagation of every process.
+    """
+    x = np.sort(x)
+    keep = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def _segment_edges(grid: TimeGrid, breakpoints) -> np.ndarray:
@@ -414,7 +439,7 @@ def _magnus_nodes(grid: TimeGrid, breakpoints, n_target: int):
     """
     samples = grid.times
     segs = _segment_edges(grid, breakpoints)
-    anchors = np.unique(np.concatenate([samples, segs]))
+    anchors = _distinct(np.concatenate([samples, segs]))
     duration = grid.duration
     ratios = np.cumsum(1.6 ** np.arange(16))
     ratios /= ratios[-1]
@@ -429,7 +454,7 @@ def _magnus_nodes(grid: TimeGrid, breakpoints, n_target: int):
             interior.append(a + sub * ratios[:-1])
         if np.any(np.abs(segs - b) <= 1e-12 * duration):
             interior.append(b - sub * ratios[:-1])
-        pts = np.unique(np.concatenate(interior))
+        pts = _distinct(np.concatenate(interior))
         pts = pts[(pts > a) & (pts < b)]
         parts.append(pts)
         parts.append(np.array([b]))
@@ -439,11 +464,14 @@ def _magnus_nodes(grid: TimeGrid, breakpoints, n_target: int):
 
 
 def _magnus_step_count(tol: float, action: float) -> int:
-    # tol sets the step count here and is not a checked error bound.  Against
+    # Every run that does not certify a step pair (see _propagate) takes
+    # this count, and for those tol is not a checked error bound.  Against
     # 200k-400k-step references, the final target population of p2 and
     # chainwise cells over the map domain (t_f 1-8 us, delta 1000pi-5000pi)
     # is off by at most 8.7e-9 at tol 1e-8, but chainwise at (1 us, 1000pi)
-    # is off by 3.8e-6, 3.8 x tol, at tol 1e-6.
+    # is off by 3.8e-6, 3.8 x tol, at tol 1e-6.  A certified run instead
+    # checks its populations at every sample and breakpoint against tol;
+    # phases and coherences are not checked on either path.
     factor = (1e-8 / tol) ** 0.25
     factor = min(max(factor, 0.1), 4.0)
     return int(np.clip(np.ceil(0.75 * action * factor), 1024, 200_000))
@@ -554,7 +582,7 @@ def _walk(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
         cuts = np.concatenate(([c0], stops[(stops > c0) & (stops < c1)], [c1]))
         lengths = np.diff(cuts)
         prods = np.empty((n, n, lengths.size), dtype=complex)
-        for length in np.unique(lengths):
+        for length in _distinct(lengths):
             sel = np.flatnonzero(lengths == length)
             idx = np.arange(length)[:, None] + cuts[sel] - c0
             # A block in one piece is reduced where it lies.
@@ -568,6 +596,29 @@ def _walk(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     return np.array(walked)[np.searchsorted(ends, stops)]
 
 
+# Runs whose couplings are weak against the static detuning take a certified
+# pair of coarse step counts in place of the heuristic one.  _PAIR_PHASES
+# are the phases delta_h = rate * duration / n that the static detuning
+# turns per step in the two runs.  Both lie 0.5 pi from the nearest 2 pi k,
+# where step errors add coherently and two runs can agree by accident
+# (Iserles, BIT 42 (2002)).  On the 256 cells of the bench map grids (p2
+# t_f 1-6 us, chainwise 1-8 us, delta 1000 pi-5000 pi, all 8 jitter levels),
+# the final population at delta_h = 3.5 pi is off from a 200k-step run of
+# the same core by K / R**4, R the coupling ratio of _checked_action, with K
+# in 0.053-0.157 for p2 and 0.069-0.442 for chainwise.  The gate admits a
+# run only where _PAIR_K / R**4 <= _PAIR_GATE * tol; at tol 1e-6 that is
+# R >= 43.6, and 120 of the 256 cells pass it.
+_PAIR_PHASES = (3.5 * np.pi, 5.5 * np.pi)
+_PAIR_K = 0.45
+_PAIR_GATE = 1.0 / 8.0
+# The pair certifies when every population at every sample and breakpoint
+# agrees between its two runs within this fraction of tol.  At tol 1e-6,
+# 118 of the 120 gated map cells certify; their populations lie within
+# 4.8e-8 of the 200k-step runs.  The other two disagree by 5.1e-7 and run
+# the heuristic count.
+_PAIR_AGREEMENT = 0.5
+
+
 def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
                grid: TimeGrid, tol: float, breakpoints) -> StateTrajectory:
     """Amplitudes from ``psi0`` under H - i/2 diag(gamma), sampled on the grid.
@@ -576,16 +627,44 @@ def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     steps and propagators.  Each entry point checks its own norm contract.
     Breakpoints are step edges, so the walk stops there too and gives
     their states.
+
+    When the coupling ratio R clears the gate (``_PAIR_K / R**4 <=
+    _PAIR_GATE * tol``) and the two step counts at ``_PAIR_PHASES`` take
+    distinct step grids and fewer steps together than the heuristic count,
+    both are run, and the finer one is returned if their populations agree
+    within ``_PAIR_AGREEMENT * tol`` at every sample and breakpoint.
+    Otherwise the heuristic count runs, bit for bit as without the pair.
     """
-    action = _checked_action(h, grid, gamma)
-    edges, sample_idx = _magnus_nodes(grid, breakpoints, _magnus_step_count(tol, action))
+    action, rate, ratio = _checked_action(h, grid, gamma)
     inner = _segment_edges(grid, breakpoints)[1:-1]
-    inner_idx = np.searchsorted(edges, inner)
-    stops = np.unique(np.concatenate([sample_idx, inner_idx]))
-    states = _walk(h, gamma, psi0, edges, stops)
-    return StateTrajectory(times=grid.times, states=states[np.searchsorted(stops, sample_idx)],
-                           breakpoint_times=inner,
-                           breakpoint_states=states[np.searchsorted(stops, inner_idx)])
+
+    def nodes(n_target):
+        edges, sample_idx = _magnus_nodes(grid, breakpoints, n_target)
+        return edges, sample_idx, np.searchsorted(edges, inner)
+
+    def walk(edges, sample_idx, inner_idx):
+        stops = _distinct(np.concatenate([sample_idx, inner_idx]))
+        states = _walk(h, gamma, psi0, edges, stops)
+        return StateTrajectory(times=grid.times,
+                               states=states[np.searchsorted(stops, sample_idx)],
+                               breakpoint_times=inner,
+                               breakpoint_states=states[np.searchsorted(stops, inner_idx)])
+
+    heuristic = _magnus_step_count(tol, action)
+    pair = np.ceil(rate * grid.duration / np.array(_PAIR_PHASES))
+    if ratio >= (_PAIR_K / (_PAIR_GATE * tol)) ** 0.25 and pair.sum() < heuristic:
+        fine, coarse = (nodes(int(n)) for n in pair)
+        if fine[0].size != coarse[0].size and fine[0].size + coarse[0].size - 2 < heuristic:
+            traj, check = walk(*fine), walk(*coarse)
+            if np.all(np.abs(_populations(traj) - _populations(check))
+                      <= _PAIR_AGREEMENT * tol):
+                return traj
+    return walk(*nodes(heuristic))
+
+
+def _populations(traj: StateTrajectory) -> np.ndarray:
+    """Populations at the samples followed by those at the breakpoints."""
+    return np.abs(np.concatenate([traj.states, traj.breakpoint_states])) ** 2
 
 
 def propagate_state(
@@ -606,11 +685,15 @@ def propagate_state(
     grid : TimeGrid
         Output window and sampling density.
     tol : float
-        In [1e-12, 1e-4].  It sets the number of Magnus steps, but the
-        error of the result is not checked against it and can exceed it
-        (3.8 x tol for a chainwise leg at 1 us, 1000pi rad/us and tol
-        1e-6).  Norm drift over the run is checked to stay within
-        100 * tol.
+        In [1e-12, 1e-4].  When the static detuning dominates the
+        couplings enough, the run is certified: two coarse step counts
+        are run and the finer one is kept only if their populations agree
+        within tol / 2 at every sample and breakpoint, so tol then bounds
+        the populations there.  Phases and coherences are not covered.
+        An uncertified run takes a heuristic step count, whose error is
+        not checked and can exceed tol (3.8 x tol for a chainwise leg at
+        1 us, 1000pi rad/us and tol 1e-6).  Norm drift over the run is
+        checked to stay within 100 * tol.
     breakpoints : sequence of float, optional
         Interior times where H is not smooth (segment boundaries of a
         composite pulse schedule); integration restarts there.
@@ -673,8 +756,10 @@ def propagate_density(
     ``populations`` is the diagonal of rho and ``norms_sq`` its trace, the
     fraction of population still inside the modelled levels.  The trace is
     checked not to grow by more than 10 * tol between samples.  ``tol``
-    sets the step count as in :func:`propagate_state` and, like there, is
-    not a checked bound on the error of the populations.
+    acts as in :func:`propagate_state`: a certified run's populations at
+    every sample and breakpoint are checked against it, phases and
+    coherences are not, and an uncertified run takes the heuristic step
+    count with no check on its error.
 
     Raises as :func:`propagate_state`, plus ValueError for a rho0 violating
     the DensityMatrix invariants (checked at construction) or of rank above

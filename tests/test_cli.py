@@ -84,12 +84,22 @@ class TestUnitParsing:
 
 
 class TestStartup:
-    def test_cli_import_and_simulate_load_no_scipy(self, tmp_path):
-        # The package runs on numpy alone; scipy.integrate would be most of
-        # its import time.
+    @staticmethod
+    def run_child(code: str, *args: str) -> str:
+        """Last stdout line of ``python -c code args`` with the package on the path."""
         import chainwise_sta
 
         src = str(Path(chainwise_sta.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", code, *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_cli_import_and_simulate_load_no_scipy(self, tmp_path):
+        # The package runs on numpy alone; scipy.integrate would be most of
+        # its import time.
         code = (
             "import sys\n"
             "from chainwise_sta.cli import run_cli\n"
@@ -97,12 +107,23 @@ class TestStartup:
             "                '--tol', '1e-4', '--n-samples', '2', '--out', sys.argv[1]])\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sim")],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "0 []"
+        assert self.run_child(code, str(tmp_path / "sim")) == "0 []"
+
+    def test_propagation_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on first use, ~17 ms of every process's
+        # start-up; the propagation path sorts and masks instead.
+        code = (
+            "import sys\n"
+            "from chainwise_sta.cli import run_cli\n"
+            "codes = [run_cli(['simulate', '--preset', 'rb2_lambda', '--protocol', 'p2',\n"
+            "                  '--tol', '1e-4', '--n-samples', '2', '--out', sys.argv[1]]),\n"
+            "         run_cli(['sweep', '--metric', 'efficiency', '--preset', 'rb2_m',\n"
+            "                  '--protocol', 'chainwise', '--tf', '1:2:2',\n"
+            "                  '--delta', '1pi_GHz:2pi_GHz:2', '--tol', '1e-4',\n"
+            "                  '--out', sys.argv[2]])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        assert self.run_child(code, str(tmp_path / "sim"), str(tmp_path / "map")) == "[0, 0] False"
 
 
 class TestPresets:
