@@ -429,6 +429,11 @@ def _segment_edges(grid: TimeGrid, breakpoints) -> np.ndarray:
     return pts[keep]
 
 
+def _gap_steps(anchors: np.ndarray, duration: float, n_target: int) -> np.ndarray:
+    """Uniform steps in each gap between anchors, at least one, for ``n_target``."""
+    return np.maximum(1, np.ceil(n_target * np.diff(anchors) / duration)).astype(int)
+
+
 def _magnus_nodes(grid: TimeGrid, breakpoints, n_target: int):
     """Step-edge times for the Magnus path.
 
@@ -445,9 +450,8 @@ def _magnus_nodes(grid: TimeGrid, breakpoints, n_target: int):
     ratios /= ratios[-1]
 
     parts = [np.array([anchors[0]])]
-    for a, b in zip(anchors[:-1], anchors[1:]):
+    for a, b, k in zip(anchors[:-1], anchors[1:], _gap_steps(anchors, duration, n_target)):
         gap = b - a
-        k = max(1, int(np.ceil(n_target * gap / duration)))
         interior = [np.linspace(a, b, k + 1)[1:-1]]
         sub = gap / k
         if np.any(np.abs(segs - a) <= 1e-12 * duration):
@@ -470,8 +474,9 @@ def _magnus_step_count(tol: float, action: float) -> int:
     # chainwise cells over the map domain (t_f 1-8 us, delta 1000pi-5000pi)
     # is off by at most 8.7e-9 at tol 1e-8, but chainwise at (1 us, 1000pi)
     # is off by 3.8e-6, 3.8 x tol, at tol 1e-6.  A certified run instead
-    # checks its populations at every sample and breakpoint against tol;
-    # phases and coherences are not checked on either path.
+    # checks that two coarse step counts agree on its populations within
+    # tol / 2, an error estimate, not a bound; phases and coherences are
+    # not checked on either path.
     factor = (1e-8 / tol) ** 0.25
     factor = min(max(factor, 0.1), 4.0)
     return int(np.clip(np.ceil(0.75 * action * factor), 1024, 200_000))
@@ -596,27 +601,48 @@ def _walk(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     return np.array(walked)[np.searchsorted(ends, stops)]
 
 
-# Runs whose couplings are weak against the static detuning take a certified
+# Runs whose couplings are weak against the static detuning take a checked
 # pair of coarse step counts in place of the heuristic one.  _PAIR_PHASES
 # are the phases delta_h = rate * duration / n that the static detuning
 # turns per step in the two runs.  Both lie 0.5 pi from the nearest 2 pi k,
 # where step errors add coherently and two runs can agree by accident
-# (Iserles, BIT 42 (2002)).  On the 256 cells of the bench map grids (p2
-# t_f 1-6 us, chainwise 1-8 us, delta 1000 pi-5000 pi, all 8 jitter levels),
-# the final population at delta_h = 3.5 pi is off from a 200k-step run of
-# the same core by K / R**4, R the coupling ratio of _checked_action, with K
-# in 0.053-0.157 for p2 and 0.069-0.442 for chainwise.  The gate admits a
-# run only where _PAIR_K / R**4 <= _PAIR_GATE * tol; at tol 1e-6 that is
-# R >= 43.6, and 120 of the 256 cells pass it.
+# (Iserles, BIT 42 (2002)).
 _PAIR_PHASES = (3.5 * np.pi, 5.5 * np.pi)
-_PAIR_K = 0.45
-_PAIR_GATE = 1.0 / 8.0
+# On the 256 cells of the bench map grids (p2 t_f 1-6 us, chainwise 1-8 us,
+# delta 1000 pi-5000 pi, all 8 jitter levels), the final population at
+# delta_h = 3.5 pi is off from a 200k-step run of the same core by about
+# K / R**4, R the coupling ratio of _checked_action, with K in 0.053-0.157
+# for p2 and 0.069-0.442 for chainwise.  The gate admits a run where that
+# fit, taken at K = 0.45, stays within tol / 8: R**4 * tol >= 8 * 0.45.  At
+# tol 1e-6 that is R >= 43.6, and 120 of the 256 cells pass it.  The fit is
+# an empirical estimate, not a bound; the agreement check below is what
+# decides.
+_PAIR_GATE = 8 * 0.45
+# The gate and the agreement check were fitted on runs sampled only at
+# their two ends, the efficiency map's traffic, and only such runs try the
+# pair.  With samples inside the run, the two counts' populations there
+# disagree by more than tol / 2 on almost every p2 and chainwise run (at 41
+# samples and tol 1e-6, all 46 that would try the pair fail), so the pair
+# would cost 1.6 x the heuristic count for nothing.
+#
+# Every segment between breakpoints must also take at least this many
+# uniform steps in the coarser run.  Then each uniform step turns between
+# about 7/8 of its target phase and the target (4.8 pi-5.5 pi and
+# 3.2 pi-3.5 pi), 0.5 pi or more from every 2 pi k, and the two runs cut
+# every segment differently.  The map cells have one segment and take 1091
+# coarse steps or more in it.
+_PAIR_MIN_STEPS = 8
 # The pair certifies when every population at every sample and breakpoint
 # agrees between its two runs within this fraction of tol.  At tol 1e-6,
 # 118 of the 120 gated map cells certify; their populations lie within
 # 4.8e-8 of the 200k-step runs.  The other two disagree by 5.1e-7 and run
 # the heuristic count.
 _PAIR_AGREEMENT = 0.5
+
+
+def _pair_gate_open(ratio: float, tol: float) -> bool:
+    """Whether a run of coupling ratio ``ratio`` may try the step pair at ``tol``."""
+    return ratio**4 * tol >= _PAIR_GATE
 
 
 def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
@@ -628,15 +654,18 @@ def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     Breakpoints are step edges, so the walk stops there too and gives
     their states.
 
-    When the coupling ratio R clears the gate (``_PAIR_K / R**4 <=
-    _PAIR_GATE * tol``) and the two step counts at ``_PAIR_PHASES`` take
-    distinct step grids and fewer steps together than the heuristic count,
-    both are run, and the finer one is returned if their populations agree
-    within ``_PAIR_AGREEMENT * tol`` at every sample and breakpoint.
-    Otherwise the heuristic count runs, bit for bit as without the pair.
+    When the grid samples only the run's two ends, the coupling ratio R
+    clears the gate (:func:`_pair_gate_open`), the coarser of the two step
+    counts at ``_PAIR_PHASES`` cuts every segment between breakpoints into
+    at least ``_PAIR_MIN_STEPS`` steps, and the two take fewer steps
+    together than the heuristic count, both are run.  The finer one is
+    returned if their populations agree within ``_PAIR_AGREEMENT * tol``
+    at both ends and every breakpoint.  Otherwise the heuristic count
+    runs, bit for bit as without the pair.
     """
     action, rate, ratio = _checked_action(h, grid, gamma)
-    inner = _segment_edges(grid, breakpoints)[1:-1]
+    segs = _segment_edges(grid, breakpoints)
+    inner = segs[1:-1]
 
     def nodes(n_target):
         edges, sample_idx = _magnus_nodes(grid, breakpoints, n_target)
@@ -651,14 +680,16 @@ def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
                                breakpoint_states=states[np.searchsorted(stops, inner_idx)])
 
     heuristic = _magnus_step_count(tol, action)
-    pair = np.ceil(rate * grid.duration / np.array(_PAIR_PHASES))
-    if ratio >= (_PAIR_K / (_PAIR_GATE * tol)) ** 0.25 and pair.sum() < heuristic:
-        fine, coarse = (nodes(int(n)) for n in pair)
-        if fine[0].size != coarse[0].size and fine[0].size + coarse[0].size - 2 < heuristic:
-            traj, check = walk(*fine), walk(*coarse)
-            if np.all(np.abs(_populations(traj) - _populations(check))
-                      <= _PAIR_AGREEMENT * tol):
-                return traj
+    if grid.n_samples == 2 and _pair_gate_open(ratio, tol):
+        fine_n, coarse_n = (int(np.ceil(rate * grid.duration / phase)) for phase in _PAIR_PHASES)
+        coarse_steps = _gap_steps(segs, grid.duration, coarse_n)
+        if fine_n + coarse_n < heuristic and coarse_steps.min() >= _PAIR_MIN_STEPS:
+            fine, coarse = nodes(fine_n), nodes(coarse_n)
+            if fine[0].size + coarse[0].size - 2 < heuristic:
+                traj, check = walk(*fine), walk(*coarse)
+                if np.all(np.abs(_populations(traj) - _populations(check))
+                          <= _PAIR_AGREEMENT * tol):
+                    return traj
     return walk(*nodes(heuristic))
 
 
@@ -685,15 +716,16 @@ def propagate_state(
     grid : TimeGrid
         Output window and sampling density.
     tol : float
-        In [1e-12, 1e-4].  When the static detuning dominates the
-        couplings enough, the run is certified: two coarse step counts
-        are run and the finer one is kept only if their populations agree
-        within tol / 2 at every sample and breakpoint, so tol then bounds
-        the populations there.  Phases and coherences are not covered.
-        An uncertified run takes a heuristic step count, whose error is
-        not checked and can exceed tol (3.8 x tol for a chainwise leg at
-        1 us, 1000pi rad/us and tol 1e-6).  Norm drift over the run is
-        checked to stay within 100 * tol.
+        In [1e-12, 1e-4].  A run sampled only at its two ends, whose
+        static detuning dominates the couplings enough, tries two coarse
+        step counts and keeps the finer one only if their populations
+        agree within tol / 2 at both ends and every breakpoint (see
+        :func:`_propagate`).  That agreement estimates the populations'
+        error there; it is not a bound, and phases and coherences are not
+        checked.  Every other run takes a heuristic step count, whose
+        error is not checked and can exceed tol (3.8 x tol for a chainwise
+        leg at 1 us, 1000pi rad/us and tol 1e-6).  Norm drift over the
+        run is checked to stay within 100 * tol.
     breakpoints : sequence of float, optional
         Interior times where H is not smooth (segment boundaries of a
         composite pulse schedule); integration restarts there.
@@ -757,9 +789,10 @@ def propagate_density(
     fraction of population still inside the modelled levels.  The trace is
     checked not to grow by more than 10 * tol between samples.  ``tol``
     acts as in :func:`propagate_state`: a certified run's populations at
-    every sample and breakpoint are checked against it, phases and
-    coherences are not, and an uncertified run takes the heuristic step
-    count with no check on its error.
+    both ends and every breakpoint agree between two step counts within
+    tol / 2, an estimate of their error rather than a bound; phases and
+    coherences are not checked, and an uncertified run takes the
+    heuristic step count with no check on its error.
 
     Raises as :func:`propagate_state`, plus ValueError for a rho0 violating
     the DensityMatrix invariants (checked at construction) or of rank above

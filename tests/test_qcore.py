@@ -295,10 +295,11 @@ def rk45_reference(rhs, y0, grid, breakpoints=()):
     return out
 
 
-# tol bounds the populations of a run that certifies its coarse step pair,
-# at every sample and breakpoint (phases and coherences are not covered);
-# an uncertified run takes the heuristic step count, whose error tol does
-# not bound (ROADMAP item 1).  These cells pin where the final target
+# A run that certifies its coarse step pair has its populations at both
+# ends and every breakpoint checked, as two step counts agreeing within
+# tol / 2 (an estimate; phases and coherences are not covered); an
+# uncertified run takes the heuristic step count, whose error is not
+# checked (ROADMAP item 1).  These cells pin where the final target
 # population of a public propagate_density call lands against the same core
 # at 200k steps.  The three xfail cells are short chainwise pulses (coupling
 # ratio 10-15) that stay on the heuristic count and measure 3.75, 4.31 and
@@ -347,7 +348,7 @@ def test_final_population_within_tol(protocol, t_f, delta, tol):
 
 def _gate_open(h, grid, gamma, tol):
     _, _, ratio = qcore._checked_action(h, grid, np.array(gamma))
-    return ratio >= (qcore._PAIR_K / (qcore._PAIR_GATE * tol)) ** 0.25
+    return qcore._pair_gate_open(ratio, tol)
 
 
 class TestStepPair:
@@ -355,48 +356,72 @@ class TestStepPair:
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """Step counts of the walks each propagation makes, in order."""
-        steps = []
+        """Step edges of the walks each propagation makes, in order."""
+        taken = []
         walk = qcore._walk
 
-        def counted(h, gamma, psi0, edges, stops):
-            steps.append(edges.size - 1)
+        def recorded(h, gamma, psi0, edges, stops):
+            taken.append(edges)
             return walk(h, gamma, psi0, edges, stops)
 
-        monkeypatch.setattr(qcore, "_walk", counted)
-        return steps
+        monkeypatch.setattr(qcore, "_walk", recorded)
+        return taken
 
     @staticmethod
     def heuristic(monkeypatch, run):
         """``run()`` with the gate shut, so that it takes the heuristic count."""
         with monkeypatch.context() as m:
-            m.setattr(qcore, "_PAIR_K", np.inf)
+            m.setattr(qcore, "_PAIR_GATE", np.inf)
             return run()
 
     def test_certified_run_returns_the_finer_of_two_grids(self, walks):
         sched, decays = _cell("chainwise", 8.0, 5000 * np.pi)
         got = _final_run(sched, decays, 1e-6)
-        assert len(walks) == 2 and walks[0] > walks[1]
+        assert len(walks) == 2 and walks[0].size > walks[1].size
         h = hamiltonian_rule(sched)
         grid = TimeGrid(0.0, sched.duration, 2)
         _, rate, _ = qcore._checked_action(h, grid, np.array(decays))
         edges, sample_idx = qcore._magnus_nodes(
             grid, sched.breakpoints, int(np.ceil(rate * sched.duration / qcore._PAIR_PHASES[0])))
-        assert edges.size - 1 == walks[0]
+        assert np.array_equal(edges, walks[0])
         fine = qcore._walk(h, np.array(decays), np.eye(h.dimension)[:, 0], edges, sample_idx)
         assert np.max(np.abs(got.states - fine)) <= 1e-12
+        # On the walked grids: each segment is cut more finely by the first
+        # run, and the uniform (largest) step of every segment turns at most
+        # its target phase and stays 0.5 pi or more from every 2 pi k.
+        segs = qcore._segment_edges(grid, sched.breakpoints)
+        profiles = []
+        for edges, phase in zip(walks, qcore._PAIR_PHASES):
+            starts = np.searchsorted(edges, segs)
+            turned = rate * np.maximum.reduceat(np.diff(edges), starts[:-1])
+            assert np.all(turned <= phase * (1 + 1e-12))
+            off = np.abs(turned - 2 * np.pi * np.round(turned / (2 * np.pi)))
+            assert np.all(off >= 0.5 * np.pi * (1 - 1e-9))
+            profiles.append(np.diff(starts))
+        assert np.all(profiles[0] > profiles[1])
 
-    def test_same_step_edges_do_not_take_the_pair(self, walks, monkeypatch):
-        # The gate is open, but at 401 samples both counts put one step in
-        # every gap: the two runs would be one grid and prove nothing.
-        sched, decays = _cell("p2", 1.0, 1000 * np.pi)
-        assert _gate_open(hamiltonian_rule(sched), TimeGrid(0.0, 1.0, 401), decays, 1e-4)
+    @pytest.mark.parametrize("protocol, t_f, delta, tol, n_samples, roundtrip_hold", [
+        ("chainwise", 8.0, 5000 * np.pi, 1e-6, 41, None),
+        ("p2", 1.0, 1000 * np.pi, 1e-4, 401, None),
+        ("chainwise", 8.0, 5000 * np.pi, 1e-6, 1201, None),
+        ("chainwise", 8.0, 5000 * np.pi, 1e-6, 1201, 0.1),
+    ], ids=["chainwise-41-samples", "p2-401-samples", "chainwise-default-samples",
+            "chainwise-default-samples-roundtrip"])
+    def test_inner_samples_do_not_take_the_pair(self, walks, monkeypatch, protocol, t_f, delta,
+                                                tol, n_samples, roundtrip_hold):
+        # The gate is open, but the pair's check was fitted on runs sampled
+        # at their ends only.  At 41 samples this run's pair would disagree
+        # at inner samples; at 401 the two counts would walk one grid.
+        _, decays = _cell(protocol, t_f, delta)
 
         def run():
-            return run_scenario("p2", 1.0, 1000 * np.pi, DecayVector(decays), tol=1e-4,
-                                n_samples=401)
+            return run_scenario(protocol, t_f, delta, DecayVector(decays), tol=tol,
+                                roundtrip_hold=roundtrip_hold, n_samples=n_samples)
 
         got = run()
+        sched = got.schedule
+        assert _gate_open(hamiltonian_rule(sched), TimeGrid(0.0, sched.duration, n_samples),
+                          decays, tol)
         assert len(walks) == 1
         assert np.array_equal(got.populations, self.heuristic(monkeypatch, run).populations)
 
@@ -410,13 +435,30 @@ class TestStepPair:
         want = self.heuristic(monkeypatch, lambda: _final_run(sched, decays, 1e-8))
         assert np.array_equal(got.states, want.states)
 
+    def test_short_segment_does_not_take_the_pair(self, walks, monkeypatch):
+        # A breakpoint 1e-4 us before the end leaves a segment the coarse
+        # count would cut into fewer than _PAIR_MIN_STEPS steps, whose phase
+        # the segment, not the target, would set.
+        sched, decays = _cell("chainwise", 8.0, 5000 * np.pi)
+        h = hamiltonian_rule(sched)
+
+        def run():
+            return propagate_density(h, DecayVector(decays),
+                                     DensityMatrix.pure(StateVector.basis(h.dimension, 0)),
+                                     TimeGrid(0.0, sched.duration, 2), tol=1e-6,
+                                     breakpoints=[*sched.breakpoints, sched.duration - 1e-4])
+
+        got = run()
+        assert len(walks) == 1
+        assert np.array_equal(got.states, self.heuristic(monkeypatch, run).states)
+
     def test_disagreeing_pair_runs_the_heuristic_count(self, walks, monkeypatch):
         sched, decays = _cell("chainwise", 8.0, 5000 * np.pi)
         monkeypatch.setattr(qcore, "_PAIR_AGREEMENT", 0.0)
         got = _final_run(sched, decays, 1e-6)
         assert len(walks) == 3
         want = self.heuristic(monkeypatch, lambda: _final_run(sched, decays, 1e-6))
-        assert walks[2] == walks[3]
+        assert np.array_equal(walks[2], walks[3])
         assert np.array_equal(got.states, want.states)
 
 
@@ -437,8 +479,8 @@ def test_gated_populations_within_tol_of_eight_times_the_steps(protocol, tf_frac
     action, _, _ = qcore._checked_action(h, grid, np.array(decays))
     edges, sample_idx = qcore._magnus_nodes(grid, sched.breakpoints,
                                             8 * qcore._magnus_step_count(tol, action))
-    u = qcore._walk(h, np.array(decays), np.eye(h.dimension), edges, sample_idx)[-1]
-    assert np.max(np.abs(got.populations[-1] - np.abs(u[:, 0]) ** 2)) <= tol
+    u = qcore._walk(h, np.array(decays), np.eye(h.dimension)[:, 0], edges, sample_idx)
+    assert np.max(np.abs(got.populations - np.abs(u) ** 2)) <= tol
 
 
 class TestBackEndEquivalence:
