@@ -26,6 +26,7 @@ from .schemes import (
     build_m,
     reduce_lambda,
     reduce_m,
+    stack_channels,
 )
 from .invariants import (
     ThreeLevelAux,

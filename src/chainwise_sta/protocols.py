@@ -534,15 +534,7 @@ def build_roundtrip(leg: PulseSchedule, hold_duration: float) -> PulseSchedule:
 
 
 def _m_params(schedule: PulseSchedule) -> schemes.MParams:
-    return schemes.MParams(
-        omega1=schedule.channels["omega1"],
-        omega2=schedule.channels["omega2"],
-        omega3=schedule.channels["omega3"],
-        omega4=schedule.channels["omega4"],
-        delta_single=schedule.delta_single,
-        duration=schedule.duration,
-        couplings=schedule.couplings,
-    )
+    return schemes.MParams(schedule.couplings, schedule.delta_single, schedule.duration)
 
 
 def hamiltonian_rule(schedule: PulseSchedule) -> HamiltonianRule:

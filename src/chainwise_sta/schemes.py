@@ -18,7 +18,8 @@ warning below a detuning-to-coupling ratio of 10, and a hard error when the
 balancing constraint is broken.
 
 Channels may be passed as plain floats (constant drive) or as callables of
-time that accept numpy arrays.
+time that accept numpy arrays; a chain's couplings are one callable giving
+them all on a last axis, which :func:`stack_channels` builds from channels.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "EffTwoLevel",
     "EffThreeLevel",
     "as_channel",
+    "stack_channels",
     "build_lambda",
     "reduce_lambda",
     "build_m",
@@ -79,44 +81,44 @@ def as_channel(value: Channel) -> Callable[[np.ndarray], np.ndarray]:
     return constant
 
 
-def _chain_rule(diagonal: tuple[Channel, ...] | Callable[[np.ndarray], np.ndarray],
-                couplings: tuple[Channel, ...] | Callable[[np.ndarray], np.ndarray]
-                ) -> HamiltonianRule:
-    """Tridiagonal chain: H[k,k] = diagonal[k](t), H[k,k+1] = H[k+1,k] = couplings[k](t) / 2.
+def stack_channels(channels: tuple[Channel, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> the channels (floats or callables) on a last axis, in order.
+
+    A channel given twice as the same object (pump = Stokes in the ladder,
+    omega4 = omega1 in a chain) is evaluated once per call.
+    """
+    funcs = {id(c): as_channel(c) for c in channels}
+
+    def stacked(t):
+        t_arr = np.asarray(t, dtype=float)
+        vals = {key: f(t_arr) for key, f in funcs.items()}
+        return np.stack([vals[id(c)] for c in channels], axis=-1)
+
+    return stacked
+
+
+def _chain_rule(diagonal: tuple[Channel, ...],
+                couplings: Callable[[np.ndarray], np.ndarray]) -> HamiltonianRule:
+    """Tridiagonal chain: H[k,k] = diagonal[k](t), H[k,k+1] = H[k+1,k] = couplings(t)[..., k] / 2.
 
     Every chain Hamiltonian of this module, full or eliminated, is built
-    here.  Constant diagonal entries are assigned as scalars.  Either
-    ``diagonal`` or ``couplings`` (not both) may instead be one function of
-    t returning all its entries on a last axis, so that entries sharing a
-    computation make it once per call.  A coupling passed twice as the same
-    object (pump = Stokes in the ladder, omega4 = omega1 in a designed
-    chain) is likewise evaluated once per call.
+    here.  ``diagonal`` holds floats, assigned as scalars, or callables of
+    t; ``couplings`` maps t to all n - 1 couplings on a last axis (see
+    :func:`stack_channels`), so couplings sharing a computation make it
+    once per call.  :class:`EffTwoLevel` overwrites its diagonal after.
     """
-    n = len(diagonal) if callable(couplings) else len(couplings) + 1
+    n = len(diagonal)
     levels = np.arange(n)
-    diag = diagonal if callable(diagonal) else [
-        as_channel(d) if callable(d) else float(d) for d in diagonal]
-    sources = [] if callable(couplings) else list({id(c): c for c in couplings}.values())
-    chans = [as_channel(c) for c in sources]
-    slots = [[k for k, c in enumerate(couplings) if c is src] for src in sources]
+    diag = [as_channel(d) if callable(d) else float(d) for d in diagonal]
 
     def evaluate(t):
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros(t_arr.shape + (n, n), dtype=complex)
-        if callable(diag):
-            out[..., levels, levels] = diag(t_arr)
-        else:
-            for k, d in enumerate(diag):
-                out[..., k, k] = d(t_arr) if callable(d) else d
-        if callable(couplings):
-            val = 0.5 * couplings(t_arr)
-            out[..., levels[:-1], levels[1:]] = val
-            out[..., levels[1:], levels[:-1]] = val
-        for chan, ks in zip(chans, slots):
-            val = 0.5 * chan(t_arr)
-            for k in ks:
-                out[..., k, k + 1] = val
-                out[..., k + 1, k] = val
+        for k, d in enumerate(diag):
+            out[..., k, k] = d(t_arr) if callable(d) else d
+        val = 0.5 * couplings(t_arr)
+        out[..., levels[:-1], levels[1:]] = val
+        out[..., levels[1:], levels[:-1]] = val
         return out
 
     return HamiltonianRule(n, evaluate)
@@ -139,21 +141,16 @@ class LambdaParams:
 
 @dataclass(frozen=True)
 class MParams:
-    """Drive parameters of the five-level chain (four Rabi channels).
+    """Drive parameters of the five-level chain.
 
-    ``couplings``, when set, maps times to (omega1, omega2, omega3, omega4)
-    on a last axis, so that channels sharing a computation make it once per
-    H(t) call; :func:`build_m` then uses it in place of the four channel
-    fields, which must agree with it and still serve :func:`reduce_m`.
+    ``couplings`` maps times to the four Rabi channels (omega1, omega2,
+    omega3, omega4) on a last axis; :func:`stack_channels` builds it from
+    floats or callables.  :func:`build_m` and :func:`reduce_m` both read it.
     """
 
-    omega1: Channel
-    omega2: Channel
-    omega3: Channel
-    omega4: Channel
+    couplings: Callable[[np.ndarray], np.ndarray]
     delta_single: float
     duration: float | None = None
-    couplings: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -164,9 +161,19 @@ class EffTwoLevel:
     delta_e: Callable[[np.ndarray], np.ndarray]
 
     def hamiltonian(self) -> HamiltonianRule:
-        """Symmetric form: diag(+delta_e/2, -delta_e/2) with omega_e/2 coupling."""
+        """Symmetric form: diag(+delta_e/2, -delta_e/2) with omega_e/2 coupling.
+
+        One delta_e evaluation per call fills both diagonal entries.
+        """
         dl = as_channel(self.delta_e)
-        return _chain_rule(lambda t: np.multiply.outer(dl(t), (0.5, -0.5)), (self.omega_e,))
+        chain = _chain_rule((0.0, 0.0), stack_channels((self.omega_e,)))
+
+        def evaluate(t):
+            out = chain(t)
+            out[..., (0, 1), (0, 1)] = np.multiply.outer(dl(t), (0.5, -0.5))
+            return out
+
+        return HamiltonianRule(2, evaluate)
 
 
 @dataclass(frozen=True)
@@ -201,14 +208,13 @@ def build_lambda(p: LambdaParams) -> HamiltonianRule:
     Couplings omega1/2 and omega2/2 sit on the chain; the diagonal is
     (0, delta_single, delta_two(t)).
     """
-    return _chain_rule((0.0, p.delta_single, p.delta_two), (p.omega1, p.omega2))
+    return _chain_rule((0.0, p.delta_single, p.delta_two), stack_channels((p.omega1, p.omega2)))
 
 
 def build_m(p: MParams) -> HamiltonianRule:
     """Five-level chain Hamiltonian with diagonal (0, delta, 0, delta, 0)."""
     delta = p.delta_single
-    couplings = (p.omega1, p.omega2, p.omega3, p.omega4) if p.couplings is None else p.couplings
-    return _chain_rule((0.0, delta, 0.0, delta, 0.0), couplings)
+    return _chain_rule((0.0, delta, 0.0, delta, 0.0), p.couplings)
 
 
 def _warn_regime(delta: float, coupling_scale: float, context: str) -> None:
@@ -277,27 +283,24 @@ def reduce_m(p: MParams) -> EffThreeLevel:
     delta = float(p.delta_single)
     if delta == 0.0:
         raise ValueError("reduction undefined for delta_single = 0")
-    chans = [as_channel(c) for c in (p.omega1, p.omega2, p.omega3, p.omega4)]
     probes = _probe_times(p.duration)
-    vals = [c(probes) for c in chans]
-    root = np.sqrt(vals[1] ** 2 + vals[2] ** 2)
+    vals = np.asarray(p.couplings(probes), dtype=float)
+    o1, o2, o3, o4 = vals.T
+    root = np.sqrt(o2**2 + o3**2)
     amp = max(float(np.max(root)), 1e-300)
     denom = np.maximum(root, 1e-9 * amp)
-    viol = np.maximum(np.abs(vals[0] - root), np.abs(vals[3] - root)) / denom
+    viol = np.maximum(np.abs(o1 - root), np.abs(o4 - root)) / denom
     worst = int(np.argmax(viol))
     if viol[worst] > 1e-6:
         raise StarkBalanceError(
             f"balancing constraint omega1 = omega4 = sqrt(omega2^2 + omega3^2) "
             f"violated: relative defect {viol[worst]:.3e} at t = {probes[worst]:.6g} us"
         )
-    _warn_regime(delta, max(float(np.max(np.abs(v))) for v in vals), "five-level reduction")
-
-    om2, om3 = chans[1], chans[2]
+    _warn_regime(delta, float(np.max(np.abs(vals))), "five-level reduction")
 
     def couplings(t):
-        t_arr = np.asarray(t, dtype=float)
-        o2 = om2(t_arr)
-        o3 = om3(t_arr)
+        chain = np.asarray(p.couplings(np.asarray(t, dtype=float)), dtype=float)
+        o2, o3 = chain[..., 1], chain[..., 2]
         root = np.sqrt(o2**2 + o3**2)
         return np.stack([-o2 * root / (2.0 * delta), -o3 * root / (2.0 * delta)], axis=-1)
 

@@ -16,6 +16,7 @@ from chainwise_sta import (
     propagate_state,
     reduce_lambda,
     reduce_m,
+    stack_channels,
 )
 from chainwise_sta.protocols import effective_rule
 
@@ -70,7 +71,8 @@ class TestSharedChannels:
         if scheme == "lambda":
             h, pairs = build_lambda(LambdaParams(omega, omega, delta_single=4.0)), [(0, 1)]
         else:
-            h, pairs = build_m(MParams(omega, 1.5, 2.5, omega, delta_single=7.0)), [(0, 1), (3, 4)]
+            p = MParams(stack_channels((omega, 1.5, 2.5, omega)), delta_single=7.0)
+            h, pairs = build_m(p), [(0, 1), (3, 4)]
         t = np.array([0.3, 1.2, 2.0])
         m = h.matrices(t)
         assert calls == [3]
@@ -83,11 +85,11 @@ class TestSharedChannels:
 
 class TestBuildM:
     def test_zero_drive_is_diagonal(self):
-        h = build_m(MParams(0.0, 0.0, 0.0, 0.0, delta_single=7.0))
+        h = build_m(MParams(stack_channels((0.0, 0.0, 0.0, 0.0)), delta_single=7.0))
         assert np.allclose(h(0.0), np.diag([0.0, 7.0, 0.0, 7.0, 0.0]))
 
     def test_chain_placement(self):
-        h = build_m(MParams(2.0, np.sqrt(2), np.sqrt(2), 2.0, delta_single=100.0))
+        h = build_m(MParams(stack_channels((2.0, np.sqrt(2), np.sqrt(2), 2.0)), delta_single=100.0))
         m = h(0.0)
         assert m[0, 1] == 1.0 and m[3, 4] == 1.0
         assert m[1, 2] == pytest.approx(np.sqrt(2) / 2)
@@ -98,7 +100,7 @@ class TestBuildM:
         rng = np.random.default_rng(11)
         for _ in range(10):
             vals = rng.normal(size=4) * 30
-            m = build_m(MParams(*vals, delta_single=rng.normal() * 100))(2.0)
+            m = build_m(MParams(stack_channels(tuple(vals)), delta_single=rng.normal() * 100))(2.0)
             assert np.array_equal(m, m.conj().T)
 
 
@@ -167,29 +169,54 @@ class TestReduceLambda:
 
 class TestReduceM:
     def test_effective_coupling_values(self):
-        p = MParams(2.0, np.sqrt(2), np.sqrt(2), 2.0, delta_single=100.0)
+        p = MParams(stack_channels((2.0, np.sqrt(2), np.sqrt(2), 2.0)), delta_single=100.0)
         eff = reduce_m(p)
         assert np.asarray(eff.omega_e1(0.0)) == pytest.approx(-np.sqrt(2) * 2 / 200)
         assert np.asarray(eff.omega_e2(0.0)) == pytest.approx(-0.0141421356, abs=1e-9)
 
     def test_two_level_limit(self):
         c = 1.5
-        eff = reduce_m(MParams(c, c, 0.0, c, delta_single=200.0))
+        eff = reduce_m(MParams(stack_channels((c, c, 0.0, c)), delta_single=200.0))
         assert np.asarray(eff.omega_e1(0.0)) == pytest.approx(-c**2 / 400)
         assert np.asarray(eff.omega_e2(0.0)) == 0.0
 
     def test_balance_violation_named(self):
         with pytest.raises(StarkBalanceError, match="defect"):
-            reduce_m(MParams(2.0, 1.0, 1.0, 2.0, delta_single=100.0))
+            reduce_m(MParams(stack_channels((2.0, 1.0, 1.0, 2.0)), delta_single=100.0))
 
     def test_zero_detuning_rejected(self):
         with pytest.raises(ValueError, match="delta"):
-            reduce_m(MParams(2.0, np.sqrt(2), np.sqrt(2), 2.0, delta_single=0.0))
+            reduce_m(MParams(stack_channels((2.0, np.sqrt(2), np.sqrt(2), 2.0)), delta_single=0.0))
+
+    def test_one_stacked_drive_feeds_build_m_and_reduce_m(self):
+        # build_m and reduce_m read the same columns of one drive, each in
+        # one call per H(t) call, and the balance check reads them too.
+        calls = []
+
+        def drive(t):
+            calls.append(np.shape(t))
+            o2, o3 = 3.0 * np.sin(t), 4.0 * np.cos(t)
+            root = np.sqrt(o2**2 + o3**2)
+            return np.stack([root, o2, o3, root], axis=-1)
+
+        delta = 200.0
+        p = MParams(drive, delta_single=delta, duration=10.0)
+        h, eff = build_m(p), reduce_m(p)
+        t = np.linspace(0.0, 10.0, 11)
+        calls.clear()
+        m, e = h.matrices(t), eff.couplings(t)
+        assert calls == [(11,), (11,)]
+        cols = drive(t)
+        assert np.array_equal(m[:, [0, 1, 2, 3], [1, 2, 3, 4]], 0.5 * cols)
+        root = np.sqrt(cols[:, 1] ** 2 + cols[:, 2] ** 2)
+        assert np.array_equal(e, -cols[:, 1:3] * root[:, None] / (2.0 * delta))
+        with pytest.raises(StarkBalanceError):
+            reduce_m(MParams(lambda t: drive(t) * [1.0, 1.0, 1.0, 1.1], delta, 10.0))
 
     def test_gauge_sign_flip_leaves_populations(self):
         from chainwise_sta import EffThreeLevel
 
-        p = MParams(2.0, np.sqrt(2), np.sqrt(2), 2.0, delta_single=100.0)
+        p = MParams(stack_channels((2.0, np.sqrt(2), np.sqrt(2), 2.0)), delta_single=100.0)
         eff = reduce_m(p)
         flipped = EffThreeLevel(lambda t: -eff.couplings(t))
         grid = TimeGrid(0.0, 30.0, 31)

@@ -409,6 +409,18 @@ class TestRunScenario:
         assert result.roundtrip_efficiency >= result.one_way_efficiency**2 - 0.02
         assert result.schedule.duration == pytest.approx(8.1)
 
+    @pytest.mark.xfail(strict=True, reason="peak_excited reads the output samples only")
+    def test_roundtrip_peak_excited_independent_of_samples(self, m_decays):
+        # The peak excited population belongs to the propagation, not to the
+        # output grid: at 2 samples it must reach the 1201-sample peak, within
+        # 1%.  Today 2 samples read 7.9e-6 and 4.5e-8 on levels 2 and 4,
+        # against 2.45e-4 and 2.26e-4.
+        peaks = {n: run_scenario("chainwise", 8.0, 1270 * np.pi, m_decays, epsilon=0.03,
+                                 roundtrip_hold=0.1, tol=1e-4, n_samples=n).peak_excited
+                 for n in (2, 1201)}
+        for level, fine in peaks[1201].items():
+            assert fine <= peaks[2][level] <= 1.01 * fine
+
     def test_decay_dimension_guard(self, m_decays):
         with pytest.raises(ValueError, match="decay"):
             run_scenario("p1", 4.0, 1800 * np.pi, m_decays)
