@@ -11,8 +11,11 @@ shorthand mapping to rad/us:
 Angles accept ``pi/X`` and ``Xpi`` forms or a bare radian value.  Every run
 writes a ``manifest.json`` with the fully resolved parameters; feeding that
 manifest back through ``--config`` reproduces the run bit for bit (set
-``SOURCE_DATE_EPOCH`` to pin the map timestamp).  Flags override config
-values; preset suggestions fill whatever is still missing.
+``SOURCE_DATE_EPOCH`` to pin the map timestamp).  Every key is declared
+once, in ``_KEYS``, with the commands that take it; a flag and the same
+config key go through one converter, and a key the command does not take
+is rejected either way.  Flags override config values; preset suggestions
+fill the command's keys still missing.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -92,15 +95,15 @@ def parse_angle(value) -> float:
     if isinstance(value, (int, float)):
         return float(value)
     text = str(value).strip()
-    m = re.match(r"^pi/([0-9.eE+-]+)$", text)
-    if m:
-        return np.pi / float(m.group(1))
-    m = re.match(r"^([0-9.eE+-]+)pi$", text)
-    if m:
-        return float(m.group(1)) * np.pi
     try:
+        m = re.match(r"^pi/([0-9.eE+-]+)$", text)
+        if m:
+            return np.pi / float(m.group(1))
+        m = re.match(r"^([0-9.eE+-]+)pi$", text)
+        if m:
+            return float(m.group(1)) * np.pi
         return float(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ConfigError(f"malformed angle {value!r}; use e.g. pi/1.99 or 0.5pi") from None
 
 
@@ -144,19 +147,42 @@ def _named(parse, value, name: str) -> float:
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def _parse_range(value, name: str, freq: bool) -> tuple[float, float, int]:
-    if isinstance(value, (list, tuple)):
-        lo, hi, count = value
-    else:
-        parts = str(value).split(":")
+_frequency = functools.partial(_named, parse_frequency)
+_angle = functools.partial(_named, parse_angle)
+
+
+def _rates(value, name: str) -> list[float]:
+    """Per-level decay rates from a list or a comma-separated string."""
+    if isinstance(value, str):
+        value = [p for p in value.split(",") if p.strip()]
+    elif not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list or a comma-separated string, got {value!r}")
+    return [_frequency(g, name) for g in value]
+
+
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _one_of(choices: tuple[str, ...]):
+    def convert(value, name: str) -> str:
+        if value not in choices:
+            raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
+        return value
+    return convert
+
+
+def _range(convert):
+    """A sweep axis, ``min:max:count`` or a 3-list, with both bounds through ``convert``."""
+    def parse(value, name: str) -> list:
+        parts = list(value) if isinstance(value, (list, tuple)) else str(value).split(":")
         if len(parts) != 3:
-            raise ConfigError(f"ranges use min:max:count, got {value!r}")
+            raise ConfigError(f"{name}: ranges use min:max:count, got {value!r}")
         lo, hi, count = parts
-    if freq:
-        lo, hi = _named(parse_frequency, lo, name), _named(parse_frequency, hi, name)
-    else:
-        lo, hi = _real(lo, name), _real(hi, name)
-    return lo, hi, _integer(count, "range count")
+        return [convert(lo, name), convert(hi, name), _integer(count, f"{name} count")]
+    return parse
 
 
 @dataclass(frozen=True)
@@ -184,13 +210,39 @@ PRESETS = {
     ),
 }
 
-# Config schema: key -> (parser, description).  Anything else is rejected.
-_SCHEMA_KEYS = {
-    "command", "protocol", "preset", "tf", "delta", "beta", "epsilon",
-    "delta_two_mode", "delta_two_clamp", "gamma", "hold", "metric",
-    "out", "tol", "n_samples", "points_per_leg",
+_POINT = ("design", "simulate", "roundtrip")
+_RUNS = (*_POINT, "sweep")
+_LOSSY = ("simulate", "roundtrip", "sweep")
+
+
+def _for(commands: tuple[str, ...], convert) -> dict:
+    return dict.fromkeys(commands, convert)
+
+
+# Every flag and config key: (command -> converter, help).  A command takes
+# exactly the keys that list it; flag and file values go through the same
+# converter, which names the key in any error.
+_KEYS = {
+    "protocol": (_for(_RUNS, _one_of(PROTOCOLS)), "pulse protocol"),
+    "preset": (_for(_RUNS, _one_of(tuple(PRESETS))),
+               "molecular preset; its suggestions fill keys still missing"),
+    "tf": ({**_for(_POINT, _real), "sweep": _range(_real)},
+           "leg duration in us (sweep: min:max:count)"),
+    "delta": ({**_for(_POINT, _frequency), "sweep": _range(_frequency)},
+              "single-photon detuning, e.g. 1.8pi_GHz (sweep: min:max:count)"),
+    "beta": (_for(_RUNS, _angle), "phase angle, e.g. pi/1.99"),
+    "epsilon": (_for(_RUNS, _real), "chainwise angle parameter"),
+    "delta_two_mode": (_for(_RUNS, _one_of(("dropped", "exact_clamped"))),
+                       "two-photon detuning: dropped or exact_clamped"),
+    "delta_two_clamp": (_for(_RUNS, _frequency), "clamp of the exact_clamped two-photon detuning"),
+    "gamma": (_for(_LOSSY, _rates), "comma-separated per-level decay rates"),
+    "tol": (_for(_LOSSY, _real), "propagation tolerance"),
+    "n_samples": (_for(("simulate", "roundtrip"), _integer), "output samples"),
+    "hold": (_for(("roundtrip",), _real), "dark hold between legs (us)"),
+    "points_per_leg": (_for(("design",), _integer), "schedule.csv rows per leg"),
+    "metric": (_for(("sweep",), _one_of(("efficiency", "peak"))), "map metric: efficiency or peak"),
+    "out": (_for(_RUNS, _text), "output directory"),
 }
-_RANGE_COMMANDS = ("sweep",)
 
 
 def _load_config_file(path: str) -> dict:
@@ -203,82 +255,52 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    for key in raw:
-        if key not in _SCHEMA_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
     return raw
 
 
-def _merge(command: str, args: argparse.Namespace) -> dict:
-    """Layer defaults, preset suggestions, config file, and flags."""
-    merged: dict = {"command": command}
-    if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config)
-        cmd = file_cfg.pop("command", command)
-        if cmd != command:
-            raise ConfigError(
-                f"config file is for command {cmd!r}, invoked as {command!r}"
-            )
-        merged.update(file_cfg)
-    for key in _SCHEMA_KEYS - {"command"}:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
+def _convert(command: str, key: str, value):
+    if key not in _KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
+    convert = _KEYS[key][0].get(command)
+    if convert is None:
+        raise ConfigError(f"{command} does not take {key!r}")
+    return convert(value, key)
 
-    if merged.get("preset") is not None:
-        name = merged["preset"]
-        if name not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-            )
-        preset = PRESETS[name]
-        merged.setdefault("gamma", list(preset.decays))
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """The command's parameters, each converted once: the config file, the
+    flags over it, then preset suggestions for keys the command takes and
+    still lacks."""
+    command = args.command
+    file_cfg = _load_config_file(args.config) if args.config is not None else {}
+    file_command = file_cfg.pop("command", command)
+    if file_command != command:
+        raise ConfigError(f"config file is for command {file_command!r}, invoked as {command!r}")
+    flags = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
+    cfg = {"command": command}
+    for key, value in [*file_cfg.items(), *flags.items()]:
+        cfg[key] = _convert(command, key, value)
+    if "preset" in cfg:
+        preset = PRESETS[cfg["preset"]]
+        suggested = {"gamma": list(preset.decays), **preset.suggested}
         if preset.scheme == "m5":
-            merged.setdefault("protocol", "chainwise")
-        for key, val in preset.suggested.items():
-            merged.setdefault(key, val)
-    return merged
-
-
-def _resolve_common(merged: dict) -> dict:
-    out = dict(merged)
-    ranged = out["command"] in _RANGE_COMMANDS
-    if "delta" in out and not ranged:
-        out["delta"] = _named(parse_frequency, out["delta"], "delta")
-    if "beta" in out:
-        out["beta"] = _named(parse_angle, out["beta"], "beta")
-    for key in ("tf", "epsilon", "tol", "hold"):
-        if key in out and not (key == "tf" and ranged):
-            out[key] = _real(out[key], key)
-    for key in ("n_samples", "points_per_leg"):
-        if key in out:
-            out[key] = _integer(out[key], key)
-    if "gamma" in out:
-        raw = out["gamma"]
-        if isinstance(raw, str):
-            raw = [p for p in raw.split(",") if p.strip()]
-        elif not isinstance(raw, list):
-            raise ConfigError(f"gamma must be a list or a comma-separated string, got {raw!r}")
-        out["gamma"] = [_named(parse_frequency, g, "gamma") for g in raw]
-    if "protocol" in out and out["protocol"] not in PROTOCOLS:
-        raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {out['protocol']!r}")
-    if "delta_two_mode" in out and out["delta_two_mode"] not in ("dropped", "exact_clamped"):
-        raise ConfigError(
-            f"delta_two_mode must be 'dropped' or 'exact_clamped', got {out['delta_two_mode']!r}"
-        )
-    if "delta_two_clamp" in out:
-        out["delta_two_clamp"] = _named(parse_frequency, out["delta_two_clamp"], "delta_two_clamp")
-    return out
+            suggested["protocol"] = "chainwise"
+        for key, value in suggested.items():
+            if key not in cfg and command in _KEYS[key][0]:
+                cfg[key] = _convert(command, key, value)
+    return cfg
 
 
 def _require(cfg: dict, *keys: str) -> None:
     for key in keys:
-        if cfg.get(key) is None:
+        if key not in cfg:
             raise ConfigError(f"missing required parameter {key!r}")
 
 
 def _delta_two_mode(cfg: dict) -> DeltaTwoMode | None:
     mode = cfg.get("delta_two_mode")
+    if "delta_two_clamp" in cfg and mode != "exact_clamped":
+        raise ConfigError("delta_two_clamp needs delta_two_mode 'exact_clamped'")
     if mode is None:
         return None
     if mode == "dropped":
@@ -298,10 +320,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(cfg: dict, out_dir: Path) -> None:
-    _write_json(out_dir / "manifest.json", {k: v for k, v in sorted(cfg.items()) if v is not None})
-
-
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -318,14 +336,16 @@ def _cmd_design(cfg: dict) -> int:
     )
     out = _out_dir(cfg)
     schedule.to_csv(out / "schedule.csv", points_per_leg=cfg.get("points_per_leg", CSV_POINTS_PER_LEG))
-    _write_manifest(cfg, out)
+    _write_json(out / "manifest.json", cfg)
     peak = peak_amplitude(schedule)
     print(f"peak_amplitude_rad_us={peak:.6f}")
     return 0
 
 
-def _cmd_simulate(cfg: dict, roundtrip: bool) -> int:
+def _cmd_simulate(cfg: dict) -> int:
+    """Both ``simulate`` and ``roundtrip``."""
     _require(cfg, "protocol", "tf", "delta")
+    roundtrip = cfg["command"] == "roundtrip"
     result = run_scenario(
         cfg["protocol"], cfg["tf"], cfg["delta"],
         decays=_decays(cfg, cfg["protocol"]),
@@ -339,7 +359,7 @@ def _cmd_simulate(cfg: dict, roundtrip: bool) -> int:
     out = _out_dir(cfg)
     result.to_csv(out / "timeseries.csv")
     _write_json(out / "summary.json", result.summary())
-    _write_manifest(cfg, out)
+    _write_json(out / "manifest.json", cfg)
     if roundtrip:
         print(f"roundtrip_efficiency={result.roundtrip_efficiency:.6f} "
               f"one_way_efficiency={result.one_way_efficiency:.6f}")
@@ -350,15 +370,10 @@ def _cmd_simulate(cfg: dict, roundtrip: bool) -> int:
 
 def _cmd_sweep(cfg: dict) -> int:
     _require(cfg, "protocol", "tf", "delta", "metric")
-    if cfg["metric"] not in ("efficiency", "peak"):
-        raise ConfigError(f"metric must be 'efficiency' or 'peak', got {cfg['metric']!r}")
-    tf_range = _parse_range(cfg["tf"], "tf", freq=False)
-    delta_range = _parse_range(cfg["delta"], "delta", freq=True)
-    cfg["tf"], cfg["delta"] = list(tf_range), list(delta_range)
     spec = SweepSpec(
         protocol=cfg["protocol"],
-        tf_range=tf_range,
-        delta_range=delta_range,
+        tf_range=tuple(cfg["tf"]),
+        delta_range=tuple(cfg["delta"]),
         decays=_decays(cfg, cfg["protocol"]),
         beta=cfg.get("beta", DEFAULT_BETA),
         epsilon=cfg.get("epsilon", DEFAULT_EPSILON),
@@ -369,7 +384,7 @@ def _cmd_sweep(cfg: dict) -> int:
     out = _out_dir(cfg)
     grid.to_csv(out / "map.csv")
     _write_json(out / "map_meta.json", grid.metadata)
-    _write_manifest(cfg, out)
+    _write_json(out / "manifest.json", cfg)
     finite = grid.cells[np.isfinite(grid.cells)]
     if finite.size == 0:
         print(f"numerical failure: all {grid.cells.size} cells failed", file=sys.stderr)
@@ -379,7 +394,7 @@ def _cmd_sweep(cfg: dict) -> int:
     return 0
 
 
-def _cmd_presets() -> int:
+def _cmd_presets(cfg: dict) -> int:
     for name in sorted(PRESETS):
         p = PRESETS[name]
         gams = ", ".join(f"{g:.6g}" for g in p.decays)
@@ -388,75 +403,42 @@ def _cmd_presets() -> int:
     return 0
 
 
+_COMMANDS = {
+    "design": (_cmd_design, "synthesize a schedule and export CSV"),
+    "simulate": (_cmd_simulate, "design then propagate the lossy dynamics"),
+    "roundtrip": (_cmd_simulate, "forward + hold + return detection run"),
+    "sweep": (_cmd_sweep, "grid map over (tf, delta)"),
+    "presets": (_cmd_presets, "list shipped molecular presets"),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="chainwise-sta",
-        description="Design and verify invariant-based STA pulse schedules",
+        description="Design and verify invariant-based STA pulse schedules. "
+                    "Each flag lists the commands that take it; any other "
+                    "command rejects it, as a flag or as a config key.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--protocol", choices=PROTOCOLS)
-        p.add_argument("--preset")
-        p.add_argument("--tf", help="leg duration in us (sweep: min:max:count)")
-        p.add_argument("--delta", help="single-photon detuning, e.g. 1.8pi_GHz "
-                                       "(sweep: min:max:count)")
-        p.add_argument("--beta", help="phase angle, e.g. pi/1.99")
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--delta-two-mode", dest="delta_two_mode",
-                       choices=("dropped", "exact_clamped"))
-        p.add_argument("--delta-two-clamp", dest="delta_two_clamp")
-        p.add_argument("--gamma", help="comma-separated per-level decay rates")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--out")
-
-    p_design = sub.add_parser("design", help="synthesize a schedule and export CSV")
-    common(p_design)
-    p_design.add_argument("--points-per-leg", dest="points_per_leg", type=int)
-
-    p_sim = sub.add_parser("simulate", help="design then propagate the lossy dynamics")
-    common(p_sim)
-    p_sim.add_argument("--n-samples", dest="n_samples", type=int)
-
-    p_rt = sub.add_parser("roundtrip", help="forward + hold + return detection run")
-    common(p_rt)
-    p_rt.add_argument("--n-samples", dest="n_samples", type=int)
-    p_rt.add_argument("--hold", type=float, help="dark hold between legs (us)")
-
-    p_sweep = sub.add_parser("sweep", help="grid map over (tf, delta)")
-    common(p_sweep)
-    p_sweep.add_argument("--metric", choices=("efficiency", "peak"))
-
-    sub.add_parser("presets", help="list shipped molecular presets")
+    parser.add_argument("command", help="; ".join(f"{name}: {text}"
+                                                  for name, (_, text) in _COMMANDS.items()))
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    for key, (takes, text) in _KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), help=f"{text} [{' '.join(takes)}]")
     return parser
 
 
 def run_cli(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.command == "presets":
-            return _cmd_presets()
-        cfg = _resolve_common(_merge(args.command, args))
-        if args.command == "design":
-            return _cmd_design(cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, roundtrip=False)
-        if args.command == "roundtrip":
-            return _cmd_simulate(cfg, roundtrip=True)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        if args.command not in _COMMANDS:
+            raise ConfigError(f"unknown command {args.command!r}; use one of {tuple(_COMMANDS)}")
+        return _COMMANDS[args.command][0](_resolve(args))
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:

@@ -72,8 +72,9 @@ class TestUnitParsing:
         assert parse_angle("pi/1.99") == pytest.approx(np.pi / 1.99)
         assert parse_angle("0.5pi") == pytest.approx(np.pi / 2)
         assert parse_angle("1.234") == 1.234
-        with pytest.raises(ConfigError, match="malformed"):
-            parse_angle("half a turn")
+        for bad in ("half a turn", "pi/0"):
+            with pytest.raises(ConfigError, match="malformed"):
+                parse_angle(bad)
 
     @pytest.mark.parametrize("value", [True, False])
     def test_bools_rejected(self, value):
@@ -461,8 +462,13 @@ class TestConfigHandling:
         ("simulate", {"delta": True}),
         ("simulate", {"beta": True}),
         ("simulate", {"gamma": 5}),
+        ("simulate", {"beta": "pi/0"}),
+        ("simulate", {"out": 5}),
+        ("simulate", {"out": None}),
+        ("simulate", {"preset": ["x"]}),
     ], ids=["tol-text", "epsilon-list", "tf-bool", "hold-bool", "delta-bool",
-            "beta-bool", "gamma-scalar"])
+            "beta-bool", "gamma-scalar", "beta-pi-over-0", "out-number", "out-null",
+            "preset-list"])
     def test_bad_real_rejected_naming_key(self, command, entry, tmp_path, capsys):
         # Each entry used to run with a silently converted value, exit 1 with
         # a traceback, or exit 2 without naming the key.
@@ -476,14 +482,59 @@ class TestConfigHandling:
         assert next(iter(entry)) in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
-    def test_bool_range_bound_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("tf", [[True, 2, 2], [1, 2]], ids=["bool-bound", "short-list"])
+    def test_bool_range_bound_rejected(self, tf, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"command": "sweep", "protocol": "p2", "metric": "peak",
-                                   "tf": [True, 2, 2], "delta": "1000:2000:2"}))
+                                   "tf": tf, "delta": "1000:2000:2"}))
         out = tmp_path / "o"
         code = run_cli(["sweep", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert "tf" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("design", "hold", "5"),
+        ("design", "tol", "1e-4"),
+        ("design", "gamma", "1,2,3"),
+        ("design", "n_samples", "11"),
+        ("simulate", "metric", "peak"),
+        ("sweep", "points_per_leg", "7"),
+        ("presets", "tf", "4"),
+        ("design", "tf", "abc"),
+        ("design", "beta", "pi/0"),
+        ("simulate", "n_samples", "2.5"),
+        ("sweep", "tf", "1-2"),
+        ("sweep", "metric", "area"),
+    ], ids=["design-hold", "design-tol", "design-gamma", "design-n_samples", "simulate-metric",
+            "sweep-points_per_leg", "presets-tf", "tf-text", "beta-pi-over-0",
+            "n_samples-fraction", "range-syntax", "metric-unknown"])
+    def test_flag_and_config_key_rejected_alike(self, command, key, value, tmp_path,
+                                                monkeypatch, capsys):
+        # A key the command does not take, or a bad value, exits 2 with the
+        # same message whether it comes as a flag or as a config key.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        errors = []
+        for argv in ([command, "--" + key.replace("_", "-"), value],
+                     [command, "--config", str(cfg)]):
+            assert run_cli(argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert key in errors[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--protocol", "p1", "--tf", "4", "--delta", "1000"],
+        ["sweep", "--protocol", "p2", "--tf", "1:2:2", "--delta", "1000:2000:2",
+         "--metric", "peak", "--delta-two-mode", "dropped"],
+    ], ids=["design-no-mode", "sweep-dropped"])
+    def test_clamp_without_exact_clamped_mode_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(argv + ["--delta-two-clamp", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "delta_two_clamp" in err and "delta_two_mode" in err
         assert not (out / "manifest.json").exists()
 
     def test_config_for_other_command_rejected(self, tmp_path, capsys):
