@@ -66,13 +66,13 @@ def parse_frequency(value) -> float:
     if isinstance(value, (int, float)):
         return float(value)
     text = str(value).strip()
-    m = _TWO_PI_FORM.match(text)
-    if m:
-        return 2.0 * np.pi * float(m.group(1)) * _UNIT_SCALE[m.group(2).lower()]
-    m = _PI_FORM.match(text)
-    if m:
-        return np.pi * float(m.group(1)) * _UNIT_SCALE[m.group(2).lower()]
     try:
+        m = _TWO_PI_FORM.match(text)
+        if m:
+            return 2.0 * np.pi * float(m.group(1)) * _UNIT_SCALE[m.group(2).lower()]
+        m = _PI_FORM.match(text)
+        if m:
+            return np.pi * float(m.group(1)) * _UNIT_SCALE[m.group(2).lower()]
         return float(text)
     except ValueError:
         raise ConfigError(f"malformed frequency {value!r}; use e.g. 30pi_MHz, "
