@@ -11,9 +11,11 @@ fraction, and a pure start stays pure (rho(t) = psi psi^dagger exactly).
 :func:`propagate_density` is the lossy entry point; it takes a rank-1 rho0
 and returns the same :class:`StateTrajectory` as :func:`propagate_state`.
 
-Propagation uses one integrator: a fixed-step fourth-order Magnus method with
-two-point Gauss collocation and batched matrix exponentials (Blanes, Casas,
-Oteo & Ros, Phys. Rep. 470, 151 (2009)).  The steps are built in blocks;
+Propagation uses one integrator: a fixed-step Magnus method with two-point
+Gauss collocation and batched matrix exponentials (Blanes, Casas, Oteo &
+Ros, Phys. Rep. 470, 151 (2009)).  Its step is fourth order, except on the
+certified step pair below, which drops the commutator term and takes the
+second-order step on the same nodes.  The steps are built in blocks;
 each block is cut at the output samples and breakpoints inside it, each
 piece's step propagators are multiplied by a pairwise tree, and psi takes
 the pieces in order.  The matrix exponential treats an
@@ -22,9 +24,9 @@ sampled spectral scale of H(t) rather than its stiffness.  Step edges are
 grade-refined at segment boundaries where pulse envelopes have square-root
 edges or clamped spikes.  The step count is a heuristic in the sampled
 action, except where the couplings are weak against the static detuning:
-there two coarse counts are run and the finer is kept when their
-populations agree within tol (see ``_propagate``).  Identical inputs
-produce bitwise-identical trajectories on one platform.
+there two coarse second-order counts are run and the finer is kept when
+their populations agree within tol / 2 (see ``_propagate``).  Identical
+inputs produce bitwise-identical trajectories on one platform.
 
 Inside the Magnus core every stack of step matrices is held entries first,
 as (n, n, steps): entry (i, j) of all steps is one contiguous vector.  A
@@ -483,13 +485,16 @@ def _magnus_step_count(tol: float, action: float) -> int:
 
 
 def _magnus_propagators(h: HamiltonianRule, gamma: np.ndarray | None, edges: np.ndarray,
-                        work: np.ndarray | None = None) -> np.ndarray:
-    """One fourth-order Magnus propagator per step between consecutive edges.
+                        work: np.ndarray | None = None, commutator: bool = True) -> np.ndarray:
+    """One Magnus propagator per step between consecutive edges, fourth order
+    unless ``commutator`` is False.
 
     The result is entries first, (n, n, steps), as is all work inside.  H is
     evaluated in one call on both Gauss nodes of every step.  The generator
     is assembled in ``work`` (see :func:`_workspace`; allocated when not
-    given) and the result is ``work[0]``.
+    given) and the result is ``work[0]``.  With ``commutator`` False the
+    commutator term is dropped: the generator is -i dt (h1 + h2) / 2 -
+    dt diag(gamma) / 2, a second-order step on the same nodes.
     """
     dt = np.diff(edges)
     m = dt.size
@@ -499,19 +504,22 @@ def _magnus_propagators(h: HamiltonianRule, gamma: np.ndarray | None, edges: np.
     h1, h2, p, comm, omega, term = work
     nodes = h.matrices(np.concatenate([edges[:-1] + _GL_C1 * dt, edges[:-1] + _GL_C2 * dt]))
     np.copyto(work[:2], nodes.reshape(2, m, n, n).transpose(0, 2, 3, 1))
-    # h1 and h2 are Hermitian, so [h1, h2] = p - p^dagger with p = h1 h2.
-    _matmul(h1, h2, p, term)
-    np.subtract(p, np.conjugate(p.transpose(1, 0, 2), out=comm), out=comm)
     np.multiply(-0.5j * dt, np.add(h1, h2, out=omega), out=omega)
-    if gamma is not None and np.any(gamma):
-        # With the diagonal loss L = -i/2 diag(gamma) on both nodes,
-        # [h1 + L, h2 + L] = [h1, h2] + [L, h2 - h1], entrywise in L.
-        loss = -0.5j * gamma
-        comm += np.multiply((loss[:, None] - loss[None, :])[:, :, None],
-                            np.subtract(h2, h1, out=term), out=term)
+    lossy = gamma is not None and np.any(gamma)
+    if lossy:
         diag = _diagonal(omega)
         diag -= 0.5 * dt * gamma[:, None]
-    omega += np.multiply(np.sqrt(3.0) / 12.0 * dt * dt, comm, out=comm)
+    if commutator:
+        # h1 and h2 are Hermitian, so [h1, h2] = p - p^dagger with p = h1 h2.
+        _matmul(h1, h2, p, term)
+        np.subtract(p, np.conjugate(p.transpose(1, 0, 2), out=comm), out=comm)
+        if lossy:
+            # With the diagonal loss L = -i/2 diag(gamma) on both nodes,
+            # [h1 + L, h2 + L] = [h1, h2] + [L, h2 - h1], entrywise in L.
+            loss = -0.5j * gamma
+            comm += np.multiply((loss[:, None] - loss[None, :])[:, :, None],
+                                np.subtract(h2, h1, out=term), out=term)
+        omega += np.multiply(np.sqrt(3.0) / 12.0 * dt * dt, comm, out=comm)
     finite = np.all(np.isfinite(omega), axis=(0, 1))
     if not np.all(finite):
         raise IntegrationError(
@@ -564,14 +572,15 @@ def _ordered_product(x: np.ndarray, stacks=None) -> np.ndarray:
 
 
 def _walk(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
-          edges: np.ndarray, stops: np.ndarray) -> np.ndarray:
+          edges: np.ndarray, stops: np.ndarray, commutator: bool = True) -> np.ndarray:
     """Amplitudes at the step edges ``stops`` (sorted, distinct indices), from
     ``psi0`` at ``edges[0]``; ``psi0`` may be (n, k), k states walked together.
 
     Steps are built in blocks of ``_MAGNUS_CHUNK`` that share one workspace.
     Each block is cut at the stops inside it, its pieces are reduced by the
     pairwise tree (pieces of equal length as one batch), and the state
-    takes the pieces in order.
+    takes the pieces in order.  ``commutator`` is passed to
+    :func:`_magnus_propagators`: False takes the second-order step.
     """
     n = h.dimension
     n_steps = len(edges) - 1
@@ -583,7 +592,7 @@ def _walk(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     walked, ends = [psi], [0]
     for c0 in range(0, n_steps, _MAGNUS_CHUNK):
         c1 = min(c0 + _MAGNUS_CHUNK, n_steps)
-        u = _magnus_propagators(h, gamma, edges[c0:c1 + 1], work[..., :c1 - c0])
+        u = _magnus_propagators(h, gamma, edges[c0:c1 + 1], work[..., :c1 - c0], commutator)
         cuts = np.concatenate(([c0], stops[(stops > c0) & (stops < c1)], [c1]))
         lengths = np.diff(cuts)
         prods = np.empty((n, n, lengths.size), dtype=complex)
@@ -602,41 +611,46 @@ def _walk(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
 
 
 # Runs whose couplings are weak against the static detuning take a checked
-# pair of coarse step counts in place of the heuristic one.  _PAIR_PHASES
-# are the phases delta_h = rate * duration / n that the static detuning
-# turns per step in the two runs.  Both lie 0.5 pi from the nearest 2 pi k,
-# where step errors add coherently and two runs can agree by accident
-# (Iserles, BIT 42 (2002)).
+# pair of coarse step counts of the second-order Magnus step (the commutator
+# term dropped) in place of the heuristic one.  _PAIR_PHASES are the phases
+# delta_h = rate * duration / n that the static detuning turns per step in
+# the two runs.  Both lie 0.5 pi from the nearest 2 pi k, where step errors
+# add coherently and two runs can agree by accident (Iserles, BIT 42
+# (2002)).
 _PAIR_PHASES = (3.5 * np.pi, 5.5 * np.pi)
 # On the 256 cells of the bench map grids (p2 t_f 1-6 us, chainwise 1-8 us,
-# delta 1000 pi-5000 pi, all 8 jitter levels), the final population at
-# delta_h = 3.5 pi is off from a 200k-step run of the same core by about
-# K / R**4, R the coupling ratio of _checked_action, with K in 0.053-0.157
-# for p2 and 0.069-0.442 for chainwise.  The gate admits a run where that
-# fit, taken at K = 0.45, stays within tol / 8: R**4 * tol >= 8 * 0.45.  At
-# tol 1e-6 that is R >= 43.6, and 120 of the 256 cells pass it.  The fit is
-# an empirical estimate, not a bound; the agreement check below is what
-# decides.
-_PAIR_GATE = 8 * 0.45
+# delta 1000 pi-5000 pi, all 8 jitter levels), the final population of the
+# second-order step at delta_h = 3.5 pi is off from a 200k-step run of the
+# same core by about K / R**4, R the coupling ratio of _checked_action, with
+# K in 0.0005-0.129 for p2 and 0.124-0.337 for chainwise.  The fourth-order
+# step measured 0.053-0.157 and 0.069-0.442: at these delta_h its commutator
+# term does not lower the error, it only costs time.  The gate admits a run
+# where that fit, taken at K = 0.45, stays within tol / 2, the agreement
+# check's own tolerance: R**4 * tol >= 2 * 0.45.  At tol 1e-6 that is
+# R >= 30.8, and 168 of the 256 cells pass it.  The fit is an empirical
+# estimate, not a bound; the agreement check below is what decides.
+_PAIR_GATE = 2 * 0.45
 # The gate and the agreement check were fitted on runs sampled only at
 # their two ends, the efficiency map's traffic, and only such runs try the
 # pair.  With samples inside the run, the two counts' populations there
 # disagree by more than tol / 2 on almost every p2 and chainwise run (at 41
-# samples and tol 1e-6, all 46 that would try the pair fail), so the pair
-# would cost 1.6 x the heuristic count for nothing.
+# samples and tol 1e-6, all 46 that would try a fourth-order pair behind a
+# tol / 8 gate fail), so the pair would cost 1.6 x the heuristic count for
+# nothing.
 #
 # Every segment between breakpoints must also take at least this many
 # uniform steps in the coarser run.  Then each uniform step turns between
 # about 7/8 of its target phase and the target (4.8 pi-5.5 pi and
 # 3.2 pi-3.5 pi), 0.5 pi or more from every 2 pi k, and the two runs cut
-# every segment differently.  The map cells have one segment and take 1091
+# every segment differently.  The map cells have one segment and take 697
 # coarse steps or more in it.
 _PAIR_MIN_STEPS = 8
 # The pair certifies when every population at every sample and breakpoint
 # agrees between its two runs within this fraction of tol.  At tol 1e-6,
-# 118 of the 120 gated map cells certify; their populations lie within
-# 4.8e-8 of the 200k-step runs.  The other two disagree by 5.1e-7 and run
-# the heuristic count.
+# all 168 gated map cells certify; their populations lie within 1.9e-7 of
+# the 200k-step runs.  Over 600 end-sampled p1, p2 and chainwise scenario
+# and round-trip runs (t_f 1-8 us, delta 1000 pi-5000 pi, tol 1e-8-1e-4),
+# 265 of the 274 gated runs certify, within 0.38 x tol of 200k-step runs.
 _PAIR_AGREEMENT = 0.5
 
 
@@ -658,10 +672,11 @@ def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     clears the gate (:func:`_pair_gate_open`), the coarser of the two step
     counts at ``_PAIR_PHASES`` cuts every segment between breakpoints into
     at least ``_PAIR_MIN_STEPS`` steps, and the two take fewer steps
-    together than the heuristic count, both are run.  The finer one is
-    returned if their populations agree within ``_PAIR_AGREEMENT * tol``
-    at both ends and every breakpoint.  Otherwise the heuristic count
-    runs, bit for bit as without the pair.
+    together than the heuristic count, both are run with the second-order
+    step (no commutator term).  The finer one is returned if their
+    populations agree within ``_PAIR_AGREEMENT * tol`` at both ends and
+    every breakpoint.  Otherwise the heuristic count runs with the
+    fourth-order step, bit for bit as without the pair.
     """
     action, rate, ratio = _checked_action(h, grid, gamma)
     segs = _segment_edges(grid, breakpoints)
@@ -671,9 +686,9 @@ def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
         edges, sample_idx = _magnus_nodes(grid, breakpoints, n_target)
         return edges, sample_idx, np.searchsorted(edges, inner)
 
-    def walk(edges, sample_idx, inner_idx):
+    def walk(edges, sample_idx, inner_idx, commutator=True):
         stops = _distinct(np.concatenate([sample_idx, inner_idx]))
-        states = _walk(h, gamma, psi0, edges, stops)
+        states = _walk(h, gamma, psi0, edges, stops, commutator)
         return StateTrajectory(times=grid.times,
                                states=states[np.searchsorted(stops, sample_idx)],
                                breakpoint_times=inner,
@@ -686,7 +701,7 @@ def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
         if fine_n + coarse_n < heuristic and coarse_steps.min() >= _PAIR_MIN_STEPS:
             fine, coarse = nodes(fine_n), nodes(coarse_n)
             if fine[0].size + coarse[0].size - 2 < heuristic:
-                traj, check = walk(*fine), walk(*coarse)
+                traj, check = walk(*fine, commutator=False), walk(*coarse, commutator=False)
                 if np.all(np.abs(_populations(traj) - _populations(check))
                           <= _PAIR_AGREEMENT * tol):
                     return traj
@@ -718,14 +733,15 @@ def propagate_state(
     tol : float
         In [1e-12, 1e-4].  A run sampled only at its two ends, whose
         static detuning dominates the couplings enough, tries two coarse
-        step counts and keeps the finer one only if their populations
-        agree within tol / 2 at both ends and every breakpoint (see
-        :func:`_propagate`).  That agreement estimates the populations'
-        error there; it is not a bound, and phases and coherences are not
-        checked.  Every other run takes a heuristic step count, whose
-        error is not checked and can exceed tol (3.8 x tol for a chainwise
-        leg at 1 us, 1000pi rad/us and tol 1e-6).  Norm drift over the
-        run is checked to stay within 100 * tol.
+        step counts of the second-order Magnus step and keeps the finer
+        one only if their populations agree within tol / 2 at both ends
+        and every breakpoint (see :func:`_propagate`).  That agreement
+        estimates the populations' error there; it is not a bound, and
+        phases and coherences are not checked.  Every other run takes a
+        heuristic step count of the fourth-order step, whose error is not
+        checked and can exceed tol (3.8 x tol for a chainwise leg at
+        1 us, 1000pi rad/us and tol 1e-6).  Norm drift over the run is
+        checked to stay within 100 * tol.
     breakpoints : sequence of float, optional
         Interior times where H is not smooth (segment boundaries of a
         composite pulse schedule); integration restarts there.
@@ -789,10 +805,11 @@ def propagate_density(
     fraction of population still inside the modelled levels.  The trace is
     checked not to grow by more than 10 * tol between samples.  ``tol``
     acts as in :func:`propagate_state`: a certified run's populations at
-    both ends and every breakpoint agree between two step counts within
-    tol / 2, an estimate of their error rather than a bound; phases and
-    coherences are not checked, and an uncertified run takes the
-    heuristic step count with no check on its error.
+    both ends and every breakpoint agree between two second-order step
+    counts within tol / 2, an estimate of their error rather than a
+    bound; phases and coherences are not checked, and an uncertified run
+    takes the fourth-order heuristic step count with no check on its
+    error.
 
     Raises as :func:`propagate_state`, plus ValueError for a rho0 violating
     the DensityMatrix invariants (checked at construction) or of rank above

@@ -296,14 +296,17 @@ def rk45_reference(rhs, y0, grid, breakpoints=()):
 
 
 # A run that certifies its coarse step pair has its populations at both
-# ends and every breakpoint checked, as two step counts agreeing within
-# tol / 2 (an estimate; phases and coherences are not covered); an
-# uncertified run takes the heuristic step count, whose error is not
-# checked (ROADMAP item 1).  These cells pin where the final target
+# ends and every breakpoint checked, as two second-order step counts
+# agreeing within tol / 2 (an estimate; phases and coherences are not
+# covered); an uncertified run takes the heuristic step count, whose error
+# is not checked (ROADMAP item 1).  These cells pin where the final target
 # population of a public propagate_density call lands against the same core
 # at 200k steps.  The three xfail cells are short chainwise pulses (coupling
-# ratio 10-15) that stay on the heuristic count and measure 3.75, 4.31 and
-# 5.27 x tol; M5* and the two long cells certify and stay far inside tol.
+# ratio 10-15, R**4 * tol = 0.01, 0.28 and 0.56) that stay outside the gate,
+# on the heuristic count, and measure 3.75, 4.31 and 5.27 x tol.  M5* and
+# the two long cells certify and stay far inside tol.  The last two cells
+# (R**4 * tol = 1.56 and 1.04) certify because the gate opens at
+# R**4 * tol >= 0.9, not 3.6; they measure 0.18 and 0.26 x tol.
 _TOL_CELLS = [
     pytest.param("chainwise", 1.0, 1000 * np.pi, 1e-6, id="chainwise-1us-1000pi",
                  marks=pytest.mark.xfail(strict=True, reason="error 3.75 x tol")),
@@ -314,6 +317,8 @@ _TOL_CELLS = [
     pytest.param("chainwise", *CHAIN_STAR[:2], 6.3e-6, id="m5-star-tol-6.3e-6"),
     pytest.param("chainwise", 8.0, 5000 * np.pi, 1e-6, id="chainwise-8us-5000pi"),
     pytest.param("p2", 6.0, 5000 * np.pi, 1e-6, id="p2-6us-5000pi"),
+    pytest.param("chainwise", 3.4, 3600 * np.pi, 1e-6, id="chainwise-3.4us-3600pi"),
+    pytest.param("chainwise", 1.0, 1000 * np.pi, 1e-4, id="chainwise-1us-1000pi-tol-1e-4"),
 ]
 
 
@@ -356,13 +361,13 @@ class TestStepPair:
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """Step edges of the walks each propagation makes, in order."""
+        """(step edges, commutator flag) of the walks each propagation makes, in order."""
         taken = []
         walk = qcore._walk
 
-        def recorded(h, gamma, psi0, edges, stops):
-            taken.append(edges)
-            return walk(h, gamma, psi0, edges, stops)
+        def recorded(h, gamma, psi0, edges, stops, commutator=True):
+            taken.append((edges, commutator))
+            return walk(h, gamma, psi0, edges, stops, commutator)
 
         monkeypatch.setattr(qcore, "_walk", recorded)
         return taken
@@ -377,21 +382,24 @@ class TestStepPair:
     def test_certified_run_returns_the_finer_of_two_grids(self, walks):
         sched, decays = _cell("chainwise", 8.0, 5000 * np.pi)
         got = _final_run(sched, decays, 1e-6)
-        assert len(walks) == 2 and walks[0].size > walks[1].size
+        assert len(walks) == 2 and walks[0][0].size > walks[1][0].size
+        # Both runs of the pair take the second-order step.
+        assert [commutator for _, commutator in walks] == [False, False]
         h = hamiltonian_rule(sched)
         grid = TimeGrid(0.0, sched.duration, 2)
         _, rate, _ = qcore._checked_action(h, grid, np.array(decays))
         edges, sample_idx = qcore._magnus_nodes(
             grid, sched.breakpoints, int(np.ceil(rate * sched.duration / qcore._PAIR_PHASES[0])))
-        assert np.array_equal(edges, walks[0])
-        fine = qcore._walk(h, np.array(decays), np.eye(h.dimension)[:, 0], edges, sample_idx)
+        assert np.array_equal(edges, walks[0][0])
+        fine = qcore._walk(h, np.array(decays), np.eye(h.dimension)[:, 0], edges, sample_idx,
+                           commutator=False)
         assert np.max(np.abs(got.states - fine)) <= 1e-12
         # On the walked grids: each segment is cut more finely by the first
         # run, and the uniform (largest) step of every segment turns at most
         # its target phase and stays 0.5 pi or more from every 2 pi k.
         segs = qcore._segment_edges(grid, sched.breakpoints)
         profiles = []
-        for edges, phase in zip(walks, qcore._PAIR_PHASES):
+        for (edges, _), phase in zip(walks, qcore._PAIR_PHASES):
             starts = np.searchsorted(edges, segs)
             turned = rate * np.maximum.reduceat(np.diff(edges), starts[:-1])
             assert np.all(turned <= phase * (1 + 1e-12))
@@ -422,7 +430,7 @@ class TestStepPair:
         sched = got.schedule
         assert _gate_open(hamiltonian_rule(sched), TimeGrid(0.0, sched.duration, n_samples),
                           decays, tol)
-        assert len(walks) == 1
+        assert len(walks) == 1 and walks[0][1]
         assert np.array_equal(got.populations, self.heuristic(monkeypatch, run).populations)
 
     @pytest.mark.parametrize("protocol, star", [("p1", P1_STAR), ("p2", P2_STAR),
@@ -431,7 +439,7 @@ class TestStepPair:
     def test_gate_closed_runs_are_the_heuristic_run(self, walks, monkeypatch, protocol, star):
         sched, decays = _cell(protocol, *star)
         got = _final_run(sched, decays, 1e-8)
-        assert len(walks) == 1
+        assert len(walks) == 1 and walks[0][1]
         want = self.heuristic(monkeypatch, lambda: _final_run(sched, decays, 1e-8))
         assert np.array_equal(got.states, want.states)
 
@@ -449,7 +457,7 @@ class TestStepPair:
                                      breakpoints=[*sched.breakpoints, sched.duration - 1e-4])
 
         got = run()
-        assert len(walks) == 1
+        assert len(walks) == 1 and walks[0][1]
         assert np.array_equal(got.states, self.heuristic(monkeypatch, run).states)
 
     def test_disagreeing_pair_runs_the_heuristic_count(self, walks, monkeypatch):
@@ -458,8 +466,24 @@ class TestStepPair:
         got = _final_run(sched, decays, 1e-6)
         assert len(walks) == 3
         want = self.heuristic(monkeypatch, lambda: _final_run(sched, decays, 1e-6))
-        assert np.array_equal(walks[2], walks[3])
+        # The pair's two second-order runs, then the heuristic count with
+        # the commutator, once after the pair and once with the gate shut.
+        assert [commutator for _, commutator in walks] == [False, False, True, True]
+        assert np.array_equal(walks[2][0], walks[3][0])
         assert np.array_equal(got.states, want.states)
+
+    @pytest.mark.parametrize("t_f, delta, tol", [(3.4, 3600 * np.pi, 1e-6),
+                                                 (1.0, 1000 * np.pi, 1e-4)],
+                             ids=["chainwise-3.4us-3600pi", "chainwise-1us-1000pi-tol-1e-4"])
+    def test_gate_admits_tol_over_two(self, walks, t_f, delta, tol):
+        # R**4 * tol is 1.56 and 1.04 here: inside the gate at tol / 2
+        # (0.9), but outside a gate at tol / 8 (3.6).  Both certify.
+        sched, decays = _cell("chainwise", t_f, delta)
+        _, _, ratio = qcore._checked_action(hamiltonian_rule(sched),
+                                            TimeGrid(0.0, sched.duration, 2), np.array(decays))
+        assert qcore._PAIR_GATE <= ratio**4 * tol < 8 * 0.45
+        _final_run(sched, decays, tol)
+        assert [commutator for _, commutator in walks] == [False, False]
 
 
 @settings(max_examples=16, derandomize=True, deadline=None)
@@ -632,12 +656,45 @@ class TestMagnusKernel:
         n_steps = 2 * chunk + chunk // 2
         edges = np.linspace(0.0, 2.0, n_steps + 1)
         sample_idx = np.array([0, 5, chunk + 3, n_steps])
-        shared = qcore._walk(h, gamma, np.eye(5), edges, sample_idx)
         blocks = qcore._magnus_propagators
-        monkeypatch.setattr(qcore, "_magnus_propagators",
-                            lambda h, gamma, edges, work: blocks(h, gamma, edges))
-        fresh = qcore._walk(h, gamma, np.eye(5), edges, sample_idx)
-        assert np.array_equal(shared, fresh)
+        for commutator in (True, False):
+            shared = qcore._walk(h, gamma, np.eye(5), edges, sample_idx, commutator)
+            flags = []
+
+            def fresh_block(h, gamma, edges, work, commutator):
+                flags.append(commutator)
+                return blocks(h, gamma, edges, commutator=commutator)
+
+            with monkeypatch.context() as m:
+                m.setattr(qcore, "_magnus_propagators", fresh_block)
+                fresh = qcore._walk(h, gamma, np.eye(5), edges, sample_idx, commutator)
+            assert flags == [commutator] * 3
+            assert np.array_equal(shared, fresh)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_second_order_propagators_match_scipy(self, n):
+        # Without the commutator each step is exp(-i dt (h1 + h2) / 2 -
+        # dt diag(gamma) / 2), h1 and h2 at the two Gauss nodes.
+        rng = np.random.default_rng(20 + n)
+        coef = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        coef = coef + np.swapaxes(coef, 1, 2).conj()
+
+        def evaluate(t):
+            t_arr = np.asarray(t, dtype=float)[..., None, None]
+            return coef[0] + coef[1] * np.sin(3.0 * t_arr) + coef[2] * t_arr**2
+
+        h = HamiltonianRule(n, evaluate)
+        gamma = rng.uniform(0.0, 5.0, size=n)
+        edges = np.sort(rng.uniform(0.0, 2.0, size=17))
+        got = qcore._magnus_propagators(h, gamma, edges, commutator=False).transpose(2, 0, 1)
+        want = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            dt = b - a
+            h1, h2 = evaluate(a + qcore._GL_C1 * dt), evaluate(a + qcore._GL_C2 * dt)
+            want.append(scipy.linalg.expm(-1j * dt * (h1 + h2) / 2 - dt * np.diag(gamma) / 2))
+        want = np.array(want)
+        rel = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+        assert np.max(rel) <= 1e-13
 
     @pytest.mark.parametrize("length", [1, 2, 3, 7])
     def test_ordered_product_matches_sequential(self, length):
