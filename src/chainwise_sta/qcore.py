@@ -35,10 +35,15 @@ multiply per inner index j and one add per further j), where numpy's batched
 ``@`` on (steps, n, n) stacks makes one BLAS call per 3 x 3 or 5 x 5 matrix.
 Each propagation call allocates one workspace of such stacks and every block
 of steps writes its H(t) samples, Magnus generator, matrix powers,
-squarings and product-tree levels into it with ``out=``.  The call count
-matters as much as the arithmetic: every numpy call hands the GIL back and
-forth, so fewer, larger calls per block are what lets the sweep thread
-pool run cells in parallel.
+squarings and product-tree levels into it with ``out=``.  A block holds a
+fixed budget of entries per stack (``_BLOCK_ENTRIES``, so its step count
+falls as n**2 grows), and a block of m steps, the short last one too,
+works in one C-contiguous slab of m-step stacks on the workspace's
+leading memory: in a column slice of wider stacks the matrix exponential
+took twice as long per step.  The call count matters as much as the
+arithmetic: every numpy call hands the GIL back and forth, so fewer,
+larger calls per block are what lets the sweep thread pool run cells in
+parallel.
 H(t) is evaluated once per block, at both Gauss nodes together, and turned
 to this layout there; only the piece propagators that psi takes are turned
 back.
@@ -304,7 +309,9 @@ _WORK_STACKS = 6
 def _workspace(n: int, size: int) -> np.ndarray:
     """Scratch for blocks of up to ``size`` steps: _WORK_STACKS (n, n, size) stacks.
 
-    A block of m steps uses ``work[..., :m]``.  Each propagation call makes
+    A block of m steps uses the C-contiguous (_WORK_STACKS, n, n, m) slab
+    ``_stack_view(work, ...)`` on its leading memory, so a short block runs
+    on contiguous stacks as a full one does.  Each propagation call makes
     its own, so concurrent calls never share one.
     """
     return np.empty((_WORK_STACKS, n, n, size), dtype=complex)
@@ -528,18 +535,23 @@ def _magnus_propagators(h: HamiltonianRule, gamma: np.ndarray | None, edges: np.
     return _expm_batch(omega, work)
 
 
-# Propagators are built in blocks of this many steps.  The block bounds the
-# working set: a long stiff run can need >100k steps, and the matrix
-# exponential keeps several powers of each block alive at once.
-_MAGNUS_CHUNK = 4096
+# Propagators are built in blocks of _BLOCK_ENTRIES // n**2 steps, so that
+# every workspace stack holds this many entries whatever n is: 2,048 steps
+# at 5 x 5, 5,688 at 3 x 3.  The block bounds the working set (a long stiff
+# run can need >100k steps, and the matrix exponential keeps several powers
+# of each block alive at once); larger blocks mean fewer numpy calls, and
+# so fewer GIL handoffs, per step.  On the bench map's tiles, half this
+# budget (1,024 steps at 5 x 5) took 21% longer per pass and twice it 5%.
+_BLOCK_ENTRIES = 51_200
 
 
 def _stack_view(stack: np.ndarray, shape: tuple) -> np.ndarray:
-    """A C-contiguous ``shape`` array on the leading memory of a contiguous stack.
+    """A C-contiguous ``shape`` array on the leading memory of a contiguous
+    stack or workspace.
 
-    Packed rows keep a small tree level compact; the stack's own rows lie
-    a power of two apart, and strided streams that far apart collide in
-    the caches.
+    Packed rows keep a small tree level or a short block compact; the
+    stack's own rows lie a power of two apart, and strided streams that far
+    apart collide in the caches.
     """
     return stack.reshape(-1)[:int(np.prod(shape))].reshape(shape)
 
@@ -576,23 +588,27 @@ def _walk(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     """Amplitudes at the step edges ``stops`` (sorted, distinct indices), from
     ``psi0`` at ``edges[0]``; ``psi0`` may be (n, k), k states walked together.
 
-    Steps are built in blocks of ``_MAGNUS_CHUNK`` that share one workspace.
-    Each block is cut at the stops inside it, its pieces are reduced by the
-    pairwise tree (pieces of equal length as one batch), and the state
-    takes the pieces in order.  ``commutator`` is passed to
+    Steps are built in blocks of ``_BLOCK_ENTRIES // n**2`` that share one
+    workspace; each block of m steps works in one C-contiguous
+    (_WORK_STACKS, n, n, m) slab on its leading memory, the short last
+    block too.  Each block is cut at the stops inside it, its pieces are
+    reduced by the pairwise tree (pieces of equal length as one batch), and
+    the state takes the pieces in order.  ``commutator`` is passed to
     :func:`_magnus_propagators`: False takes the second-order step.
     """
     n = h.dimension
     n_steps = len(edges) - 1
-    work = _workspace(n, min(_MAGNUS_CHUNK, n_steps))
-    # A block's propagators lie in work[0]; the tree gathers into work[1]
-    # and keeps its levels and scratch in work[2:5].
-    gather, *stacks = work[1:5]
+    block = _BLOCK_ENTRIES // (n * n)
+    workspace = _workspace(n, min(block, n_steps))
     psi = np.asarray(psi0, dtype=complex)
     walked, ends = [psi], [0]
-    for c0 in range(0, n_steps, _MAGNUS_CHUNK):
-        c1 = min(c0 + _MAGNUS_CHUNK, n_steps)
-        u = _magnus_propagators(h, gamma, edges[c0:c1 + 1], work[..., :c1 - c0], commutator)
+    for c0 in range(0, n_steps, block):
+        c1 = min(c0 + block, n_steps)
+        work = _stack_view(workspace, (_WORK_STACKS, n, n, c1 - c0))
+        # The block's propagators lie in work[0]; the tree gathers into
+        # work[1] and keeps its levels and scratch in work[2:5].
+        gather, *stacks = work[1:5]
+        u = _magnus_propagators(h, gamma, edges[c0:c1 + 1], work, commutator)
         cuts = np.concatenate(([c0], stops[(stops > c0) & (stops < c1)], [c1]))
         lengths = np.diff(cuts)
         prods = np.empty((n, n, lengths.size), dtype=complex)

@@ -652,7 +652,7 @@ class TestMagnusKernel:
 
         h = HamiltonianRule(5, evaluate)
         gamma = np.array([0.01, 30.0, 0.01, 30.0, 0.0])
-        chunk = qcore._MAGNUS_CHUNK
+        chunk = qcore._BLOCK_ENTRIES // 25
         n_steps = 2 * chunk + chunk // 2
         edges = np.linspace(0.0, 2.0, n_steps + 1)
         sample_idx = np.array([0, 5, chunk + 3, n_steps])
@@ -670,6 +670,42 @@ class TestMagnusKernel:
                 fresh = qcore._walk(h, gamma, np.eye(5), edges, sample_idx, commutator)
             assert flags == [commutator] * 3
             assert np.array_equal(shared, fresh)
+
+    @staticmethod
+    def _walk_blocks(monkeypatch, n, n_steps):
+        # (steps, workspace shape, C-contiguous) of every block of one walk.
+        rng = np.random.default_rng(n)
+        coef = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+        coef = coef + np.swapaxes(coef, 1, 2).conj()
+
+        def evaluate(t):
+            return coef[0] + coef[1] * np.sin(np.asarray(t, dtype=float))[..., None, None]
+
+        blocks, inner = [], qcore._magnus_propagators
+
+        def record(h, gamma, edges, work, commutator):
+            blocks.append((edges.size - 1, work.shape, work.flags.c_contiguous))
+            return inner(h, gamma, edges, work, commutator)
+
+        monkeypatch.setattr(qcore, "_magnus_propagators", record)
+        qcore._walk(HamiltonianRule(n, evaluate), None, np.eye(n),
+                    np.linspace(0.0, 1.0, n_steps + 1), np.array([0, n_steps]))
+        return blocks
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_every_block_works_in_one_contiguous_slab(self, n, monkeypatch):
+        # The short last block too: a column slice of wider stacks is not
+        # C-contiguous, and its steps took twice as long.
+        block = qcore._BLOCK_ENTRIES // n**2
+        got = self._walk_blocks(monkeypatch, n, 2 * block + block // 3)
+        assert got == [(m, (qcore._WORK_STACKS, n, n, m), True)
+                       for m in (block, block, block // 3)]
+
+    @pytest.mark.parametrize("n, block", [(2, 12_800), (3, 5_688), (5, 2_048)])
+    def test_block_length_follows_the_entry_budget(self, n, block, monkeypatch):
+        # 51,200 entries per workspace stack whatever n is.
+        got = self._walk_blocks(monkeypatch, n, 3 * block + 1)
+        assert [steps for steps, _, _ in got] == [block] * 3 + [1]
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_second_order_propagators_match_scipy(self, n):
@@ -725,7 +761,7 @@ class TestMagnusKernel:
 
         h = HamiltonianRule(3, evaluate)
         gamma = np.array([0.0, 1.5, 0.2])
-        chunk = qcore._MAGNUS_CHUNK
+        chunk = qcore._BLOCK_ENTRIES // 9
         n_steps = 3 * chunk + chunk // 2
         edges = np.linspace(0.0, 3.0, n_steps + 1)
         sample_idx = np.array([0, 1, 17, chunk - 1, chunk, chunk + 5, 3 * chunk + 3, n_steps])
@@ -744,7 +780,7 @@ class TestMagnusKernel:
         # The breakpoint and the middle sample are one step edge; a run takes
         # at least 1024 steps, so blocks of 64 put several block edges before
         # it.  The walk stops there once for both.
-        monkeypatch.setattr(qcore, "_MAGNUS_CHUNK", 64)
+        monkeypatch.setattr(qcore, "_BLOCK_ENTRIES", 64 * 9)
         h = schemes.build_lambda(schemes.LambdaParams(
             omega1=lambda t: 40.0 * np.sin(np.pi * t) ** 2, omega2=30.0, delta_single=50.0))
         grid = TimeGrid(0.0, 2.0, 5)
