@@ -575,8 +575,24 @@ def peak_amplitude(schedule: PulseSchedule) -> float:
     """Largest |first channel| over 2001 endpoint-inclusive samples per leg.
 
     The first channel is ``omega`` or ``omega1``; the odd sample count puts
-    each leg's midpoint on the grid, where the smooth designs peak.
+    each leg's midpoint on the grid, where the smooth designs peak.  A leg
+    with a p1, p2 or chainwise design record is read from the record as
+    :func:`peak_amplitudes` reads it: the delta-free profile is sampled once
+    (p1's is a constant) and its peak mapped through the detuning, bitwise
+    the sampled channel's peak, and a chainwise leg's other three channels
+    are never evaluated.  Any other schedule samples its first channel, a
+    column of the stacked couplings.
     """
+    d = schedule.design
+    protocol = d.get("protocol")
+    if protocol == "p1":
+        return float(_p1_coupling(d["t_f"], d["delta_single"], d["beta"]))
+    if protocol in ("p2", "chainwise"):
+        t = np.linspace(0.0, d["t_f"], _PEAK_POINTS)
+        if protocol == "p2":
+            return float(_p2_coupling(d["delta_single"], np.max(_p2_rate(d["aux"].theta_dot(t)))))
+        amplitude = _chain_amplitude(*_effective_pair(*d["aux"].angles(t)), d["floor"])
+        return float(_chain_root(d["delta_single"]) * np.max(amplitude))
     channel = schedule.channels[schedule.channel_names[0]]
     best = 0.0
     start = 0.0

@@ -40,17 +40,31 @@ fixed budget of entries per stack (``_BLOCK_ENTRIES``, so its step count
 falls as n**2 grows), and a block of m steps, the short last one too,
 works in one C-contiguous slab of m-step stacks on the workspace's
 leading memory: in a column slice of wider stacks the matrix exponential
-took twice as long per step.  The call count matters as much as the
-arithmetic: every numpy call hands the GIL back and forth, so fewer,
-larger calls per block are what lets the sweep thread pool run cells in
-parallel.
+took twice as long per step.
 H(t) is evaluated once per block, at both Gauss nodes together, and turned
 to this layout there; only the piece propagators that psi takes are turned
 back.
+
+The sweep thread pool runs cells on threads of one process, and what
+limits their overlap is the GIL, not the arithmetic.  Two threads walking
+the same 8,192-step 5 x 5 run each took 1.19-1.26 x as long as one thread
+alone (medians of three sets of 30 rounds, 2 vCPUs), while two processes
+took 0.96-1.01 x.  A numpy call on more than about 500 entries hands the
+GIL over and takes it back; the Python and small-array work between such
+calls runs with the GIL held, and the other thread waits for it.  So the
+fixed work of a block is kept small: a product whose result has fewer
+than ``_TAIL_ENTRIES`` entries (the last levels of every product tree,
+every product of a short block) is one broadcast multiply and one
+reduction instead of 2k - 1 calls, diagonal views are reshaped slices,
+sizes are ``math.prod`` of Python ints, reductions are array methods, and
+a block with no stop inside it skips the piece bookkeeping.  With that,
+the two threads took 1.12-1.15 x.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -290,17 +304,35 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
         out = np.empty(shape, dtype=complex)
     if term is None:
         term = np.empty(shape, dtype=complex)
-    np.multiply(a[:, 0, None], b[None, 0], out=out)
+    np.multiply(a[:, 0, None], b[None, 0], out)
     for j in range(1, a.shape[1]):
-        np.multiply(a[:, j, None], b[None, j], out=term)
-        out += term
+        np.multiply(a[:, j, None], b[None, j], term)
+        np.add(out, term, out)
     return out
 
 
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """``a @ b`` of entries-first stacks into ``out``: :func:`_matmul`, or
+    one broadcast multiply and one reduction over k when ``out`` holds fewer
+    than ``_TAIL_ENTRIES`` entries (``term`` is then unused).
+    """
+    if out.size < _TAIL_ENTRIES:
+        return np.add.reduce(np.multiply(a[:, :, None], b[None]), 1, None, out)
+    return _matmul(a, b, out, term)
+
+
 def _diagonal(x: np.ndarray) -> np.ndarray:
-    """Writable (n, *batch) view of the diagonal entries of an entries-first stack."""
-    return np.lib.stride_tricks.as_strided(
-        x, shape=x.shape[1:], strides=(x.strides[0] + x.strides[1],) + x.strides[2:])
+    """Writable (n, *batch) view of the diagonal entries of an (n, n, *batch) stack.
+
+    The first two axes are merged and every (n + 1)-th row kept, which needs
+    them to merge without a copy (``x.strides[0] == n * x.strides[1]``, as
+    on every workspace stack and column slice of one); otherwise the call
+    raises rather than hand out a copy that writes would not reach.
+    """
+    n = x.shape[0]
+    if x.strides[0] != n * x.strides[1]:
+        raise ValueError(f"no diagonal view of a stack with strides {x.strides}")
+    return x.reshape((n * n,) + x.shape[2:])[::n + 1]
 
 
 _WORK_STACKS = 6
@@ -345,27 +377,27 @@ def _expm_batch(a: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     b, b2, b3, e, f, term = work
     n = a.shape[0]
     np.copyto(b, a)
-    mu = np.trace(b) / n
+    mu = b.trace() / n
     diag = _diagonal(b)
-    diag -= mu
-    norm = float(np.max(np.sum(np.abs(b), axis=1))) if b.size else 0.0
-    s = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.5))))
-    b *= 2.0**-s
-    _matmul(b, b, b2, term)
-    _matmul(b2, b, b3, term)
+    np.subtract(diag, mu, diag)
+    norm = float(np.abs(b).sum(axis=1).max()) if b.size else 0.0
+    s = max(0, math.ceil(math.log2(max(norm, 1e-300) / 0.5)))
+    np.multiply(b, 2.0**-s, b)
+    _product(b, b, b2, term)
+    _product(b2, b, b3, term)
     # Horner in b**3 from b**3 / 12! down, adding sum_{i<3} b**i / (k+i)!
     # in place at each level; e and f swap as product and operand.
-    np.multiply(b3, _INV_FACTORIAL[12], out=e)
+    np.multiply(b3, _INV_FACTORIAL[12], e)
     for k in (9, 6, 3, 0):
         if k < 9:
-            e, f = _matmul(b3, e, f, term), e
-        e += np.multiply(b, _INV_FACTORIAL[k + 1], out=term)
-        e += np.multiply(b2, _INV_FACTORIAL[k + 2], out=term)
+            e, f = _product(b3, e, f, term), e
+        np.add(e, np.multiply(b, _INV_FACTORIAL[k + 1], term), e)
+        np.add(e, np.multiply(b2, _INV_FACTORIAL[k + 2], term), e)
         diag = _diagonal(e)
-        diag += _INV_FACTORIAL[k]
+        np.add(diag, _INV_FACTORIAL[k], diag)
     for _ in range(s):
-        e, f = _matmul(e, e, f, term), e
-    return np.multiply(e, np.exp(mu), out=work[0])
+        e, f = _product(e, e, f, term), e
+    return np.multiply(e, np.exp(mu), work[0])
 
 
 def _validated_tol(tol: float) -> float:
@@ -390,26 +422,26 @@ def _checked_action(h: HamiltonianRule, grid: TimeGrid,
     times = np.concatenate([samples, np.linspace(grid.t_start, grid.t_end,
                                                  min(129, max(grid.n_samples, 33)))])
     mats = h.matrices(times)
-    finite = np.all(np.isfinite(mats), axis=(-2, -1))
-    if not np.all(finite):
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if not finite.all():
         raise ValueError(
             f"Hamiltonian evaluator returned non-finite entries at t = {times[~finite][0]:.6g}"
         )
     at_samples, at_probes = mats[:samples.size], mats[samples.size:]
-    defect = float(np.max(np.abs(at_samples - np.swapaxes(at_samples, -1, -2).conj())))
-    scale = max(1.0, float(np.max(np.abs(at_samples))))
+    defect = float(np.abs(at_samples - np.swapaxes(at_samples, -1, -2).conj()).max())
+    scale = max(1.0, float(np.abs(at_samples).max()))
     if defect > 1e-12 * scale:
         raise ValueError(
             f"Hamiltonian evaluator is not Hermitian: max asymmetry {defect:.3e}"
         )
     magnitude = np.abs(at_probes)
-    row_sums = np.sum(magnitude, axis=-1)
-    omega = float(np.max(row_sums))
+    row_sums = magnitude.sum(axis=-1)
+    omega = float(row_sums.max())
     if gamma is not None and gamma.size:
-        omega += 0.5 * float(np.max(gamma))
+        omega += 0.5 * float(gamma.max())
     diagonal = np.diagonal(at_probes, axis1=-2, axis2=-1).real
-    rate = float(np.max(np.ptp(diagonal, axis=-1)))
-    coupling = float(np.max(row_sums - np.diagonal(magnitude, axis1=-2, axis2=-1)))
+    rate = float((diagonal.max(axis=-1) - diagonal.min(axis=-1)).max())
+    coupling = float((row_sums - np.diagonal(magnitude, axis1=-2, axis2=-1)).max())
     ratio = rate / coupling if coupling > 0.0 else np.inf
     return grid.duration * omega, rate, ratio
 
@@ -503,7 +535,7 @@ def _magnus_propagators(h: HamiltonianRule, gamma: np.ndarray | None, edges: np.
     commutator term is dropped: the generator is -i dt (h1 + h2) / 2 -
     dt diag(gamma) / 2, a second-order step on the same nodes.
     """
-    dt = np.diff(edges)
+    dt = edges[1:] - edges[:-1]
     m = dt.size
     n = h.dimension
     if work is None:
@@ -511,26 +543,27 @@ def _magnus_propagators(h: HamiltonianRule, gamma: np.ndarray | None, edges: np.
     h1, h2, p, comm, omega, term = work
     nodes = h.matrices(np.concatenate([edges[:-1] + _GL_C1 * dt, edges[:-1] + _GL_C2 * dt]))
     np.copyto(work[:2], nodes.reshape(2, m, n, n).transpose(0, 2, 3, 1))
-    np.multiply(-0.5j * dt, np.add(h1, h2, out=omega), out=omega)
-    lossy = gamma is not None and np.any(gamma)
+    np.multiply(-0.5j * dt, np.add(h1, h2, omega), omega)
+    lossy = gamma is not None and gamma.any()
     if lossy:
         diag = _diagonal(omega)
-        diag -= 0.5 * dt * gamma[:, None]
+        np.subtract(diag, 0.5 * dt * gamma[:, None], diag)
     if commutator:
         # h1 and h2 are Hermitian, so [h1, h2] = p - p^dagger with p = h1 h2.
-        _matmul(h1, h2, p, term)
-        np.subtract(p, np.conjugate(p.transpose(1, 0, 2), out=comm), out=comm)
+        _product(h1, h2, p, term)
+        np.subtract(p, np.conjugate(p.transpose(1, 0, 2), comm), comm)
         if lossy:
             # With the diagonal loss L = -i/2 diag(gamma) on both nodes,
             # [h1 + L, h2 + L] = [h1, h2] + [L, h2 - h1], entrywise in L.
             loss = -0.5j * gamma
-            comm += np.multiply((loss[:, None] - loss[None, :])[:, :, None],
-                                np.subtract(h2, h1, out=term), out=term)
-        omega += np.multiply(np.sqrt(3.0) / 12.0 * dt * dt, comm, out=comm)
-    finite = np.all(np.isfinite(omega), axis=(0, 1))
-    if not np.all(finite):
+            np.add(comm, np.multiply((loss[:, None] - loss[None, :])[:, :, None],
+                                     np.subtract(h2, h1, term), term), comm)
+        np.add(omega, np.multiply(np.sqrt(3.0) / 12.0 * dt * dt, comm, comm), omega)
+    finite = np.isfinite(omega)
+    if not finite.all():
+        bad = ~finite.all(axis=(0, 1))
         raise IntegrationError(
-            f"non-finite Magnus generator on the step starting at t = {edges[:-1][~finite][0]:.6g}"
+            f"non-finite Magnus generator on the step starting at t = {edges[:-1][bad][0]:.6g}"
         )
     return _expm_batch(omega, work)
 
@@ -543,6 +576,19 @@ def _magnus_propagators(h: HamiltonianRule, gamma: np.ndarray | None, edges: np.
 # so fewer GIL handoffs, per step.  On the bench map's tiles, half this
 # budget (1,024 steps at 5 x 5) took 21% longer per pass and twice it 5%.
 _BLOCK_ENTRIES = 51_200
+# A product whose result holds fewer entries than this skips _matmul: the
+# whole (n, k, m, *batch) stack of terms is one broadcast multiply and the
+# sum over k one reduction, 2 numpy calls in place of 2k - 1 (the same
+# terms summed in the same order: every bench map cell and scenario
+# compared came out bit for bit equal).  Its scratch is k times the result,
+# and a 5 x 5 product of 2,048 steps took 1.3-1.4 x as long this way, so
+# large stacks keep _matmul.  Below about 500 entries numpy keeps the GIL
+# through a call, so there the call count is the whole cost: one thread
+# took 6 against 26 us for a 5 x 5 product of 4 steps, 30 against 48 us
+# for one of 64 steps.  In process, the 8 seed-3 bench map tiles took the
+# same time per pass at 4,096 and at 16,384 entries (20 alternating
+# passes, two sweep threads).
+_TAIL_ENTRIES = 4_096
 
 
 def _stack_view(stack: np.ndarray, shape: tuple) -> np.ndarray:
@@ -551,32 +597,36 @@ def _stack_view(stack: np.ndarray, shape: tuple) -> np.ndarray:
 
     Packed rows keep a small tree level or a short block compact; the
     stack's own rows lie a power of two apart, and strided streams that far
-    apart collide in the caches.
+    apart collide in the caches.  The size is ``math.prod`` of the shape:
+    ``np.prod`` is a Python-level numpy reduction, and this runs two dozen
+    times per block.
     """
-    return stack.reshape(-1)[:int(np.prod(shape))].reshape(shape)
+    return stack.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 def _ordered_product(x: np.ndarray, stacks=None) -> np.ndarray:
     """``x[:, :, m-1] @ ... @ x[:, :, 0]`` by a pairwise tree.
 
     ``x`` is entries first, (n, n, m, *batch); the product over axis 2 is
-    (n, n, *batch).  Each level pairs neighbours and carries an odd last
-    factor up unchanged.  The levels alternate between the first two of
-    ``stacks``, three contiguous (n, n, size) workspace stacks that ``x``
-    does not overlap (allocated when not given), and the third is the products'
-    scratch; ``size`` must hold ceil(m / 2) * batch columns.  The result is
-    a view into a stack.
+    (n, n, *batch).  Each level pairs neighbours by one :func:`_product`
+    and carries an odd last factor up unchanged; the levels whose products
+    hold fewer than ``_TAIL_ENTRIES`` entries, the last 8 of a full 5 x 5
+    block and the last 10 of a 3 x 3 one, take two numpy calls each, and
+    the levels above them 2n - 1.  The levels alternate between the
+    first two of ``stacks``, three contiguous (n, n, size) workspace stacks
+    that ``x`` does not overlap (allocated when not given), and the third
+    is the products' scratch; ``size`` must hold ceil(m / 2) * batch
+    columns.  The result is a view into a stack.
     """
     if stacks is None:
-        size = -(-x.shape[2] // 2) * int(np.prod(x.shape[3:]))
+        size = -(-x.shape[2] // 2) * math.prod(x.shape[3:])
         stacks = np.empty((3,) + x.shape[:2] + (size,), dtype=complex)
     level, spare, term = stacks
     while (m := x.shape[2]) > 1:
         half = m // 2
-        shape = x.shape[:2] + (half + m % 2,) + x.shape[3:]
-        out = _stack_view(level, shape)
-        _matmul(x[:, :, 1::2], x[:, :, 0:m - 1:2], out[:, :, :half],
-                _stack_view(term, x.shape[:2] + (half,) + x.shape[3:]))
+        out = _stack_view(level, x.shape[:2] + (half + m % 2,) + x.shape[3:])
+        product = out[:, :, :half]
+        _product(x[:, :, 1::2], x[:, :, 0:m - 1:2], product, _stack_view(term, product.shape))
         if m % 2:
             out[:, :, half] = x[:, :, -1]
         x, level, spare = out, spare, level
@@ -591,9 +641,10 @@ def _walk(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     Steps are built in blocks of ``_BLOCK_ENTRIES // n**2`` that share one
     workspace; each block of m steps works in one C-contiguous
     (_WORK_STACKS, n, n, m) slab on its leading memory, the short last
-    block too.  Each block is cut at the stops inside it, its pieces are
-    reduced by the pairwise tree (pieces of equal length as one batch), and
-    the state takes the pieces in order.  ``commutator`` is passed to
+    block too.  A block with no stop inside it is reduced by the pairwise
+    tree where it lies.  Any other block is cut at its stops, its pieces
+    are reduced by the tree (pieces of equal length as one batch), and the
+    state takes the pieces in order.  ``commutator`` is passed to
     :func:`_magnus_propagators`: False takes the second-order step.
     """
     n = h.dimension
@@ -602,6 +653,7 @@ def _walk(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     workspace = _workspace(n, min(block, n_steps))
     psi = np.asarray(psi0, dtype=complex)
     walked, ends = [psi], [0]
+    stop_list = stops.tolist()
     for c0 in range(0, n_steps, block):
         c1 = min(c0 + block, n_steps)
         work = _stack_view(workspace, (_WORK_STACKS, n, n, c1 - c0))
@@ -609,20 +661,24 @@ def _walk(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
         # work[1] and keeps its levels and scratch in work[2:5].
         gather, *stacks = work[1:5]
         u = _magnus_propagators(h, gamma, edges[c0:c1 + 1], work, commutator)
-        cuts = np.concatenate(([c0], stops[(stops > c0) & (stops < c1)], [c1]))
+        inside = stop_list[bisect_right(stop_list, c0):bisect_left(stop_list, c1)]
+        if not inside:
+            psi = _ordered_product(u, stacks) @ psi
+            walked.append(psi)
+            ends.append(c1)
+            continue
+        cuts = np.array([c0, *inside, c1])
         lengths = np.diff(cuts)
         prods = np.empty((n, n, lengths.size), dtype=complex)
         for length in _distinct(lengths):
             sel = np.flatnonzero(lengths == length)
             idx = np.arange(length)[:, None] + cuts[sel] - c0
-            # A block in one piece is reduced where it lies.
-            pieces = u[..., None] if lengths.size == 1 else np.take(
-                u, idx, axis=2, out=_stack_view(gather, (n, n) + idx.shape))
+            pieces = np.take(u, idx, axis=2, out=_stack_view(gather, (n, n) + idx.shape))
             prods[:, :, sel] = _ordered_product(pieces, stacks)
         for piece in prods.transpose(2, 0, 1).copy():
             psi = piece @ psi
             walked.append(psi)
-        ends.extend(cuts[1:])
+        ends.extend(cuts[1:].tolist())
     return np.array(walked)[np.searchsorted(ends, stops)]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import warnings
 
@@ -16,6 +17,7 @@ from chainwise_sta import (
     peak_amplitude,
     propagate_state,
 )
+import chainwise_sta.protocols as protocols_mod
 from chainwise_sta.protocols import _chain_effective_couplings, effective_rule, hamiltonian_rule
 from chainwise_sta.schemes import _chain_rule, stack_channels
 
@@ -272,6 +274,45 @@ class TestChainwise:
             design_chainwise(8.0, 1270 * np.pi, 1.0)
         with pytest.raises(ValueError):
             design_chainwise(8.0, -1270 * np.pi, 0.03)
+
+
+class TestPeakAmplitude:
+    def test_designed_leg_samples_its_profile_once(self, chain_schedule, monkeypatch):
+        # A designed chainwise leg is read from its record: one angle
+        # evaluation on the 2001 peak samples, and the four stacked
+        # channels are never evaluated.  The same leg without its record
+        # samples its first channel, a column of one couplings call.
+        stacked = []
+
+        def counted_couplings(t):
+            stacked.append(np.size(t))
+            return chain_schedule.couplings(t)
+
+        spy = dataclasses.replace(chain_schedule, couplings=counted_couplings)
+        bare = dataclasses.replace(spy, design={})
+        angles = ThreeLevelAux.angles
+        calls = []
+
+        def counted_angles(aux, t):
+            calls.append(np.size(t))
+            return angles(aux, t)
+
+        monkeypatch.setattr(ThreeLevelAux, "angles", counted_angles)
+        stacked.clear()
+        peak_amplitude(spy)
+        assert calls == [2001]
+        assert stacked == []
+        peak_amplitude(bare)
+        assert stacked == [2001]
+
+    @pytest.mark.parametrize("protocol", ["p1", "p2", "chainwise"])
+    def test_record_peak_equals_sampled_channel_bitwise(self, protocol):
+        # The same leg without its design record takes the channel path.
+        design = {"p1": design_protocol1, "p2": design_protocol2,
+                  "chainwise": lambda t_f, d: design_chainwise(t_f, d, 0.03)}[protocol]
+        for t_f, delta in ((1.0, 1000 * np.pi), (3.3, 2718.0), (8.0, 5000 * np.pi)):
+            leg = design(t_f, delta)
+            assert peak_amplitude(leg) == peak_amplitude(dataclasses.replace(leg, design={}))
 
 
 class TestRoundtrip:

@@ -744,6 +744,89 @@ class TestMagnusKernel:
                 want = x[c, k] @ want
             assert np.max(np.abs(got[:, :, c] - want)) <= 1e-14 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("batch", [(), (3,), (40,)], ids=["one", "three", "forty"])
+    def test_tree_matches_sequential_product(self, n, batch):
+        # Pieces of 1 to 70 unitary steps, one, three or forty at a time:
+        # levels under _TAIL_ENTRIES take the stacked product, and forty
+        # long pieces start on _matmul.
+        rng = np.random.default_rng(10 * n + len(batch))
+        for length in range(1, 71):
+            z = rng.normal(size=batch + (length, n, n)) + 1j * rng.normal(size=batch + (length, n, n))
+            x = np.linalg.qr(z)[0]
+            want = np.broadcast_to(np.eye(n, dtype=complex), batch + (n, n))
+            for k in range(length):
+                want = x[..., k, :, :] @ want
+            got = qcore._ordered_product(np.moveaxis(x, (-3, -2, -1), (2, 0, 1)))
+            err = np.linalg.norm(np.moveaxis(got, (0, 1), (-2, -1)) - want, axis=(-2, -1))
+            assert np.max(err) <= 1e-13 * np.sqrt(n), length
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_matmul_never_takes_a_stack_under_the_tail_threshold(self, n, monkeypatch):
+        # Two and a half blocks, the first cut into pieces of 5 and
+        # block - 5 steps: every product smaller than _TAIL_ENTRIES, the
+        # short pieces' whole trees and every tree's last levels, goes to
+        # the stacked product instead.
+        block = qcore._BLOCK_ENTRIES // n**2
+        n_steps = 2 * block + block // 2
+        rng = np.random.default_rng(n)
+        coef = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+        coef = coef + np.swapaxes(coef, 1, 2).conj()
+
+        def evaluate(t):
+            return coef[0] + coef[1] * np.sin(np.asarray(t, dtype=float))[..., None, None]
+
+        sizes, stacked = [], []
+        matmul, product = qcore._matmul, qcore._product
+
+        def record_matmul(a, b, out=None, term=None):
+            sizes.append(out.size)
+            return matmul(a, b, out, term)
+
+        def record_product(a, b, out, term):
+            stacked.append(out.size < qcore._TAIL_ENTRIES)
+            return product(a, b, out, term)
+
+        monkeypatch.setattr(qcore, "_matmul", record_matmul)
+        monkeypatch.setattr(qcore, "_product", record_product)
+        qcore._walk(HamiltonianRule(n, evaluate), np.linspace(0.0, 1.0, n), np.eye(n),
+                    np.linspace(0.0, 1.0, n_steps + 1), np.array([0, 5, block + 3, n_steps]))
+        assert sizes and min(sizes) >= qcore._TAIL_ENTRIES
+        assert any(stacked)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_diagonal_is_a_view_of_every_stack_the_walk_hands_it(self, n, monkeypatch):
+        # Lossy steps, so the generator takes diagonal views too; each view
+        # starts at entry (0, 0) of the stack's own memory and steps one row
+        # and one column at a time.
+        block = qcore._BLOCK_ENTRIES // n**2
+        n_steps = 2 * block + block // 3
+        seen, diagonal = [], qcore._diagonal
+
+        def record(x):
+            d = diagonal(x)
+            seen.append((d.shape == (n,) + x.shape[2:], d.flags.writeable,
+                         d.__array_interface__["data"][0] == x.__array_interface__["data"][0],
+                         d.strides == (x.strides[0] + x.strides[1],) + x.strides[2:]))
+            return d
+
+        monkeypatch.setattr(qcore, "_diagonal", record)
+        h = HamiltonianRule(n, lambda t: np.diag(np.arange(n) * 40.0) * np.cos(
+            np.asarray(t, dtype=float))[..., None, None] + np.ones((n, n)))
+        qcore._walk(h, np.linspace(0.0, 2.0, n), np.eye(n), np.linspace(0.0, 3.0, n_steps + 1),
+                    np.array([0, 7, n_steps]))
+        assert len(seen) >= 3 * 6
+        assert all(all(checks) for checks in seen)
+
+    def test_diagonal_writes_reach_the_stack_or_raise(self):
+        x = np.zeros((3, 3, 8), dtype=complex)
+        d = qcore._diagonal(x[:, :, 2:7])
+        d += 1.0
+        assert np.array_equal(x[:, :, 2:7], np.broadcast_to(np.eye(3)[:, :, None], (3, 3, 5)))
+        assert not np.any(x[:, :, :2]) and not np.any(x[:, :, 7:])
+        with pytest.raises(ValueError, match="no diagonal view"):
+            qcore._diagonal(x.transpose(1, 0, 2))
+
     def test_sample_propagators_match_sequential_product(self):
         # Three and a half blocks of steps; samples one step in, inside a
         # block, on both sides of a block edge and exactly on it, and one
