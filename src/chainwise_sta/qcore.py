@@ -14,7 +14,7 @@ and returns the same :class:`StateTrajectory` as :func:`propagate_state`.
 Propagation uses one integrator: a fixed-step Magnus method with two-point
 Gauss collocation and batched matrix exponentials (Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009)).  Its step is fourth order, except on the
-certified step pair below, which drops the commutator term and takes the
+certified coarse runs below, which drop the commutator term and take the
 second-order step on the same nodes.  The steps are built in blocks;
 each block is cut at the output samples and breakpoints inside it, each
 piece's step propagators are multiplied by a pairwise tree, and psi takes
@@ -24,9 +24,13 @@ sampled spectral scale of H(t) rather than its stiffness.  Step edges are
 grade-refined at segment boundaries where pulse envelopes have square-root
 edges or clamped spikes.  The step count is a heuristic in the sampled
 action, except where the couplings are weak against the static detuning:
-there two coarse second-order counts are run and the finer is kept when
-their populations agree within tol / 2 (see ``_propagate``).  Identical
-inputs produce bitwise-identical trajectories on one platform.
+there a coarse second-order count, 5.5 pi of detuning phase per step, is
+run and checked by a second count, coarser (a check rung at 13.5 pi or
+7.5 pi, where the coupling ratio leaves a wide margin) or else finer
+(3.5 pi).  When their populations agree within tol / 2, the 5.5 pi run is
+kept after a rung and the 3.5 pi run after the finer check (see
+``_propagate``).  Identical inputs produce bitwise-identical trajectories
+on one platform.
 
 Inside the Magnus core every stack of step matrices is held entries first,
 as (n, n, steps): entry (i, j) of all steps is one contiguous vector.  A
@@ -682,25 +686,27 @@ def _walk(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     return np.array(walked)[np.searchsorted(ends, stops)]
 
 
-# Runs whose couplings are weak against the static detuning take a checked
-# pair of coarse step counts of the second-order Magnus step (the commutator
-# term dropped) in place of the heuristic one.  _PAIR_PHASES are the phases
+# Runs whose couplings are weak against the static detuning take checked
+# coarse step counts of the second-order Magnus step (the commutator term
+# dropped) in place of the heuristic one.  _PAIR_PHASES are the phases
 # delta_h = rate * duration / n that the static detuning turns per step in
-# the two runs.  Both lie 0.5 pi from the nearest 2 pi k, where step errors
-# add coherently and two runs can agree by accident (Iserles, BIT 42
-# (2002)).
+# the pair's two runs: the 5.5 pi run is always walked and checked, and the
+# 3.5 pi run checks it where no check rung (below) does.  Both lie 0.5 pi
+# from the nearest 2 pi k, where step errors add coherently and two runs
+# can agree by accident (Iserles, BIT 42 (2002)).
 _PAIR_PHASES = (3.5 * np.pi, 5.5 * np.pi)
 # On the 256 cells of the bench map grids (p2 t_f 1-6 us, chainwise 1-8 us,
-# delta 1000 pi-5000 pi, all 8 jitter levels), the final population of the
-# second-order step at delta_h = 3.5 pi is off from a 200k-step run of the
+# delta 1000 pi-5000 pi, all 8 jitter levels), the final populations of the
+# second-order step at delta_h = 3.5 pi are off from a 200k-step run of the
 # same core by about K / R**4, R the coupling ratio of _checked_action, with
-# K in 0.0005-0.129 for p2 and 0.124-0.337 for chainwise.  The fourth-order
-# step measured 0.053-0.157 and 0.069-0.442: at these delta_h its commutator
-# term does not lower the error, it only costs time.  The gate admits a run
-# where that fit, taken at K = 0.45, stays within tol / 2, the agreement
-# check's own tolerance: R**4 * tol >= 2 * 0.45.  At tol 1e-6 that is
-# R >= 30.8, and 168 of the 256 cells pass it.  The fit is an empirical
-# estimate, not a bound; the agreement check below is what decides.
+# K in 0.06-0.13 for p2 and 0.19-0.34 for chainwise; at 5.5 pi K is at most
+# 0.64.  The fourth-order step measured 0.053-0.157 and 0.069-0.442 at
+# 3.5 pi: at these delta_h its commutator term does not lower the error, it
+# only costs time.  The gate admits a run where the 3.5 pi fit, taken at
+# K = 0.45, stays within tol / 2, the agreement check's own tolerance:
+# R**4 * tol >= 2 * 0.45.  At tol 1e-6 that is R >= 30.8, and 168 of the
+# 256 cells pass it.  The fit is an empirical estimate, not a bound; the
+# agreement check below is what decides.
 _PAIR_GATE = 2 * 0.45
 # The gate and the agreement check were fitted on runs sampled only at
 # their two ends, the efficiency map's traffic, and only such runs try the
@@ -711,19 +717,47 @@ _PAIR_GATE = 2 * 0.45
 # nothing.
 #
 # Every segment between breakpoints must also take at least this many
-# uniform steps in the coarser run.  Then each uniform step turns between
+# uniform steps in the 5.5 pi run.  Then each uniform step turns between
 # about 7/8 of its target phase and the target (4.8 pi-5.5 pi and
 # 3.2 pi-3.5 pi), 0.5 pi or more from every 2 pi k, and the two runs cut
 # every segment differently.  The map cells have one segment and take 697
 # coarse steps or more in it.
 _PAIR_MIN_STEPS = 8
-# The pair certifies when every population at every sample and breakpoint
+# A check certifies when every population at every sample and breakpoint
 # agrees between its two runs within this fraction of tol.  At tol 1e-6,
-# all 168 gated map cells certify; their populations lie within 1.9e-7 of
-# the 200k-step runs.  Over 600 end-sampled p1, p2 and chainwise scenario
-# and round-trip runs (t_f 1-8 us, delta 1000 pi-5000 pi, tol 1e-8-1e-4),
-# 265 of the 274 gated runs certify, within 0.38 x tol of 200k-step runs.
+# all 168 gated map cells certify (144 on a check rung, 24 on the 3.5 pi
+# run), within 0.29 x tol of the 200k-step runs.  Over 600 end-sampled
+# p1, p2 and chainwise scenario and round-trip runs (t_f 1-8 us,
+# delta 1000 pi-5000 pi, tol 1e-8-1e-4), 408 try a check and 400 certify,
+# within 0.45 x tol of 200k-step runs (340 on a rung, within 0.22 x tol).
 _PAIR_AGREEMENT = 0.5
+# Check rungs, coarsest first, as (phase, gate, minimum steps).  A run
+# whose R**4 * tol clears a rung's gate, and whose rung run cuts every
+# segment into the minimum uniform steps, checks its 5.5 pi run against
+# that one second-order run, and returns the 5.5 pi run when they agree;
+# the 3.5 pi run, the most steps of all, is then never walked.  A failed
+# rung leaves the 3.5 pi check as before.  The rung run is only a check:
+# on the map cells the 5.5 pi run's error stayed within 0.87 x its
+# agreement with the 7.5 pi run and 0.53 x with the 13.5 pi run (the
+# 3.5 pi run's, 0.96 x with the 5.5 pi run), but a 7.5 pi run checked by a
+# 13.5 pi run reached 6.6 x, so no run coarser than 5.5 pi is returned.
+# The second-order error at 7.5 pi follows K / R**4 with K up to 1.90, at
+# 13.5 pi up to 3.26 (256 map cells).  The 13.5 pi gate keeps that fit,
+# taken at K = 3.3, within tol / 2; its check failed only at
+# R**4 * tol <= 4.0.  The 7.5 pi run's agreement with the 5.5 pi run
+# measured K <= 1.43, and its check failed only at R**4 * tol <= 1.82, so
+# its gate is the fit at K = 1.0.  At tol 1e-6, 88 map cells take the
+# 13.5 pi rung and 56 the 7.5 pi one, and none fails its check.  Of the
+# 600 scenario and round-trip runs above, 19 fail a rung check, mostly
+# chainwise round trips on the 7.5 pi rung (R**4 * tol up to 5.5; up to
+# 7.6 on the 13.5 pi rung), and walk the 3.5 pi run or the heuristic
+# count after it.  The 600 runs walk 7.30M steps in all, 8.41M without
+# the rungs.  The gates only save work; the agreement decides.  The
+# minimum steps keep every uniform step of the rung run 0.5 pi or more
+# from every 2 pi k, as _PAIR_MIN_STEPS does for the 5.5 pi run: with k
+# steps a segment's step turns more than (k - 1) / k of the target, so
+# 13.5 pi needs 14 (above 12.5 pi) and 7.5 pi needs 8 (above 6.5 pi).
+_CHECK_RUNGS = ((13.5 * np.pi, 2 * 3.3, 14), (7.5 * np.pi, 2 * 1.0, 8))
 
 
 def _pair_gate_open(ratio: float, tol: float) -> bool:
@@ -740,15 +774,25 @@ def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     Breakpoints are step edges, so the walk stops there too and gives
     their states.
 
-    When the grid samples only the run's two ends, the coupling ratio R
-    clears the gate (:func:`_pair_gate_open`), the coarser of the two step
-    counts at ``_PAIR_PHASES`` cuts every segment between breakpoints into
-    at least ``_PAIR_MIN_STEPS`` steps, and the two take fewer steps
-    together than the heuristic count, both are run with the second-order
-    step (no commutator term).  The finer one is returned if their
-    populations agree within ``_PAIR_AGREEMENT * tol`` at both ends and
-    every breakpoint.  Otherwise the heuristic count runs with the
-    fourth-order step, bit for bit as without the pair.
+    When the grid samples only the run's two ends and the coupling ratio R
+    clears the gate (:func:`_pair_gate_open`), the step count at 5.5 pi per
+    step (``_PAIR_PHASES[1]``) is run with the second-order step (no
+    commutator term) and checked by coarser or finer second-order runs.
+    A check runs only where it and the 5.5 pi run take fewer steps together
+    than the heuristic count and the coarser of the two cuts every segment
+    between breakpoints into its minimum number of steps.  The checks, in
+    order:
+
+    1. the first of ``_CHECK_RUNGS`` whose gate R**4 * tol clears: if the
+       populations agree within ``_PAIR_AGREEMENT * tol`` at both ends and
+       every breakpoint, the 5.5 pi run is returned;
+    2. the 3.5 pi run (``_PAIR_PHASES[0]``), with at least
+       ``_PAIR_MIN_STEPS`` steps per segment in the 5.5 pi run: if they
+       agree, the 3.5 pi run is returned, bit for bit as without the rungs.
+
+    Otherwise the heuristic count runs with the fourth-order step, bit for
+    bit as without the checks.  The 5.5 pi run is walked at most once, and
+    no returned run is coarser than it.
     """
     action, rate, ratio = _checked_action(h, grid, gamma)
     segs = _segment_edges(grid, breakpoints)
@@ -766,17 +810,38 @@ def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
                                breakpoint_times=inner,
                                breakpoint_states=states[np.searchsorted(stops, inner_idx)])
 
+    def step_count(phase):
+        return int(np.ceil(rate * grid.duration / phase))
+
     heuristic = _magnus_step_count(tol, action)
     if grid.n_samples == 2 and _pair_gate_open(ratio, tol):
-        fine_n, coarse_n = (int(np.ceil(rate * grid.duration / phase)) for phase in _PAIR_PHASES)
-        coarse_steps = _gap_steps(segs, grid.duration, coarse_n)
-        if fine_n + coarse_n < heuristic and coarse_steps.min() >= _PAIR_MIN_STEPS:
-            fine, coarse = nodes(fine_n), nodes(coarse_n)
-            if fine[0].size + coarse[0].size - 2 < heuristic:
-                traj, check = walk(*fine, commutator=False), walk(*coarse, commutator=False)
-                if np.all(np.abs(_populations(traj) - _populations(check))
-                          <= _PAIR_AGREEMENT * tol):
-                    return traj
+        kept_n = step_count(_PAIR_PHASES[1])
+
+        def fits(phase, min_steps):
+            # The 5.5 pi run and a check at ``phase`` take fewer steps
+            # together than the heuristic count, and the coarser of the two
+            # cuts every segment into at least ``min_steps`` steps.
+            n = step_count(phase)
+            return (n + kept_n < heuristic
+                    and _gap_steps(segs, grid.duration, min(n, kept_n)).min() >= min_steps)
+
+        rung = next((phase for phase, gate, min_steps in _CHECK_RUNGS
+                     if ratio**4 * tol >= gate and fits(phase, min_steps)), None)
+        checks = [] if rung is None else [rung]
+        if fits(_PAIR_PHASES[0], _PAIR_MIN_STEPS):
+            checks.append(_PAIR_PHASES[0])
+        kept_nodes = nodes(kept_n) if checks else None
+        kept = None
+        for phase in checks:
+            check_nodes = nodes(step_count(phase))
+            if check_nodes[0].size + kept_nodes[0].size - 2 >= heuristic:
+                continue
+            if kept is None:
+                kept = walk(*kept_nodes, commutator=False)
+            check = walk(*check_nodes, commutator=False)
+            if np.all(np.abs(_populations(kept) - _populations(check))
+                      <= _PAIR_AGREEMENT * tol):
+                return kept if phase == rung else check
     return walk(*nodes(heuristic))
 
 
@@ -804,10 +869,13 @@ def propagate_state(
         Output window and sampling density.
     tol : float
         In [1e-12, 1e-4].  A run sampled only at its two ends, whose
-        static detuning dominates the couplings enough, tries two coarse
-        step counts of the second-order Magnus step and keeps the finer
-        one only if their populations agree within tol / 2 at both ends
-        and every breakpoint (see :func:`_propagate`).  That agreement
+        static detuning dominates the couplings enough, runs a coarse step
+        count of the second-order Magnus step (5.5 pi of detuning phase
+        per step) and checks it against a second count: a coarser check
+        rung where the coupling ratio leaves a wide margin, else a finer
+        count.  It keeps the 5.5 pi run after a rung, or the finer run,
+        only if their populations agree within tol / 2 at both ends and
+        every breakpoint (see :func:`_propagate`).  That agreement
         estimates the populations' error there; it is not a bound, and
         phases and coherences are not checked.  Every other run takes a
         heuristic step count of the fourth-order step, whose error is not
@@ -877,11 +945,12 @@ def propagate_density(
     fraction of population still inside the modelled levels.  The trace is
     checked not to grow by more than 10 * tol between samples.  ``tol``
     acts as in :func:`propagate_state`: a certified run's populations at
-    both ends and every breakpoint agree between two second-order step
-    counts within tol / 2, an estimate of their error rather than a
-    bound; phases and coherences are not checked, and an uncertified run
-    takes the fourth-order heuristic step count with no check on its
-    error.
+    both ends and every breakpoint agree within tol / 2 between the
+    returned second-order run (5.5 pi or 3.5 pi of detuning phase per
+    step) and a check run, coarser or finer, an estimate of their error
+    rather than a bound; phases and coherences are not checked, and an
+    uncertified run takes the fourth-order heuristic step count with no
+    check on its error.
 
     Raises as :func:`propagate_state`, plus ValueError for a rho0 violating
     the DensityMatrix invariants (checked at construction) or of rank above

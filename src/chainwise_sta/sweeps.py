@@ -14,9 +14,12 @@ cells spend their time in large numpy operations that release the GIL;
 they run as independent tasks on a thread pool capped by the
 ``CHAINWISE_STA_THREADS`` environment variable (a positive integer;
 default: the cores this process may run on).
-Cells are submitted heaviest first, in descending t_f * delta (the phase
-budget that sets a cell's Magnus step count), so that the longest cells
-do not start last and leave one worker finishing alone.  Results are
+Cells are submitted in descending t_f * delta, the detuning phase budget
+that every Magnus step count scales with, so that the longest cells
+mostly do not start last and leave one worker finishing alone.  The order
+is approximate: a cell certified on a check rung walks 55-67% of the
+steps per unit of budget of a cell on the finer check, and a gate-closed
+cell on the heuristic count more (see ``qcore._propagate``).  Results are
 placed by index: the assembled map is bitwise-identical regardless of
 evaluation order or worker count.
 
@@ -208,7 +211,9 @@ def _run_cells(spec: SweepSpec, cell_fn) -> tuple[np.ndarray, list]:
         i, j = idx
         return i, j, cell_fn(tf_vals[i], dl_vals[j])
 
-    # Heaviest first: t_f * delta sets a cell's phase budget and step count.
+    # Roughly heaviest first: every step count scales with the phase budget
+    # t_f * delta, but a check-rung cell takes fewer steps than a pair or
+    # heuristic cell of the same budget.
     indices = sorted(((i, j) for i in range(tf_vals.size) for j in range(dl_vals.size)),
                      key=lambda ij: -tf_vals[ij[0]] * dl_vals[ij[1]])
     with ThreadPoolExecutor(max_workers=thread_cap()) as pool:

@@ -304,9 +304,14 @@ def rk45_reference(rhs, y0, grid, breakpoints=()):
 # at 200k steps.  The three xfail cells are short chainwise pulses (coupling
 # ratio 10-15, R**4 * tol = 0.01, 0.28 and 0.56) that stay outside the gate,
 # on the heuristic count, and measure 3.75, 4.31 and 5.27 x tol.  M5* and
-# the two long cells certify and stay far inside tol.  The last two cells
+# the two long cells certify and stay far inside tol.  The next two cells
 # (R**4 * tol = 1.56 and 1.04) certify because the gate opens at
-# R**4 * tol >= 0.9, not 3.6; they measure 0.18 and 0.26 x tol.
+# R**4 * tol >= 0.9, not 3.6; they measure 0.18 and 0.26 x tol.  The last
+# two return their 5.5 pi run, checked on the 7.5 pi rung
+# (R**4 * tol = 3.53) and on the 13.5 pi rung (15.6), and measure 0.056
+# and 0.008 x tol.  The second is gate-open but took the heuristic count
+# before the rungs: there the 3.5 pi and 5.5 pi runs together cost more
+# than it, the 5.5 pi run and its rung less.
 _TOL_CELLS = [
     pytest.param("chainwise", 1.0, 1000 * np.pi, 1e-6, id="chainwise-1us-1000pi",
                  marks=pytest.mark.xfail(strict=True, reason="error 3.75 x tol")),
@@ -319,6 +324,8 @@ _TOL_CELLS = [
     pytest.param("p2", 6.0, 5000 * np.pi, 1e-6, id="p2-6us-5000pi"),
     pytest.param("chainwise", 3.4, 3600 * np.pi, 1e-6, id="chainwise-3.4us-3600pi"),
     pytest.param("chainwise", 1.0, 1000 * np.pi, 1e-4, id="chainwise-1us-1000pi-tol-1e-4"),
+    pytest.param("chainwise", 8.0, 2300 * np.pi, 1e-6, id="chainwise-8us-2300pi"),
+    pytest.param("chainwise", 3.4, 3600 * np.pi, 1e-5, id="chainwise-3.4us-3600pi-tol-1e-5"),
 ]
 
 
@@ -379,27 +386,39 @@ class TestStepPair:
             m.setattr(qcore, "_PAIR_GATE", np.inf)
             return run()
 
-    def test_certified_run_returns_the_finer_of_two_grids(self, walks):
-        sched, decays = _cell("chainwise", 8.0, 5000 * np.pi)
-        got = _final_run(sched, decays, 1e-6)
-        assert len(walks) == 2 and walks[0][0].size > walks[1][0].size
-        # Both runs of the pair take the second-order step.
-        assert [commutator for _, commutator in walks] == [False, False]
+    @staticmethod
+    def grid_of(sched, decays, phase):
+        """(rate, step edges, sample indices) of the end-sampled grid at
+        ``phase`` per uniform step."""
         h = hamiltonian_rule(sched)
         grid = TimeGrid(0.0, sched.duration, 2)
         _, rate, _ = qcore._checked_action(h, grid, np.array(decays))
-        edges, sample_idx = qcore._magnus_nodes(
-            grid, sched.breakpoints, int(np.ceil(rate * sched.duration / qcore._PAIR_PHASES[0])))
-        assert np.array_equal(edges, walks[0][0])
-        fine = qcore._walk(h, np.array(decays), np.eye(h.dimension)[:, 0], edges, sample_idx,
+        return (rate, *qcore._magnus_nodes(grid, sched.breakpoints,
+                                           int(np.ceil(rate * sched.duration / phase))))
+
+    def assert_walked(self, walks, sched, decays, phases):
+        """The walks are second-order runs on the grids of ``phases``, in order."""
+        assert len(walks) == len(phases)
+        assert [commutator for _, commutator in walks] == [False] * len(phases)
+        for (edges, _), phase in zip(walks, phases):
+            assert np.array_equal(edges, self.grid_of(sched, decays, phase)[1])
+
+    def assert_rung_certified(self, walks, sched, decays, got, rung):
+        """The run walked 5.5 pi, then ``rung``, and returned the 5.5 pi walk."""
+        fine = qcore._PAIR_PHASES[1]
+        self.assert_walked(walks, sched, decays, [fine, rung])
+        h = hamiltonian_rule(sched)
+        grid = TimeGrid(0.0, sched.duration, 2)
+        rate, edges, sample_idx = self.grid_of(sched, decays, fine)
+        want = qcore._walk(h, np.array(decays), np.eye(h.dimension)[:, 0], edges, sample_idx,
                            commutator=False)
-        assert np.max(np.abs(got.states - fine)) <= 1e-12
+        assert np.max(np.abs(got.states - want)) <= 1e-12
         # On the walked grids: each segment is cut more finely by the first
         # run, and the uniform (largest) step of every segment turns at most
         # its target phase and stays 0.5 pi or more from every 2 pi k.
         segs = qcore._segment_edges(grid, sched.breakpoints)
         profiles = []
-        for (edges, _), phase in zip(walks, qcore._PAIR_PHASES):
+        for (edges, _), phase in zip(walks, (fine, rung)):
             starts = np.searchsorted(edges, segs)
             turned = rate * np.maximum.reduceat(np.diff(edges), starts[:-1])
             assert np.all(turned <= phase * (1 + 1e-12))
@@ -407,6 +426,38 @@ class TestStepPair:
             assert np.all(off >= 0.5 * np.pi * (1 - 1e-9))
             profiles.append(np.diff(starts))
         assert np.all(profiles[0] > profiles[1])
+
+    def test_certified_run_returns_the_finer_of_two_grids(self, walks):
+        # R**4 * tol clears the 13.5 pi rung's gate: the 5.5 pi run is
+        # checked against the 13.5 pi run, and the 3.5 pi run is not walked.
+        sched, decays = _cell("chainwise", 8.0, 5000 * np.pi)
+        got = _final_run(sched, decays, 1e-6)
+        self.assert_rung_certified(walks, sched, decays, got, 13.5 * np.pi)
+
+    def test_mid_margin_run_checks_on_the_7_5pi_rung(self, walks):
+        sched, decays = _cell("chainwise", 8.0, 2300 * np.pi)
+        _, _, ratio = qcore._checked_action(hamiltonian_rule(sched),
+                                            TimeGrid(0.0, sched.duration, 2), np.array(decays))
+        assert 2.0 <= ratio**4 * 1e-6 < 2 * 3.3
+        got = _final_run(sched, decays, 1e-6)
+        self.assert_rung_certified(walks, sched, decays, got, 7.5 * np.pi)
+
+    def test_failed_rung_check_falls_back_to_the_pair(self, walks, monkeypatch):
+        # R**4 * tol = 1.56 takes no rung; forced onto the 13.5 pi rung, the
+        # check disagrees, and the 3.5 pi run is checked against the same
+        # 5.5 pi walk, bit for bit the run without rungs.
+        sched, decays = _cell("chainwise", 3.4, 3600 * np.pi)
+        with monkeypatch.context() as m:
+            m.setattr(qcore, "_CHECK_RUNGS", ((13.5 * np.pi, 0.0, 14),))
+            got = _final_run(sched, decays, 1e-6)
+        self.assert_walked(walks, sched, decays, [5.5 * np.pi, 13.5 * np.pi, 3.5 * np.pi])
+        walks.clear()
+        with monkeypatch.context() as m:
+            m.setattr(qcore, "_CHECK_RUNGS", ())
+            want = _final_run(sched, decays, 1e-6)
+        self.assert_walked(walks, sched, decays, [5.5 * np.pi, 3.5 * np.pi])
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.breakpoint_states, want.breakpoint_states)
 
     @pytest.mark.parametrize("protocol, t_f, delta, tol, n_samples, roundtrip_hold", [
         ("chainwise", 8.0, 5000 * np.pi, 1e-6, 41, None),
@@ -464,12 +515,14 @@ class TestStepPair:
         sched, decays = _cell("chainwise", 8.0, 5000 * np.pi)
         monkeypatch.setattr(qcore, "_PAIR_AGREEMENT", 0.0)
         got = _final_run(sched, decays, 1e-6)
-        assert len(walks) == 3
+        assert len(walks) == 4
+        # The 5.5 pi run, its 13.5 pi check and the 3.5 pi run, all second
+        # order, then the heuristic count with the commutator.
+        self.assert_walked(walks[:3], sched, decays, [5.5 * np.pi, 13.5 * np.pi, 3.5 * np.pi])
         want = self.heuristic(monkeypatch, lambda: _final_run(sched, decays, 1e-6))
-        # The pair's two second-order runs, then the heuristic count with
-        # the commutator, once after the pair and once with the gate shut.
-        assert [commutator for _, commutator in walks] == [False, False, True, True]
-        assert np.array_equal(walks[2][0], walks[3][0])
+        # The heuristic count once after the checks and once with the gate shut.
+        assert [commutator for _, commutator in walks] == [False, False, False, True, True]
+        assert np.array_equal(walks[3][0], walks[4][0])
         assert np.array_equal(got.states, want.states)
 
     @pytest.mark.parametrize("t_f, delta, tol", [(3.4, 3600 * np.pi, 1e-6),
@@ -477,13 +530,14 @@ class TestStepPair:
                              ids=["chainwise-3.4us-3600pi", "chainwise-1us-1000pi-tol-1e-4"])
     def test_gate_admits_tol_over_two(self, walks, t_f, delta, tol):
         # R**4 * tol is 1.56 and 1.04 here: inside the gate at tol / 2
-        # (0.9), but outside a gate at tol / 8 (3.6).  Both certify.
+        # (0.9), but outside a gate at tol / 8 (3.6) and below every check
+        # rung's gate.  Both certify on the 3.5 pi run.
         sched, decays = _cell("chainwise", t_f, delta)
         _, _, ratio = qcore._checked_action(hamiltonian_rule(sched),
                                             TimeGrid(0.0, sched.duration, 2), np.array(decays))
         assert qcore._PAIR_GATE <= ratio**4 * tol < 8 * 0.45
         _final_run(sched, decays, tol)
-        assert [commutator for _, commutator in walks] == [False, False]
+        self.assert_walked(walks, sched, decays, [5.5 * np.pi, 3.5 * np.pi])
 
 
 @settings(max_examples=16, derandomize=True, deadline=None)
