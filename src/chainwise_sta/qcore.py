@@ -22,13 +22,15 @@ the pieces in order.  The matrix exponential treats an
 arbitrarily large static detuning exactly, so the step count follows the
 sampled spectral scale of H(t) rather than its stiffness.  Step edges are
 grade-refined at segment boundaries where pulse envelopes have square-root
-edges or clamped spikes.  The step count is a heuristic in the sampled
-action, except where the couplings are weak against the static detuning:
-there a coarse second-order count, 5.5 pi of detuning phase per step, is
-run and checked by a second count, coarser (a check rung at 13.5 pi or
-7.5 pi, where the coupling ratio leaves a wide margin) or else finer
-(3.5 pi).  When their populations agree within tol / 2, the 5.5 pi run is
-kept after a rung and the 3.5 pi run after the finer check (see
+edges or clamped spikes, and all of them are planned in whole-array calls.
+The step count is a heuristic in the sampled action, except on runs
+sampled only at their two ends whose couplings are weak against the
+static detuning.  There one table, ``_CHECKS``, decides: a coarse
+second-order count at 5.5 pi of detuning phase per step is checked
+against a second count, coarser (13.5 pi or 7.5 pi) where the coupling
+ratio leaves a wide margin, and finer (3.5 pi) where it does not or the
+coarser check fails.  The finer run of an agreeing pair is returned, a
+step-doubling check (Hairer, Norsett & Wanner, Solving ODEs I, II.4; see
 ``_propagate``).  Identical inputs produce bitwise-identical trajectories
 on one platform.
 
@@ -454,9 +456,11 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     """The sorted distinct values of a 1-d array, as ``np.unique`` gives them.
 
     ``np.unique`` asks ``np.ma`` whether its input is masked, and that
-    imports ``numpy.ma`` on the first propagation of every process.
+    imports ``numpy.ma`` on the first propagation of every process.  The
+    sort is the stable one: on 20,000 sorted step edges it took 25 us,
+    the default sort 98 us.
     """
-    x = np.sort(x)
+    x = np.sort(x, kind="stable")
     keep = np.ones(x.size, dtype=bool)
     np.not_equal(x[1:], x[:-1], out=keep[1:])
     return x[keep]
@@ -464,14 +468,11 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 
 def _segment_edges(grid: TimeGrid, breakpoints) -> np.ndarray:
     """Sorted distinct times partitioning the run into smooth segments."""
-    pts = [grid.t_start, grid.t_end]
-    if breakpoints is not None:
-        for b in breakpoints:
-            if grid.t_start < b < grid.t_end:
-                pts.append(float(b))
-    pts = np.array(sorted(pts))
-    keep = np.concatenate(([True], np.diff(pts) > 1e-12 * grid.duration))
-    return pts[keep]
+    inside = sorted(float(b) for b in (() if breakpoints is None else breakpoints)
+                    if grid.t_start < b < grid.t_end)
+    pts = [grid.t_start, *inside, grid.t_end]
+    merge = 1e-12 * grid.duration
+    return np.array(pts[:1] + [q for p, q in zip(pts, pts[1:]) if q - p > merge])
 
 
 def _gap_steps(anchors: np.ndarray, duration: float, n_target: int) -> np.ndarray:
@@ -479,37 +480,44 @@ def _gap_steps(anchors: np.ndarray, duration: float, n_target: int) -> np.ndarra
     return np.maximum(1, np.ceil(n_target * np.diff(anchors) / duration)).astype(int)
 
 
-def _magnus_nodes(grid: TimeGrid, breakpoints, n_target: int):
-    """Step-edge times for the Magnus path.
+# Fractions of a uniform step at which the step next to a segment edge is
+# refined, growing geometrically by 1.6 away from the edge.
+_EDGE_RATIOS = np.cumsum(1.6 ** np.arange(16))
+_EDGE_RATIOS = _EDGE_RATIOS[:-1] / _EDGE_RATIOS[-1]
 
-    Every output sample and every breakpoint is a step edge; each gap is
-    subdivided uniformly to approach ``n_target`` total steps, and the first
-    and last step of each smooth segment get an extra geometric refinement
-    (pulse envelopes routinely have sqrt edges there).
+
+def _magnus_nodes(grid: TimeGrid, breakpoints, n_target: int):
+    """Step-edge times for the Magnus path, and the indices of the output
+    samples among them.
+
+    Every output sample and every breakpoint is a step edge.  Each gap
+    [a, b] between them is cut into k uniform steps, with k from
+    :func:`_gap_steps` so that the run approaches ``n_target`` steps, and
+    the uniform step next to a segment edge gets an extra geometric
+    refinement there (pulse envelopes routinely have sqrt edges).  All
+    gaps are built at once in whole-array calls: the uniform points are
+    ``a + j * ((b - a) / k)``, as ``np.linspace(a, b, k + 1)`` computes
+    them, and the refinement points ``a + sub * r`` and ``b - sub * r``
+    with sub = (b - a) / k and r in (0, 0.63).  Every such point lies in
+    its own gap's [a, b], rounding included, so one sort with duplicates
+    dropped merges them into the same edges, bit for bit, as a loop over
+    the gaps that keeps each gap's points strictly inside it.
     """
     samples = grid.times
     segs = _segment_edges(grid, breakpoints)
     anchors = _distinct(np.concatenate([samples, segs]))
-    duration = grid.duration
-    ratios = np.cumsum(1.6 ** np.arange(16))
-    ratios /= ratios[-1]
-
-    parts = [np.array([anchors[0]])]
-    for a, b, k in zip(anchors[:-1], anchors[1:], _gap_steps(anchors, duration, n_target)):
-        gap = b - a
-        interior = [np.linspace(a, b, k + 1)[1:-1]]
-        sub = gap / k
-        if np.any(np.abs(segs - a) <= 1e-12 * duration):
-            interior.append(a + sub * ratios[:-1])
-        if np.any(np.abs(segs - b) <= 1e-12 * duration):
-            interior.append(b - sub * ratios[:-1])
-        pts = _distinct(np.concatenate(interior))
-        pts = pts[(pts > a) & (pts < b)]
-        parts.append(pts)
-        parts.append(np.array([b]))
-    all_edges = np.concatenate(parts)
-    sample_idx = np.searchsorted(all_edges, samples)
-    return all_edges, sample_idx
+    a, b = anchors[:-1], anchors[1:]
+    k = _gap_steps(anchors, grid.duration, n_target)
+    sub = (b - a) / k
+    # j = 0 .. k - 1 in every gap; j = 0 is a itself.
+    j = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+    near = (np.abs(anchors[:, None] - segs) <= 1e-12 * grid.duration).any(axis=1)
+    lo, hi = near[:-1], near[1:]
+    edges = _distinct(np.concatenate([
+        j * np.repeat(sub, k) + np.repeat(a, k),
+        (a[lo, None] + sub[lo, None] * _EDGE_RATIOS).reshape(-1),
+        (b[hi, None] - sub[hi, None] * _EDGE_RATIOS).reshape(-1), anchors[-1:]]))
+    return edges, np.searchsorted(edges, samples)
 
 
 def _magnus_step_count(tol: float, action: float) -> int:
@@ -686,83 +694,71 @@ def _walk(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     return np.array(walked)[np.searchsorted(ends, stops)]
 
 
-# Runs whose couplings are weak against the static detuning take checked
-# coarse step counts of the second-order Magnus step (the commutator term
-# dropped) in place of the heuristic one.  _PAIR_PHASES are the phases
-# delta_h = rate * duration / n that the static detuning turns per step in
-# the pair's two runs: the 5.5 pi run is always walked and checked, and the
-# 3.5 pi run checks it where no check rung (below) does.  Both lie 0.5 pi
-# from the nearest 2 pi k, where step errors add coherently and two runs
-# can agree by accident (Iserles, BIT 42 (2002)).
-_PAIR_PHASES = (3.5 * np.pi, 5.5 * np.pi)
-# On the 256 cells of the bench map grids (p2 t_f 1-6 us, chainwise 1-8 us,
-# delta 1000 pi-5000 pi, all 8 jitter levels), the final populations of the
-# second-order step at delta_h = 3.5 pi are off from a 200k-step run of the
-# same core by about K / R**4, R the coupling ratio of _checked_action, with
-# K in 0.06-0.13 for p2 and 0.19-0.34 for chainwise; at 5.5 pi K is at most
-# 0.64.  The fourth-order step measured 0.053-0.157 and 0.069-0.442 at
-# 3.5 pi: at these delta_h its commutator term does not lower the error, it
-# only costs time.  The gate admits a run where the 3.5 pi fit, taken at
-# K = 0.45, stays within tol / 2, the agreement check's own tolerance:
-# R**4 * tol >= 2 * 0.45.  At tol 1e-6 that is R >= 30.8, and 168 of the
-# 256 cells pass it.  The fit is an empirical estimate, not a bound; the
-# agreement check below is what decides.
-_PAIR_GATE = 2 * 0.45
-# The gate and the agreement check were fitted on runs sampled only at
-# their two ends, the efficiency map's traffic, and only such runs try the
-# pair.  With samples inside the run, the two counts' populations there
-# disagree by more than tol / 2 on almost every p2 and chainwise run (at 41
-# samples and tol 1e-6, all 46 that would try a fourth-order pair behind a
-# tol / 8 gate fail), so the pair would cost 1.6 x the heuristic count for
-# nothing.
+# Runs sampled only at their two ends, whose couplings are weak against the
+# static detuning, take checked coarse step counts of the second-order
+# Magnus step (the commutator term dropped) in place of the heuristic one.
+# A count is set by the phase delta_h = rate * duration / n that the static
+# detuning turns per step.  The _KEPT_PHASE run is checked against the run
+# of a row of _CHECKS (see _propagate).  Every phase lies 0.5 pi from the
+# nearest 2 pi k, where step errors add coherently and two runs can agree
+# by accident (Iserles, BIT 42 (2002)).
 #
-# Every segment between breakpoints must also take at least this many
-# uniform steps in the 5.5 pi run.  Then each uniform step turns between
-# about 7/8 of its target phase and the target (4.8 pi-5.5 pi and
-# 3.2 pi-3.5 pi), 0.5 pi or more from every 2 pi k, and the two runs cut
-# every segment differently.  The map cells have one segment and take 697
-# coarse steps or more in it.
-_PAIR_MIN_STEPS = 8
+# The fits on the rows are against 200k-step runs of the same core on the
+# 256 cells of the bench map grids (p2 t_f 1-6 us, chainwise 1-8 us, delta
+# 1000 pi-5000 pi, all 8 jitter levels): the final populations of the
+# second-order step are off by about K / R**4, R the coupling ratio of
+# _checked_action.  The fourth-order step measured K of 0.053-0.157 (p2)
+# and 0.069-0.442 (chainwise) at 3.5 pi: at these delta_h its commutator
+# term does not lower the error, it only costs time.  The fits are
+# empirical estimates, not bounds; the gates only save work, and the
+# agreement check decides.  They were fitted on end-sampled runs, the
+# efficiency map's traffic, and only such runs try a check.  With samples
+# inside the run, the two counts' populations there disagree by more than
+# tol / 2 on almost every p2 and chainwise run (at 41 samples and tol 1e-6,
+# all 46 that would try a fourth-order pair behind a tol / 8 gate fail), so
+# the check would cost 1.6 x the heuristic count for nothing.
+_KEPT_PHASE = 5.5 * np.pi
+# Rows of (phase, gate, minimum steps), coarsest first.  A row's gate is
+# 2 K for the K its fit is taken at: where R**4 * tol clears it, the fit
+# K / R**4 stays within tol / 2, the agreement check's own tolerance.  The
+# minimum uniform steps per segment, of the coarser of the row's run and
+# the 5.5 pi run, keep every uniform step of both 0.5 pi or more from every
+# 2 pi k: with k steps a segment's step turns more than (k - 1) / k of its
+# target, so 13.5 pi needs 14 (above 12.5 pi), 7.5 pi needs 8 (above
+# 6.5 pi) and the 5.5 pi run needs 8 (4.8 pi-5.5 pi, and 3.2 pi-3.5 pi for
+# its 3.5 pi check); the two runs then cut every segment differently.  The
+# map cells have one segment and take 697 coarse steps or more in it.
+_CHECKS = (
+    # K up to 3.26 at 13.5 pi, and the check failed only at
+    # R**4 * tol <= 4.0.  At tol 1e-6, 88 map cells take this row and none
+    # fails it.  The 5.5 pi run's error stayed within 0.53 x its agreement
+    # with this run, but a 7.5 pi run checked by a 13.5 pi run reached
+    # 6.6 x, so no run coarser than 5.5 pi is returned.
+    (13.5 * np.pi, 2 * 3.3, 14),
+    # K up to 1.90 at 7.5 pi; its agreement with the 5.5 pi run measured
+    # K <= 1.43, and the check failed only at R**4 * tol <= 1.82, so the
+    # gate is the fit at K = 1.0.  At tol 1e-6, 56 map cells take this row
+    # and none fails it; the 5.5 pi run's error stayed within 0.87 x its
+    # agreement with this run.
+    (7.5 * np.pi, 2 * 1.0, 8),
+    # K in 0.06-0.13 for p2 and 0.19-0.34 for chainwise at 3.5 pi (at
+    # most 0.64 at 5.5 pi), taken at K = 0.45: at tol 1e-6 the gate is
+    # R >= 30.8, and 168 of the 256 cells pass it.  The 3.5 pi run's error
+    # stayed within 0.96 x its agreement with the 5.5 pi run.
+    (3.5 * np.pi, 2 * 0.45, 8),
+)
 # A check certifies when every population at every sample and breakpoint
 # agrees between its two runs within this fraction of tol.  At tol 1e-6,
-# all 168 gated map cells certify (144 on a check rung, 24 on the 3.5 pi
-# run), within 0.29 x tol of the 200k-step runs.  Over 600 end-sampled
-# p1, p2 and chainwise scenario and round-trip runs (t_f 1-8 us,
-# delta 1000 pi-5000 pi, tol 1e-8-1e-4), 408 try a check and 400 certify,
-# within 0.45 x tol of 200k-step runs (340 on a rung, within 0.22 x tol).
+# all 168 gated map cells certify (144 on a row coarser than 5.5 pi, 24 on
+# the 3.5 pi row), within 0.29 x tol of the 200k-step runs.  Over 600
+# end-sampled p1, p2 and chainwise scenario and round-trip runs (t_f
+# 1-8 us, delta 1000 pi-5000 pi, tol 1e-8-1e-4), 408 try a check and 400
+# certify, within 0.45 x tol of 200k-step runs (340 on a coarser row,
+# within 0.22 x tol).  19 of them fail a coarser row's check, mostly
+# chainwise round trips on the 7.5 pi row (R**4 * tol up to 5.5; up to 7.6
+# at 13.5 pi), and walk the 3.5 pi run or the heuristic count after it.
+# The 600 runs walk 7.30M steps in all, 8.41M with the 3.5 pi row alone.
 _PAIR_AGREEMENT = 0.5
-# Check rungs, coarsest first, as (phase, gate, minimum steps).  A run
-# whose R**4 * tol clears a rung's gate, and whose rung run cuts every
-# segment into the minimum uniform steps, checks its 5.5 pi run against
-# that one second-order run, and returns the 5.5 pi run when they agree;
-# the 3.5 pi run, the most steps of all, is then never walked.  A failed
-# rung leaves the 3.5 pi check as before.  The rung run is only a check:
-# on the map cells the 5.5 pi run's error stayed within 0.87 x its
-# agreement with the 7.5 pi run and 0.53 x with the 13.5 pi run (the
-# 3.5 pi run's, 0.96 x with the 5.5 pi run), but a 7.5 pi run checked by a
-# 13.5 pi run reached 6.6 x, so no run coarser than 5.5 pi is returned.
-# The second-order error at 7.5 pi follows K / R**4 with K up to 1.90, at
-# 13.5 pi up to 3.26 (256 map cells).  The 13.5 pi gate keeps that fit,
-# taken at K = 3.3, within tol / 2; its check failed only at
-# R**4 * tol <= 4.0.  The 7.5 pi run's agreement with the 5.5 pi run
-# measured K <= 1.43, and its check failed only at R**4 * tol <= 1.82, so
-# its gate is the fit at K = 1.0.  At tol 1e-6, 88 map cells take the
-# 13.5 pi rung and 56 the 7.5 pi one, and none fails its check.  Of the
-# 600 scenario and round-trip runs above, 19 fail a rung check, mostly
-# chainwise round trips on the 7.5 pi rung (R**4 * tol up to 5.5; up to
-# 7.6 on the 13.5 pi rung), and walk the 3.5 pi run or the heuristic
-# count after it.  The 600 runs walk 7.30M steps in all, 8.41M without
-# the rungs.  The gates only save work; the agreement decides.  The
-# minimum steps keep every uniform step of the rung run 0.5 pi or more
-# from every 2 pi k, as _PAIR_MIN_STEPS does for the 5.5 pi run: with k
-# steps a segment's step turns more than (k - 1) / k of the target, so
-# 13.5 pi needs 14 (above 12.5 pi) and 7.5 pi needs 8 (above 6.5 pi).
-_CHECK_RUNGS = ((13.5 * np.pi, 2 * 3.3, 14), (7.5 * np.pi, 2 * 1.0, 8))
-
-
-def _pair_gate_open(ratio: float, tol: float) -> bool:
-    """Whether a run of coupling ratio ``ratio`` may try the step pair at ``tol``."""
-    return ratio**4 * tol >= _PAIR_GATE
 
 
 def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
@@ -774,25 +770,23 @@ def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
     Breakpoints are step edges, so the walk stops there too and gives
     their states.
 
-    When the grid samples only the run's two ends and the coupling ratio R
-    clears the gate (:func:`_pair_gate_open`), the step count at 5.5 pi per
-    step (``_PAIR_PHASES[1]``) is run with the second-order step (no
-    commutator term) and checked by coarser or finer second-order runs.
-    A check runs only where it and the 5.5 pi run take fewer steps together
-    than the heuristic count and the coarser of the two cuts every segment
-    between breakpoints into its minimum number of steps.  The checks, in
-    order:
+    When the grid samples only the run's two ends, the rows of ``_CHECKS``
+    are tried in order, each against the second-order run at
+    ``_KEPT_PHASE`` (5.5 pi of detuning phase per step).  A row runs when
+    all three hold:
 
-    1. the first of ``_CHECK_RUNGS`` whose gate R**4 * tol clears: if the
-       populations agree within ``_PAIR_AGREEMENT * tol`` at both ends and
-       every breakpoint, the 5.5 pi run is returned;
-    2. the 3.5 pi run (``_PAIR_PHASES[0]``), with at least
-       ``_PAIR_MIN_STEPS`` steps per segment in the 5.5 pi run: if they
-       agree, the 3.5 pi run is returned, bit for bit as without the rungs.
+    - R**4 * tol clears its gate, R the coupling ratio;
+    - the coarser of its run and the 5.5 pi run cuts every segment between
+      breakpoints into at least its minimum number of uniform steps;
+    - the two runs take fewer steps together than the heuristic count.
 
-    Otherwise the heuristic count runs with the fourth-order step, bit for
-    bit as without the checks.  The 5.5 pi run is walked at most once, and
-    no returned run is coarser than it.
+    Both runs take the second-order step (no commutator term).  The 5.5 pi
+    run is walked at most once, and at most one row coarser than it runs.
+    When the populations of the two runs agree within
+    ``_PAIR_AGREEMENT * tol`` at both ends and every breakpoint, the finer
+    run is returned: the 5.5 pi run after a coarser row, and the 3.5 pi
+    run after the 3.5 pi row.  Otherwise the heuristic count runs with the
+    fourth-order step, bit for bit as without the checks.
     """
     action, rate, ratio = _checked_action(h, grid, gamma)
     segs = _segment_edges(grid, breakpoints)
@@ -810,38 +804,25 @@ def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
                                breakpoint_times=inner,
                                breakpoint_states=states[np.searchsorted(stops, inner_idx)])
 
-    def step_count(phase):
-        return int(np.ceil(rate * grid.duration / phase))
-
     heuristic = _magnus_step_count(tol, action)
-    if grid.n_samples == 2 and _pair_gate_open(ratio, tol):
-        kept_n = step_count(_PAIR_PHASES[1])
-
-        def fits(phase, min_steps):
-            # The 5.5 pi run and a check at ``phase`` take fewer steps
-            # together than the heuristic count, and the coarser of the two
-            # cuts every segment into at least ``min_steps`` steps.
-            n = step_count(phase)
-            return (n + kept_n < heuristic
-                    and _gap_steps(segs, grid.duration, min(n, kept_n)).min() >= min_steps)
-
-        rung = next((phase for phase, gate, min_steps in _CHECK_RUNGS
-                     if ratio**4 * tol >= gate and fits(phase, min_steps)), None)
-        checks = [] if rung is None else [rung]
-        if fits(_PAIR_PHASES[0], _PAIR_MIN_STEPS):
-            checks.append(_PAIR_PHASES[0])
-        kept_nodes = nodes(kept_n) if checks else None
-        kept = None
-        for phase in checks:
-            check_nodes = nodes(step_count(phase))
-            if check_nodes[0].size + kept_nodes[0].size - 2 >= heuristic:
-                continue
-            if kept is None:
-                kept = walk(*kept_nodes, commutator=False)
-            check = walk(*check_nodes, commutator=False)
-            if np.all(np.abs(_populations(kept) - _populations(check))
-                      <= _PAIR_AGREEMENT * tol):
-                return kept if phase == rung else check
+    kept_n = int(np.ceil(rate * grid.duration / _KEPT_PHASE))
+    kept = kept_nodes = None
+    for phase, gate, min_steps in _CHECKS if grid.n_samples == 2 else ():
+        n = int(np.ceil(rate * grid.duration / phase))
+        if (ratio**4 * tol < gate or (kept is not None and phase > _KEPT_PHASE)
+                or _gap_steps(segs, grid.duration, min(n, kept_n)).min() < min_steps):
+            continue
+        if kept_nodes is None:
+            kept_nodes = nodes(kept_n)
+        check_nodes = nodes(n)
+        if check_nodes[0].size + kept_nodes[0].size - 2 >= heuristic:
+            # Every later row is finer, and its run takes no fewer steps.
+            break
+        if kept is None:
+            kept = walk(*kept_nodes, commutator=False)
+        check = walk(*check_nodes, commutator=False)
+        if np.all(np.abs(_populations(kept) - _populations(check)) <= _PAIR_AGREEMENT * tol):
+            return check if phase < _KEPT_PHASE else kept
     return walk(*nodes(heuristic))
 
 
@@ -871,17 +852,18 @@ def propagate_state(
         In [1e-12, 1e-4].  A run sampled only at its two ends, whose
         static detuning dominates the couplings enough, runs a coarse step
         count of the second-order Magnus step (5.5 pi of detuning phase
-        per step) and checks it against a second count: a coarser check
-        rung where the coupling ratio leaves a wide margin, else a finer
-        count.  It keeps the 5.5 pi run after a rung, or the finer run,
-        only if their populations agree within tol / 2 at both ends and
-        every breakpoint (see :func:`_propagate`).  That agreement
-        estimates the populations' error there; it is not a bound, and
-        phases and coherences are not checked.  Every other run takes a
-        heuristic step count of the fourth-order step, whose error is not
-        checked and can exceed tol (3.8 x tol for a chainwise leg at
-        1 us, 1000pi rad/us and tol 1e-6).  Norm drift over the run is
-        checked to stay within 100 * tol.
+        per step) and checks it against a second count: coarser (13.5 pi
+        or 7.5 pi) where the coupling ratio leaves a wide margin, and
+        finer (3.5 pi) where it does not or the coarser check fails.  It
+        keeps the finer run of a pair only if their populations agree
+        within tol / 2 at both ends and every breakpoint (see
+        :func:`_propagate`).  That agreement estimates the populations'
+        error there; it is not a bound, and phases and coherences are not
+        checked.  Every other run takes a heuristic step count of the
+        fourth-order step, whose error is not checked and can exceed tol
+        (3.8 x tol for a chainwise leg at 1 us, 1000pi rad/us and
+        tol 1e-6).  Norm drift over the run is checked to stay within
+        100 * tol.
     breakpoints : sequence of float, optional
         Interior times where H is not smooth (segment boundaries of a
         composite pulse schedule); integration restarts there.
@@ -945,12 +927,12 @@ def propagate_density(
     fraction of population still inside the modelled levels.  The trace is
     checked not to grow by more than 10 * tol between samples.  ``tol``
     acts as in :func:`propagate_state`: a certified run's populations at
-    both ends and every breakpoint agree within tol / 2 between the
-    returned second-order run (5.5 pi or 3.5 pi of detuning phase per
-    step) and a check run, coarser or finer, an estimate of their error
-    rather than a bound; phases and coherences are not checked, and an
-    uncertified run takes the fourth-order heuristic step count with no
-    check on its error.
+    both ends and every breakpoint agree within tol / 2 between two
+    second-order runs, 5.5 pi of detuning phase per step and one coarser
+    or finer count, and the finer of the two is returned.  That is an
+    estimate of their error rather than a bound; phases and coherences
+    are not checked, and an uncertified run takes the fourth-order
+    heuristic step count with no check on its error.
 
     Raises as :func:`propagate_state`, plus ValueError for a rho0 violating
     the DensityMatrix invariants (checked at construction) or of rank above

@@ -17,11 +17,11 @@ default: the cores this process may run on).
 Cells are submitted in descending t_f * delta, the detuning phase budget
 that every Magnus step count scales with, so that the longest cells
 mostly do not start last and leave one worker finishing alone.  The order
-is approximate: a cell certified on a check rung walks 55-67% of the
-steps per unit of budget of a cell on the finer check, and a gate-closed
-cell on the heuristic count more (see ``qcore._propagate``).  Results are
-placed by index: the assembled map is bitwise-identical regardless of
-evaluation order or worker count.
+is approximate: a cell certified against a coarser check run walks
+55-67% of the steps per unit of budget of a cell on the finer check, and
+a gate-closed cell on the heuristic count more (see
+``qcore._propagate``).  Results are placed by index: the assembled map is
+bitwise-identical regardless of evaluation order or worker count.
 
 Efficiency is the population of the target level at the end of the
 schedule: level 3 of the three-level ladder, level 5 of the chain.  Cells
@@ -212,8 +212,8 @@ def _run_cells(spec: SweepSpec, cell_fn) -> tuple[np.ndarray, list]:
         return i, j, cell_fn(tf_vals[i], dl_vals[j])
 
     # Roughly heaviest first: every step count scales with the phase budget
-    # t_f * delta, but a check-rung cell takes fewer steps than a pair or
-    # heuristic cell of the same budget.
+    # t_f * delta, but a cell checked by a coarser run takes fewer steps
+    # than a finer-checked or heuristic cell of the same budget.
     indices = sorted(((i, j) for i in range(tf_vals.size) for j in range(dl_vals.size)),
                      key=lambda ij: -tf_vals[ij[0]] * dl_vals[ij[1]])
     with ThreadPoolExecutor(max_workers=thread_cap()) as pool:

@@ -305,13 +305,12 @@ def rk45_reference(rhs, y0, grid, breakpoints=()):
 # ratio 10-15, R**4 * tol = 0.01, 0.28 and 0.56) that stay outside the gate,
 # on the heuristic count, and measure 3.75, 4.31 and 5.27 x tol.  M5* and
 # the two long cells certify and stay far inside tol.  The next two cells
-# (R**4 * tol = 1.56 and 1.04) certify because the gate opens at
-# R**4 * tol >= 0.9, not 3.6; they measure 0.18 and 0.26 x tol.  The last
-# two return their 5.5 pi run, checked on the 7.5 pi rung
-# (R**4 * tol = 3.53) and on the 13.5 pi rung (15.6), and measure 0.056
-# and 0.008 x tol.  The second is gate-open but took the heuristic count
-# before the rungs: there the 3.5 pi and 5.5 pi runs together cost more
-# than it, the 5.5 pi run and its rung less.
+# (R**4 * tol = 1.56 and 1.04) certify because the 3.5 pi row's gate opens
+# at R**4 * tol >= 0.9, not 3.6; they measure 0.18 and 0.26 x tol.  The
+# last two return their 5.5 pi run, checked on the 7.5 pi row
+# (R**4 * tol = 3.53) and on the 13.5 pi row (15.6), and measure 0.056 and
+# 0.008 x tol.  For the second, the 3.5 pi and 5.5 pi runs together cost
+# more than the heuristic count, the 5.5 pi and 13.5 pi runs less.
 _TOL_CELLS = [
     pytest.param("chainwise", 1.0, 1000 * np.pi, 1e-6, id="chainwise-1us-1000pi",
                  marks=pytest.mark.xfail(strict=True, reason="error 3.75 x tol")),
@@ -359,8 +358,9 @@ def test_final_population_within_tol(protocol, t_f, delta, tol):
 
 
 def _gate_open(h, grid, gamma, tol):
+    """Whether R**4 * tol clears the gate of some row of ``qcore._CHECKS``."""
     _, _, ratio = qcore._checked_action(h, grid, np.array(gamma))
-    return qcore._pair_gate_open(ratio, tol)
+    return any(ratio**4 * tol >= gate for _, gate, _ in qcore._CHECKS)
 
 
 class TestStepPair:
@@ -381,9 +381,9 @@ class TestStepPair:
 
     @staticmethod
     def heuristic(monkeypatch, run):
-        """``run()`` with the gate shut, so that it takes the heuristic count."""
+        """``run()`` with no check rows, so that it takes the heuristic count."""
         with monkeypatch.context() as m:
-            m.setattr(qcore, "_PAIR_GATE", np.inf)
+            m.setattr(qcore, "_CHECKS", ())
             return run()
 
     @staticmethod
@@ -405,7 +405,7 @@ class TestStepPair:
 
     def assert_rung_certified(self, walks, sched, decays, got, rung):
         """The run walked 5.5 pi, then ``rung``, and returned the 5.5 pi walk."""
-        fine = qcore._PAIR_PHASES[1]
+        fine = qcore._KEPT_PHASE
         self.assert_walked(walks, sched, decays, [fine, rung])
         h = hamiltonian_rule(sched)
         grid = TimeGrid(0.0, sched.duration, 2)
@@ -428,7 +428,7 @@ class TestStepPair:
         assert np.all(profiles[0] > profiles[1])
 
     def test_certified_run_returns_the_finer_of_two_grids(self, walks):
-        # R**4 * tol clears the 13.5 pi rung's gate: the 5.5 pi run is
+        # R**4 * tol clears the 13.5 pi row's gate: the 5.5 pi run is
         # checked against the 13.5 pi run, and the 3.5 pi run is not walked.
         sched, decays = _cell("chainwise", 8.0, 5000 * np.pi)
         got = _final_run(sched, decays, 1e-6)
@@ -443,17 +443,20 @@ class TestStepPair:
         self.assert_rung_certified(walks, sched, decays, got, 7.5 * np.pi)
 
     def test_failed_rung_check_falls_back_to_the_pair(self, walks, monkeypatch):
-        # R**4 * tol = 1.56 takes no rung; forced onto the 13.5 pi rung, the
-        # check disagrees, and the 3.5 pi run is checked against the same
-        # 5.5 pi walk, bit for bit the run without rungs.
+        # R**4 * tol = 1.56 clears no coarse row's gate; with the 13.5 pi
+        # row's gate forced open, its check disagrees, and the 3.5 pi run
+        # is checked against the same 5.5 pi walk, bit for bit the run of
+        # the 3.5 pi row alone.
         sched, decays = _cell("chainwise", 3.4, 3600 * np.pi)
+        finer = qcore._CHECKS[-1]
+        assert finer[0] == 3.5 * np.pi
         with monkeypatch.context() as m:
-            m.setattr(qcore, "_CHECK_RUNGS", ((13.5 * np.pi, 0.0, 14),))
+            m.setattr(qcore, "_CHECKS", ((13.5 * np.pi, 0.0, 14), finer))
             got = _final_run(sched, decays, 1e-6)
         self.assert_walked(walks, sched, decays, [5.5 * np.pi, 13.5 * np.pi, 3.5 * np.pi])
         walks.clear()
         with monkeypatch.context() as m:
-            m.setattr(qcore, "_CHECK_RUNGS", ())
+            m.setattr(qcore, "_CHECKS", (finer,))
             want = _final_run(sched, decays, 1e-6)
         self.assert_walked(walks, sched, decays, [5.5 * np.pi, 3.5 * np.pi])
         assert np.array_equal(got.states, want.states)
@@ -496,8 +499,8 @@ class TestStepPair:
 
     def test_short_segment_does_not_take_the_pair(self, walks, monkeypatch):
         # A breakpoint 1e-4 us before the end leaves a segment the coarse
-        # count would cut into fewer than _PAIR_MIN_STEPS steps, whose phase
-        # the segment, not the target, would set.
+        # counts would cut into fewer than every row's minimum steps, whose
+        # phase the segment, not the target, would set.
         sched, decays = _cell("chainwise", 8.0, 5000 * np.pi)
         h = hamiltonian_rule(sched)
 
@@ -529,15 +532,83 @@ class TestStepPair:
                                                  (1.0, 1000 * np.pi, 1e-4)],
                              ids=["chainwise-3.4us-3600pi", "chainwise-1us-1000pi-tol-1e-4"])
     def test_gate_admits_tol_over_two(self, walks, t_f, delta, tol):
-        # R**4 * tol is 1.56 and 1.04 here: inside the gate at tol / 2
-        # (0.9), but outside a gate at tol / 8 (3.6) and below every check
-        # rung's gate.  Both certify on the 3.5 pi run.
+        # R**4 * tol is 1.56 and 1.04 here: inside the 3.5 pi row's gate at
+        # tol / 2 (0.9), but outside a gate at tol / 8 (3.6) and below every
+        # coarser row's gate.  Both certify on the 3.5 pi run.
         sched, decays = _cell("chainwise", t_f, delta)
         _, _, ratio = qcore._checked_action(hamiltonian_rule(sched),
                                             TimeGrid(0.0, sched.duration, 2), np.array(decays))
-        assert qcore._PAIR_GATE <= ratio**4 * tol < 8 * 0.45
+        assert qcore._CHECKS[-1][1] <= ratio**4 * tol < 8 * 0.45
         _final_run(sched, decays, tol)
         self.assert_walked(walks, sched, decays, [5.5 * np.pi, 3.5 * np.pi])
+
+
+def _per_gap_nodes(grid, breakpoints, n_target):
+    """The step edges and sample indices of ``qcore._magnus_nodes``, built by
+    one loop pass per gap between samples and breakpoints."""
+    samples = grid.times
+    pts = [grid.t_start, grid.t_end]
+    for b in () if breakpoints is None else breakpoints:
+        if grid.t_start < b < grid.t_end:
+            pts.append(float(b))
+    pts = np.array(sorted(pts))
+    duration = grid.duration
+    segs = pts[np.concatenate(([True], np.diff(pts) > 1e-12 * duration))]
+    anchors = np.unique(np.concatenate([samples, segs]))
+    steps = np.maximum(1, np.ceil(n_target * np.diff(anchors) / duration)).astype(int)
+    ratios = np.cumsum(1.6 ** np.arange(16))
+    ratios /= ratios[-1]
+    parts = [np.array([anchors[0]])]
+    for a, b, k in zip(anchors[:-1], anchors[1:], steps):
+        interior = [np.linspace(a, b, k + 1)[1:-1]]
+        sub = (b - a) / k
+        if np.any(np.abs(segs - a) <= 1e-12 * duration):
+            interior.append(a + sub * ratios[:-1])
+        if np.any(np.abs(segs - b) <= 1e-12 * duration):
+            interior.append(b - sub * ratios[:-1])
+        inside = np.unique(np.concatenate(interior))
+        parts.append(inside[(inside > a) & (inside < b)])
+        parts.append(np.array([b]))
+    edges = np.concatenate(parts)
+    return edges, np.searchsorted(edges, samples)
+
+
+class TestMagnusNodes:
+    """Whole-array step planning against the per-gap loop, bit for bit."""
+
+    @staticmethod
+    def assert_same_nodes(grid, breakpoints, n_target):
+        edges, sample_idx = qcore._magnus_nodes(grid, breakpoints, n_target)
+        want_edges, want_idx = _per_gap_nodes(grid, breakpoints, n_target)
+        assert edges.dtype == want_edges.dtype and edges.shape == want_edges.shape
+        assert np.array_equal(edges.view(np.int64), want_edges.view(np.int64))
+        assert np.array_equal(sample_idx, want_idx)
+        assert np.array_equal(edges[sample_idx], grid.times)
+
+    @pytest.mark.parametrize("breakpoints", [None, (4.0,), (4.0, 4.1), (1.234567,)],
+                             ids=["none", "4.0", "4.0-4.1", "1.234567"])
+    @pytest.mark.parametrize("n_samples", [2, 3, 41, 1201])
+    def test_matches_per_gap_loop(self, n_samples, breakpoints):
+        grid = TimeGrid(0.0, 8.2, n_samples)
+        for n_target in (1024, 5000, 50_000, 200_000):
+            self.assert_same_nodes(grid, breakpoints, n_target)
+
+    def test_matches_per_gap_loop_on_random_grids(self):
+        # Windows from 1e-6 to 1e3 us anywhere near 0, breakpoints inside,
+        # outside and on the ends, and breakpoints on, one ulp past and
+        # 3e-13 of the window past a sample.
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            t0 = rng.uniform(-5.0, 5.0)
+            duration = 10.0 ** rng.uniform(-6.0, 3.0)
+            grid = TimeGrid(t0, t0 + duration, int(rng.integers(2, 300)))
+            breakpoints = list(t0 + duration * rng.uniform(-0.1, 1.1, rng.integers(0, 5)))
+            if rng.random() < 0.2:
+                breakpoints.append(rng.choice([grid.t_start, grid.t_end]))
+            if rng.random() < 0.4 and grid.n_samples > 2:
+                s = grid.times[rng.integers(1, grid.n_samples - 1)]
+                breakpoints += [s, np.nextafter(s, np.inf), s + 3e-13 * duration]
+            self.assert_same_nodes(grid, breakpoints, int(rng.integers(1, 50_000)))
 
 
 @settings(max_examples=16, derandomize=True, deadline=None)

@@ -1,9 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import chainwise_sta.protocols as protocols_mod
 import chainwise_sta.sweeps as sweeps_mod
-from chainwise_sta import DecayVector, DeltaTwoMode, IntegrationError, peak_amplitude
+from chainwise_sta import (
+    DecayVector,
+    DeltaTwoMode,
+    DensityMatrix,
+    IntegrationError,
+    StateVector,
+    TimeGrid,
+    peak_amplitude,
+    propagate_density,
+)
 from chainwise_sta.sweeps import (
     GridMap,
     ScenarioResult,
@@ -16,6 +27,7 @@ from chainwise_sta.sweeps import (
 )
 
 from conftest import LAMBDA_DECAYS, M_DECAYS
+from test_acceptance import FROZEN_M5_EFFICIENCY, FROZEN_P2_EFFICIENCY
 
 
 def lambda_spec(protocol="p1", tf=(1.0, 6.0, 3), delta=(1000 * np.pi, 5000 * np.pi, 3),
@@ -336,6 +348,42 @@ class TestEfficiencyMaps:
         assert md["decays_rad_us"] == pytest.approx(list(LAMBDA_DECAYS))
         assert md["tolerance"] == spec.tol
         assert "timestamp" in md
+
+
+class TestRobustness:
+    """The designs are stable against a miscalibrated drive: efficiency falls
+    off on both sides of the nominal couplings and detuning."""
+
+    @staticmethod
+    def final_efficiency(schedule, decays):
+        h = protocols_mod.hamiltonian_rule(schedule)
+        traj = propagate_density(h, DecayVector(decays),
+                                 DensityMatrix.pure(StateVector.basis(h.dimension, 0)),
+                                 TimeGrid(0.0, schedule.duration, 2), tol=1e-8,
+                                 breakpoints=schedule.breakpoints)
+        return traj.populations[-1, h.dimension - 1]
+
+    @pytest.mark.parametrize("design, decays, frozen", [
+        ("p2_schedule", LAMBDA_DECAYS, FROZEN_P2_EFFICIENCY),
+        ("chain_schedule", M_DECAYS, FROZEN_M5_EFFICIENCY),
+    ], ids=["p2-star", "m5-star"])
+    def test_efficiency_falls_off_the_design(self, request, design, decays, frozen):
+        sched = request.getfixturevalue(design)
+        nominal = self.final_efficiency(sched, decays)
+        assert nominal == pytest.approx(frozen, abs=1e-4)
+
+        def scaled_couplings(eta):
+            return dataclasses.replace(
+                sched, couplings=lambda t: (1.0 + eta) * sched.couplings(t))
+
+        by_eta = {eta: self.final_efficiency(scaled_couplings(eta), decays)
+                  for eta in (-0.10, -0.05, 0.05, 0.10)}
+        by_delta = [self.final_efficiency(
+            dataclasses.replace(sched, delta_single=(1.0 + eps) * sched.delta_single), decays)
+            for eps in (-0.05, 0.05)]
+        assert max(*by_eta.values(), *by_delta) < nominal
+        # Efficiency does not rise as the couplings move further off.
+        assert by_eta[-0.10] <= by_eta[-0.05] and by_eta[0.10] <= by_eta[0.05]
 
 
 class TestThreadCap:
