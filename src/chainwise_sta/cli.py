@@ -32,11 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocols import CSV_POINTS_PER_LEG, DEFAULT_BETA, DEFAULT_CLAMP, DeltaTwoMode, peak_amplitude
+from .protocols import DeltaTwoMode, peak_amplitude
 from .qcore import DecayVector, IntegrationError
-from .sweeps import (DEFAULT_EPSILON, DEFAULT_MAP_TOL, DEFAULT_SCENARIO_SAMPLES,
-                     DEFAULT_SCENARIO_TOL, PROTOCOL_LEVELS, PROTOCOLS, SweepSpec,
-                     design_schedule, run_scenario, sweep_efficiency, sweep_peak_amplitude)
+from .sweeps import (PROTOCOL_LEVELS, PROTOCOLS, SweepSpec, design_schedule, run_scenario,
+                     sweep_efficiency, sweep_peak_amplitude)
 
 __all__ = [
     "ConfigError",
@@ -297,15 +296,21 @@ def _require(cfg: dict, *keys: str) -> None:
             raise ConfigError(f"missing required parameter {key!r}")
 
 
-def _delta_two_mode(cfg: dict) -> DeltaTwoMode | None:
-    mode = cfg.get("delta_two_mode")
-    if "delta_two_clamp" in cfg and mode != "exact_clamped":
+def _given(cfg: dict, *keys: str) -> dict:
+    """The keys the command was given; the library's defaults fill the rest."""
+    return {key: cfg[key] for key in keys if key in cfg}
+
+
+def _design_options(cfg: dict) -> dict:
+    """The design keywords of ``design_schedule``, ``run_scenario`` and
+    ``SweepSpec`` that the command was given."""
+    if "delta_two_clamp" in cfg and cfg.get("delta_two_mode") != "exact_clamped":
         raise ConfigError("delta_two_clamp needs delta_two_mode 'exact_clamped'")
-    if mode is None:
-        return None
-    if mode == "dropped":
-        return DeltaTwoMode.dropped()
-    return DeltaTwoMode.exact_clamped(cfg.get("delta_two_clamp", DEFAULT_CLAMP))
+    options = _given(cfg, "beta", "epsilon")
+    if "delta_two_mode" in cfg:
+        clamp = {"limit": cfg["delta_two_clamp"]} if "delta_two_clamp" in cfg else {}
+        options["delta_two_mode"] = DeltaTwoMode(cfg["delta_two_mode"], **clamp)
+    return options
 
 
 def _decays(cfg: dict, protocol: str) -> DecayVector:
@@ -328,14 +333,9 @@ def _out_dir(cfg: dict) -> Path:
 
 def _cmd_design(cfg: dict) -> int:
     _require(cfg, "protocol", "tf", "delta")
-    schedule = design_schedule(
-        cfg["protocol"], cfg["tf"], cfg["delta"],
-        beta=cfg.get("beta", DEFAULT_BETA),
-        epsilon=cfg.get("epsilon", DEFAULT_EPSILON),
-        delta_two_mode=_delta_two_mode(cfg),
-    )
+    schedule = design_schedule(cfg["protocol"], cfg["tf"], cfg["delta"], **_design_options(cfg))
     out = _out_dir(cfg)
-    schedule.to_csv(out / "schedule.csv", points_per_leg=cfg.get("points_per_leg", CSV_POINTS_PER_LEG))
+    schedule.to_csv(out / "schedule.csv", **_given(cfg, "points_per_leg"))
     _write_json(out / "manifest.json", cfg)
     peak = peak_amplitude(schedule)
     print(f"peak_amplitude_rad_us={peak:.6f}")
@@ -349,12 +349,9 @@ def _cmd_simulate(cfg: dict) -> int:
     result = run_scenario(
         cfg["protocol"], cfg["tf"], cfg["delta"],
         decays=_decays(cfg, cfg["protocol"]),
-        beta=cfg.get("beta", DEFAULT_BETA),
-        epsilon=cfg.get("epsilon", DEFAULT_EPSILON),
-        delta_two_mode=_delta_two_mode(cfg),
+        **_design_options(cfg),
         roundtrip_hold=cfg.get("hold", 0.1) if roundtrip else None,
-        tol=cfg.get("tol", DEFAULT_SCENARIO_TOL),
-        n_samples=cfg.get("n_samples", DEFAULT_SCENARIO_SAMPLES),
+        **_given(cfg, "tol", "n_samples"),
     )
     out = _out_dir(cfg)
     result.to_csv(out / "timeseries.csv")
@@ -375,10 +372,8 @@ def _cmd_sweep(cfg: dict) -> int:
         tf_range=tuple(cfg["tf"]),
         delta_range=tuple(cfg["delta"]),
         decays=_decays(cfg, cfg["protocol"]),
-        beta=cfg.get("beta", DEFAULT_BETA),
-        epsilon=cfg.get("epsilon", DEFAULT_EPSILON),
-        delta_two_mode=_delta_two_mode(cfg) or DeltaTwoMode.dropped(),
-        tol=cfg.get("tol", DEFAULT_MAP_TOL),
+        **_design_options(cfg),
+        **_given(cfg, "tol"),
     )
     grid = sweep_peak_amplitude(spec) if cfg["metric"] == "peak" else sweep_efficiency(spec)
     out = _out_dir(cfg)

@@ -195,6 +195,25 @@ class PulseSchedule:
                 )
 
 
+def _leg(scheme, protocol, couplings, t_f, delta_single, delta_two=_zero_channel, **record):
+    """One designed forward leg of duration t_f.
+
+    Its design record holds ``protocol``, ``t_f`` and ``delta_single``,
+    which ``peak_amplitude(s)`` and ``build_roundtrip`` read, then
+    ``record``.
+    """
+    t_f, delta_single = float(t_f), float(delta_single)
+    return PulseSchedule(
+        scheme=scheme,
+        couplings=couplings,
+        delta_single=delta_single,
+        delta_two=delta_two,
+        duration=t_f,
+        segments=(Segment("forward", t_f),),
+        design={"protocol": protocol, "t_f": t_f, "delta_single": delta_single, **record},
+    )
+
+
 def design_protocol1(
     t_f: float,
     delta_single: float,
@@ -249,24 +268,9 @@ def design_protocol1(
             raw = np.nan_to_num(raw, nan=0.0, posinf=np.inf, neginf=-np.inf)
             return np.clip(raw, -limit, limit)
 
-    aux = TwoLevelAux.linear_sweep(t_f, beta)
-    return PulseSchedule(
-        scheme="lambda3",
-        couplings=couplings,
-        delta_single=float(delta_single),
-        delta_two=delta_two,
-        duration=float(t_f),
-        segments=(Segment("forward", float(t_f)),),
-        design={
-            "protocol": "p1",
-            "t_f": float(t_f),
-            "delta_single": float(delta_single),
-            "beta": float(beta),
-            "mode": mode,
-            "printed_delta_form": printed_delta_form,
-            "aux": aux,
-        },
-    )
+    return _leg("lambda3", "p1", couplings, t_f, delta_single, delta_two,
+                beta=float(beta), mode=mode, printed_delta_form=printed_delta_form,
+                aux=TwoLevelAux.linear_sweep(t_f, beta))
 
 
 def _p1_coupling(t_f, delta_single, beta):
@@ -306,20 +310,7 @@ def design_protocol2(t_f: float, delta_single: float) -> PulseSchedule:
     def couplings(t):
         return _p2_coupling(delta_single, _p2_rate(aux.theta_dot(t)))[..., None]
 
-    return PulseSchedule(
-        scheme="lambda3",
-        couplings=couplings,
-        delta_single=float(delta_single),
-        delta_two=_zero_channel,
-        duration=float(t_f),
-        segments=(Segment("forward", float(t_f)),),
-        design={
-            "protocol": "p2",
-            "t_f": float(t_f),
-            "delta_single": float(delta_single),
-            "aux": aux,
-        },
-    )
+    return _leg("lambda3", "p2", couplings, t_f, delta_single, aux=aux)
 
 
 def _chain_effective_couplings(aux: ThreeLevelAux):
@@ -359,22 +350,6 @@ def _chain_floor(e1, e2):
     return 1e-24 * np.max(e1**2 + e2**2, axis=-1)
 
 
-def _chain_profile(effective_pair, floor: float):
-    """t -> (omega_e1, omega_e2, amplitude), from one effective-pair evaluation.
-
-    The amplitude is the delta-free omega1 profile (omega_e1^2 +
-    omega_e2^2)^(1/4).  Squared couplings at or below ``floor`` are exact
-    zeros of the design (the fourth root would amplify float dust into
-    visible channel values).
-    """
-
-    def profile(t):
-        e1, e2 = effective_pair(t)
-        return e1, e2, _chain_amplitude(e1, e2, floor)
-
-    return profile
-
-
 def _chain_amplitude(e1, e2, floor):
     """(e1^2 + e2^2)^(1/4), zero where the square is at or below ``floor``."""
     s = e1**2
@@ -384,21 +359,25 @@ def _chain_amplitude(e1, e2, floor):
     return np.where(on, s, 0.0)
 
 
-def _chain_channels(profile, root, gauge: float):
-    """t -> (omega1, omega2, omega3, omega4) on a last axis, from one profile evaluation.
+def _chain_channels(effective_pair, floor: float, root, gauge: float):
+    """t -> (omega1, omega2, omega3, omega4) on a last axis, from one
+    effective-pair evaluation.
 
-    With the profile's amplitude a and root = sqrt(2 delta):
+    With the delta-free omega1 profile a = (omega_e1^2 + omega_e2^2)^(1/4)
+    and root = sqrt(2 delta):
 
         omega1 = omega4 = root * a
         omega2 = gauge * root * omega_e1 / a,   omega3 = gauge * root * omega_e2 / a
 
-    and omega2 = omega3 = 0 where a is zero (the profile's floor; a > 0
-    holds exactly where the squared couplings exceed it).
+    Squared couplings at or below ``floor`` are exact zeros of the design
+    (the fourth root would amplify float dust into visible channel
+    values): a is zero there, and so are omega2 and omega3.
     """
     scale = gauge * root
 
     def channels(t):
-        e1, e2, amp = profile(t)
+        e1, e2 = effective_pair(t)
+        amp = _chain_amplitude(e1, e2, floor)
         on = amp > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             o2 = np.where(on, scale * e1 / amp, 0.0)
@@ -446,26 +425,10 @@ def design_chainwise(
     gauge = 1.0 if float(np.trapezoid(e1, probe)) >= 0.0 else -1.0
 
     floor = float(_chain_floor(e1, e2))
-
-    return PulseSchedule(
-        scheme="m5",
-        couplings=_chain_channels(_chain_profile(effective_pair, floor),
-                                  _chain_root(delta_single), gauge),
-        delta_single=float(delta_single),
-        delta_two=_zero_channel,
-        duration=float(t_f),
-        segments=(Segment("forward", float(t_f)),),
-        design={
-            "protocol": "chainwise",
-            "t_f": float(t_f),
-            "delta_single": float(delta_single),
-            "epsilon": float(epsilon),
-            "direction": direction,
-            "aux": aux,
-            "gauge": gauge,
-            "floor": floor,
-        },
-    )
+    return _leg("m5", "chainwise",
+                _chain_channels(effective_pair, floor, _chain_root(delta_single), gauge),
+                t_f, delta_single, epsilon=float(epsilon), direction=direction, aux=aux,
+                gauge=gauge, floor=floor)
 
 
 def _piecewise(forward: Callable, backward: Callable, t_leg: float, hold: float) -> Callable:

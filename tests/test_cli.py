@@ -184,6 +184,22 @@ class TestDesignCommand:
         header = (out / "schedule.csv").read_text().splitlines()[0]
         assert header == "t_us,omega1,omega2,omega3,omega4,delta_two"
 
+    @pytest.mark.parametrize("mode, largest", [
+        (["--delta-two-mode", "exact_clamped", "--delta-two-clamp", "300"], 300.0),
+        (["--delta-two-mode", "exact_clamped"], float(f"{200 * np.pi:.12g}")),
+        (["--delta-two-mode", "dropped"], 0.0),
+    ], ids=["clamp-300", "clamp-default", "dropped"])
+    def test_delta_two_mode_reaches_the_schedule(self, mode, largest, tmp_path):
+        # The p1 detuning diverges at the leg edges: clamped it reaches the
+        # clamp (200 pi by default, as written to 12 digits); dropped it is zero.
+        out = tmp_path / "p1"
+        assert run_cli(["design", "--protocol", "p1", "--tf", "4", "--delta", "1.8pi_GHz",
+                        *mode, "--out", str(out)]) == 0
+        rows = (out / "schedule.csv").read_text().splitlines()
+        assert rows[0].split(",")[-1] == "delta_two"
+        column = np.array([float(r.split(",")[-1]) for r in rows[1:]])
+        assert np.max(np.abs(column)) == largest
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_points_per_leg_must_be_positive(self, points, tmp_path, capsys):
         out = tmp_path / "out"
@@ -428,6 +444,33 @@ class TestConfigHandling:
                         "--out", str(out2)]) == 0
         assert (out1 / "timeseries.csv").read_bytes() == (out2 / "timeseries.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_clamped_simulate_rerun_from_manifest_bitwise(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        args = ["simulate", "--preset", "rb2_lambda", "--protocol", "p1", "--tf", "2",
+                "--n-samples", "101", "--delta-two-mode", "exact_clamped",
+                "--delta-two-clamp", "300"]
+        assert run_cli(args + ["--out", str(out1)]) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["delta_two_mode"] == "exact_clamped"
+        assert manifest["delta_two_clamp"] == 300.0
+        assert run_cli(["simulate", "--config", str(out1 / "manifest.json"),
+                        "--out", str(out2)]) == 0
+        assert (out1 / "timeseries.csv").read_bytes() == (out2 / "timeseries.csv").read_bytes()
+
+    @pytest.mark.parametrize("content, problem", [
+        (None, "cannot read config file"),
+        ("{\"protocol\": ", "is not valid JSON"),
+        ("[\"design\"]", "must hold a JSON object"),
+    ], ids=["missing", "invalid-json", "list"])
+    def test_bad_config_file_rejected(self, content, problem, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        if content is not None:
+            cfg.write_text(content)
+        out = tmp_path / "o"
+        assert run_cli(["design", "--config", str(cfg), "--out", str(out)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_protocol_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -37,6 +37,20 @@ def two_level(omega, delta_e):
     )
 
 
+def gain_between_samples(t_end=1.0):
+    """2-level H whose (1,1) entry 5j sin^2(pi t / t_end) is Hermitian at
+    t = 0 and t_end only: a 2-sample grid sees a valid H, the steps between
+    its samples grow level 2 by exp(5 t_end / 2) in amplitude."""
+
+    def evaluate(t):
+        t_arr = np.asarray(t, dtype=float)
+        out = np.zeros(t_arr.shape + (2, 2), dtype=complex)
+        out[..., 1, 1] = 5j * np.sin(np.pi * t_arr / t_end) ** 2
+        return out
+
+    return HamiltonianRule(2, evaluate)
+
+
 class TestTypes:
     def test_state_norm_guard(self):
         with pytest.raises(ValueError, match="norm"):
@@ -163,6 +177,12 @@ class TestPropagateState:
             propagate_state(HamiltonianRule(2, evaluate), StateVector.basis(2, 0),
                             TimeGrid(0.0, 1.0, 11))
 
+    def test_norm_drift_is_integration_error(self):
+        # The norm grows from 1 to e^5 (drift 147) where no sample sees H.
+        with pytest.raises(IntegrationError, match="norm drift"):
+            propagate_state(gain_between_samples(), StateVector.basis(2, 1),
+                            TimeGrid(0.0, 1.0, 2), tol=1e-6)
+
     def test_unnormalized_initial_state_rejected(self):
         bad = StateVector(np.array([0.7, 0.7j]))
         with pytest.raises(ValueError, match="normalized"):
@@ -222,6 +242,12 @@ class TestPropagateDensity:
             propagate_density(HamiltonianRule(2, evaluate), DecayVector([0.0, 0.5]),
                               DensityMatrix.pure(StateVector.basis(2, 0)),
                               TimeGrid(0.0, 1.0, 2))
+
+    def test_trace_increase_is_integration_error(self):
+        with pytest.raises(IntegrationError, match="trace increased"):
+            propagate_density(gain_between_samples(), DecayVector.none(2),
+                              DensityMatrix.pure(StateVector.basis(2, 1)),
+                              TimeGrid(0.0, 1.0, 2), tol=1e-6)
 
     def test_trace_monotone_under_loss(self):
         h = two_level(2.0, 0.0)

@@ -339,6 +339,24 @@ class TestEfficiencyMaps:
         grid = sweep_efficiency(spec)
         assert np.mean(grid.cells >= 0.9) >= 0.8
 
+    @pytest.mark.parametrize("protocol, options", [
+        ("p1", {}),
+        ("p1", {"delta_two_mode": DeltaTwoMode.exact_clamped(300.0)}),
+        ("p2", {}),
+        ("chainwise", {"epsilon": 0.05}),
+    ], ids=["p1-dropped", "p1-clamped", "p2", "chainwise"])
+    def test_cells_are_two_sample_scenarios_bitwise(self, protocol, options):
+        decays = DecayVector(M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS)
+        spec = SweepSpec(protocol, (2.0, 3.0, 2), (1200 * np.pi, 1800 * np.pi, 2), decays,
+                         tol=1e-4, **options)
+        grid = sweep_efficiency(spec)
+        assert not grid.metadata["failed_cells"]
+        for i, tf in enumerate(spec.tf_values):
+            for j, delta in enumerate(spec.delta_values):
+                scenario = run_scenario(protocol, tf, delta, decays, tol=spec.tol,
+                                        n_samples=2, **options)
+                assert grid.cells[i, j] == scenario.final_efficiency
+
     def test_metadata_records_run(self):
         spec = lambda_spec("p1", tf=(2.0, 3.0, 2), delta=(1500 * np.pi, 2000 * np.pi, 2))
         grid = sweep_efficiency(spec)
@@ -468,6 +486,23 @@ class TestRunScenario:
                  for n in (2, 1201)}
         for level, fine in peaks[1201].items():
             assert fine <= peaks[2][level] <= 1.01 * fine
+
+    def test_roundtrip_efficiency_only_on_round_trips(self, lambda_decays):
+        one_way = run_scenario("p2", 2.0, 1200 * np.pi, lambda_decays, tol=1e-4, n_samples=2)
+        assert one_way.roundtrip_efficiency is None
+        assert one_way.final_efficiency == one_way.populations[-1, 2]
+        assert "roundtrip_efficiency" not in one_way.summary()
+        both = run_scenario("p2", 2.0, 1200 * np.pi, lambda_decays, roundtrip_hold=0.1,
+                            tol=1e-4, n_samples=2)
+        assert both.roundtrip_efficiency == both.final_efficiency == both.populations[-1, 0]
+        assert both.summary()["roundtrip_efficiency"] == both.final_efficiency
+
+    def test_peak_excited_levels_are_the_odd_interior_ones(self, lambda_decays, m_decays):
+        three = run_scenario("p2", 2.0, 1200 * np.pi, lambda_decays, tol=1e-4, n_samples=3)
+        five = run_scenario("chainwise", 3.0, 1200 * np.pi, m_decays, tol=1e-4, n_samples=3)
+        assert set(three.peak_excited) == {1}
+        assert set(five.peak_excited) == {1, 3}
+        assert five.peak_excited[3] == np.max(five.populations[:, 3])
 
     def test_decay_dimension_guard(self, m_decays):
         with pytest.raises(ValueError, match="decay"):
