@@ -14,8 +14,9 @@ manifest back through ``--config`` reproduces the run bit for bit (set
 ``SOURCE_DATE_EPOCH`` to pin the map timestamp).  Every key is declared
 once, in ``_KEYS``, with the commands that take it; a flag and the same
 config key go through one converter, and a key the command does not take
-is rejected either way.  Flags override config values; preset suggestions
-fill the command's keys still missing.
+is rejected either way, as is a design key that the chosen protocol does
+not read (``sweeps.design_options``).  Flags override config values;
+preset suggestions fill the command's keys still missing.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -34,8 +35,8 @@ import numpy as np
 
 from .protocols import DeltaTwoMode, peak_amplitude
 from .qcore import DecayVector, IntegrationError
-from .sweeps import (PROTOCOL_LEVELS, PROTOCOLS, SweepSpec, design_schedule, run_scenario,
-                     sweep_efficiency, sweep_peak_amplitude)
+from .sweeps import (PROTOCOL_LEVELS, PROTOCOLS, SweepSpec, design_options, design_schedule,
+                     run_scenario, sweep_efficiency, sweep_peak_amplitude)
 
 __all__ = [
     "ConfigError",
@@ -186,7 +187,12 @@ def _range(convert):
 
 @dataclass(frozen=True)
 class Preset:
-    """Named molecular parameter set: decays plus suggested design values."""
+    """Named molecular parameter set: decays plus a suggested operating point.
+
+    ``suggested`` fills ``tf`` and ``delta`` when a command lacks them; it
+    suggests no design option, so every protocol runs a preset with its
+    designer's defaults unless told otherwise.
+    """
 
     name: str
     scheme: str
@@ -199,13 +205,13 @@ PRESETS = {
         name="rb2_lambda",
         scheme="lambda3",
         decays=(2 * np.pi * 7.2e-4, 2 * np.pi * 12.0, 2 * np.pi * 4.0e-4),
-        suggested={"tf": 4.0, "delta": 1800 * np.pi, "beta": np.pi / 1.99},
+        suggested={"tf": 4.0, "delta": 1800 * np.pi},
     ),
     "rb2_m": Preset(
         name="rb2_m",
         scheme="m5",
         decays=(0.01, 30.0, 0.01, 30.0, 0.0),
-        suggested={"tf": 8.0, "delta": 1270 * np.pi, "epsilon": 0.03},
+        suggested={"tf": 8.0, "delta": 1270 * np.pi},
     ),
 }
 
@@ -302,14 +308,19 @@ def _given(cfg: dict, *keys: str) -> dict:
 
 
 def _design_options(cfg: dict) -> dict:
-    """The design keywords of ``design_schedule``, ``run_scenario`` and
-    ``SweepSpec`` that the command was given."""
+    """The designer options the command was given, under the designer's
+    names (``delta_two_mode`` and ``delta_two_clamp`` make ``mode``); a
+    design key that the protocol does not read is a ConfigError naming it."""
     if "delta_two_clamp" in cfg and cfg.get("delta_two_mode") != "exact_clamped":
         raise ConfigError("delta_two_clamp needs delta_two_mode 'exact_clamped'")
+    protocol = cfg["protocol"]
+    for key, option in (("beta", "beta"), ("epsilon", "epsilon"), ("delta_two_mode", "mode")):
+        if key in cfg and option not in design_options(protocol):
+            raise ConfigError(f"protocol {protocol} does not read {key!r}")
     options = _given(cfg, "beta", "epsilon")
     if "delta_two_mode" in cfg:
         clamp = {"limit": cfg["delta_two_clamp"]} if "delta_two_clamp" in cfg else {}
-        options["delta_two_mode"] = DeltaTwoMode(cfg["delta_two_mode"], **clamp)
+        options["mode"] = DeltaTwoMode(cfg["delta_two_mode"], **clamp)
     return options
 
 
@@ -372,7 +383,7 @@ def _cmd_sweep(cfg: dict) -> int:
         tf_range=tuple(cfg["tf"]),
         delta_range=tuple(cfg["delta"]),
         decays=_decays(cfg, cfg["protocol"]),
-        **_design_options(cfg),
+        design=_design_options(cfg),
         **_given(cfg, "tol"),
     )
     grid = sweep_peak_amplitude(spec) if cfg["metric"] == "peak" else sweep_efficiency(spec)

@@ -40,6 +40,7 @@ from .qcore import HamiltonianRule
 
 __all__ = [
     "DEFAULT_BETA",
+    "DEFAULT_EPSILON",
     "DeltaTwoMode",
     "Segment",
     "PulseSchedule",
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 DEFAULT_BETA = np.pi / 1.99
+DEFAULT_EPSILON = 0.03
 DEFAULT_CLAMP = 200.0 * np.pi
 CSV_POINTS_PER_LEG = 2000
 _PROBE_POINTS = 257   # finiteness probe of a schedule, chainwise gauge and floor
@@ -396,10 +398,13 @@ def _chain_root(delta_single):
 def design_chainwise(
     t_f: float,
     delta_single: float,
-    epsilon: float,
+    epsilon: float = DEFAULT_EPSILON,
     direction: str = "creation",
 ) -> PulseSchedule:
     """Four-channel schedule driving the five-level chain end to end.
+
+    ``epsilon`` is chi at both leg edges, the floor on the mixing angle
+    that keeps the drive finite (see ``solve_aux_polynomials``).
 
     Solves the angle polynomials, forms the effective pair (omega_e1,
     omega_e2), and inverts the elimination:

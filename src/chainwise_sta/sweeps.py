@@ -40,13 +40,11 @@ from __future__ import annotations
 import os
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
 from .protocols import (
-    DEFAULT_BETA,
-    DeltaTwoMode,
     PulseSchedule,
     build_roundtrip,
     design_chainwise,
@@ -73,14 +71,32 @@ __all__ = [
     "sweep_efficiency",
     "run_scenario",
     "design_schedule",
+    "design_options",
 ]
 
-PROTOCOL_LEVELS = {"p1": 3, "p2": 3, "chainwise": 5}  # levels of the driven scheme
-PROTOCOLS = tuple(PROTOCOL_LEVELS)
+# Protocol -> (levels of the driven scheme, keyword options its designer takes).
+_PROTOCOLS = {"p1": (3, ("beta", "mode")), "p2": (3, ()), "chainwise": (5, ("epsilon",))}
+PROTOCOL_LEVELS = {name: levels for name, (levels, _) in _PROTOCOLS.items()}
+PROTOCOLS = tuple(_PROTOCOLS)
 DEFAULT_MAP_TOL = 1e-6
 DEFAULT_SCENARIO_TOL = 1e-8
 DEFAULT_SCENARIO_SAMPLES = 1201
-DEFAULT_EPSILON = 0.03
+
+
+def design_options(protocol: str) -> tuple[str, ...]:
+    """The keyword options that the protocol's designer takes."""
+    if protocol not in _PROTOCOLS:
+        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
+    return _PROTOCOLS[protocol][1]
+
+
+def _check_design(protocol: str, design) -> None:
+    takes = design_options(protocol)
+    for name in design:
+        if name not in takes:
+            raise ValueError(f"the {protocol} designer takes no option {name!r} "
+                             f"(it takes {', '.join(takes) or 'none'})")
+
 
 def thread_cap() -> int:
     raw = os.environ.get("CHAINWISE_STA_THREADS", "")
@@ -98,27 +114,36 @@ def thread_cap() -> int:
 
 
 def _timestamp() -> str:
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    stamp = float(epoch) if epoch else _time.time()
-    return _time.strftime("%Y-%m-%dT%H:%M:%SZ", _time.gmtime(stamp))
+    """UTC time of the run, or ``SOURCE_DATE_EPOCH`` (decimal integer seconds) if set."""
+    raw = os.environ.get("SOURCE_DATE_EPOCH", "")
+    try:
+        if raw and not (raw.isascii() and raw.removeprefix("-").isdigit()):
+            raise ValueError
+        stamp = _time.gmtime(int(raw)) if raw else _time.gmtime()
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(f"SOURCE_DATE_EPOCH must be a decimal integer of seconds "
+                         f"within the platform's time range, got {raw!r}") from None
+    return _time.strftime("%Y-%m-%dT%H:%M:%SZ", stamp)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid and fixed options for one sweep."""
+    """Grid and fixed options for one sweep.
+
+    ``design`` holds keyword options of the protocol's designer, under the
+    designer's own names (``design_options(protocol)``); the designer's
+    defaults fill the rest, and an option it does not take is a ValueError.
+    """
 
     protocol: str
     tf_range: tuple[float, float, int]        # min, max, count (us)
     delta_range: tuple[float, float, int]     # min, max, count (rad/us)
     decays: DecayVector
-    beta: float = DEFAULT_BETA
-    epsilon: float = DEFAULT_EPSILON
-    delta_two_mode: DeltaTwoMode = field(default_factory=DeltaTwoMode.dropped)
+    design: dict = field(default_factory=dict)
     tol: float = DEFAULT_MAP_TOL
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
+        _check_design(self.protocol, self.design)
         for name, (lo, hi, count) in (("t_f", self.tf_range), ("delta", self.delta_range)):
             if count < 2:
                 raise ValueError(f"{name} range needs at least 2 points")
@@ -168,22 +193,18 @@ class GridMap:
             fh.write(header + "".join(line % tuple(row) for row in table))
 
 
-def design_schedule(
-    protocol: str,
-    t_f: float,
-    delta: float,
-    beta: float = DEFAULT_BETA,
-    epsilon: float = DEFAULT_EPSILON,
-    delta_two_mode: DeltaTwoMode | None = None,
-) -> PulseSchedule:
-    """Dispatch one of the three designers by protocol name."""
-    if protocol == "p1":
-        return design_protocol1(t_f, delta, beta=beta, mode=delta_two_mode)
-    if protocol == "p2":
-        return design_protocol2(t_f, delta)
-    if protocol == "chainwise":
-        return design_chainwise(t_f, delta, epsilon)
-    raise ValueError(f"unknown protocol {protocol!r}")
+def design_schedule(protocol: str, t_f: float, delta: float, **design) -> PulseSchedule:
+    """Dispatch one of the three designers by protocol name.
+
+    ``design`` passes keyword options to the designer: ``beta`` and
+    ``mode`` for p1, none for p2, ``epsilon`` for chainwise.  Any other
+    option raises ValueError naming it.
+    """
+    _check_design(protocol, design)
+    # Looked up per call, so a patched module name sees every design.
+    designer = {"p1": design_protocol1, "p2": design_protocol2,
+                "chainwise": design_chainwise}[protocol]
+    return designer(t_f, delta, **design)
 
 
 def _base_metadata(spec: SweepSpec, metric: str) -> dict:
@@ -193,10 +214,9 @@ def _base_metadata(spec: SweepSpec, metric: str) -> dict:
         "decays_rad_us": [float(g) for g in spec.decays.rates],
         "tf_range_us": list(spec.tf_range),
         "delta_range_rad_us": list(spec.delta_range),
-        "beta": float(spec.beta),
-        "epsilon": float(spec.epsilon),
-        "delta_two_mode": spec.delta_two_mode.mode,
-        "delta_two_clamp_rad_us": float(spec.delta_two_mode.limit),
+        # The options given; a DeltaTwoMode is written as its mode and limit.
+        "design": {name: asdict(value) if is_dataclass(value) else value
+                   for name, value in spec.design.items()},
         "tolerance": float(spec.tol),
         "timestamp": _timestamp(),
         "failed_cells": [],
@@ -242,11 +262,9 @@ def sweep_peak_amplitude(spec: SweepSpec) -> GridMap:
     """
     tf_vals = spec.tf_values
     dl_vals = spec.delta_values
+    meta = _base_metadata(spec, "peak_amplitude")
     try:
-        leg = design_schedule(
-            spec.protocol, tf_vals[0], dl_vals[0],
-            beta=spec.beta, epsilon=spec.epsilon, delta_two_mode=spec.delta_two_mode,
-        )
+        leg = design_schedule(spec.protocol, tf_vals[0], dl_vals[0], **spec.design)
     except ValueError as exc:
         raise _cell_error(tf_vals[0], dl_vals[0], exc) from exc
     cells = peak_amplitudes(leg, tf_vals, dl_vals)
@@ -254,7 +272,7 @@ def sweep_peak_amplitude(spec: SweepSpec) -> GridMap:
     if bad.size:
         i, j = bad[0]
         raise _cell_error(tf_vals[i], dl_vals[j], "peak amplitude is not finite")
-    return GridMap(tf_vals, dl_vals, cells, _base_metadata(spec, "peak_amplitude"))
+    return GridMap(tf_vals, dl_vals, cells, meta)
 
 
 def _cell_error(tf: float, delta: float, reason) -> ValueError:
@@ -271,18 +289,14 @@ def sweep_efficiency(spec: SweepSpec) -> GridMap:
 
     def cell(tf, delta):
         try:
-            result = run_scenario(
-                spec.protocol, tf, delta, spec.decays,
-                beta=spec.beta, epsilon=spec.epsilon, delta_two_mode=spec.delta_two_mode,
-                tol=spec.tol, n_samples=2,
-            )
+            result = run_scenario(spec.protocol, tf, delta, spec.decays,
+                                  tol=spec.tol, n_samples=2, **spec.design)
         except IntegrationError as exc:
             return np.nan, str(exc)
         return result.final_efficiency, None
 
-    cells, failures = _run_cells(spec, cell)
     meta = _base_metadata(spec, "efficiency")
-    meta["failed_cells"] = failures
+    cells, meta["failed_cells"] = _run_cells(spec, cell)
     return GridMap(spec.tf_values, spec.delta_values, cells, meta)
 
 
@@ -342,14 +356,16 @@ def run_scenario(
     t_f: float,
     delta: float,
     decays: DecayVector,
-    beta: float = DEFAULT_BETA,
-    epsilon: float = DEFAULT_EPSILON,
-    delta_two_mode: DeltaTwoMode | None = None,
     roundtrip_hold: float | None = None,
     tol: float = DEFAULT_SCENARIO_TOL,
     n_samples: int = DEFAULT_SCENARIO_SAMPLES,
+    **design,
 ) -> ScenarioResult:
     """Design one schedule, propagate the lossy dynamics, report the outcome.
+
+    ``design`` passes keyword options to the protocol's designer, as in
+    ``design_schedule``; an option the designer does not take raises
+    ValueError naming it.
 
     The run starts in the first level; the last level is the target (level
     3 of the three-level ladder, level 5 of the chain) and the odd interior
@@ -365,8 +381,7 @@ def run_scenario(
     can miss the true peak.  An efficiency map cell is this run's
     ``final_efficiency`` at 2 samples.
     """
-    leg = design_schedule(protocol, t_f, delta, beta=beta, epsilon=epsilon,
-                          delta_two_mode=delta_two_mode)
+    leg = design_schedule(protocol, t_f, delta, **design)
     schedule = leg if roundtrip_hold is None else build_roundtrip(leg, roundtrip_hold)
     h = hamiltonian_rule(schedule)
     n = h.dimension

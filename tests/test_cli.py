@@ -135,7 +135,9 @@ class TestPresets:
             (2 * np.pi * 7.2e-4, 2 * np.pi * 12.0, 2 * np.pi * 4.0e-4))
         m = PRESETS["rb2_m"]
         assert m.decays == (0.01, 30.0, 0.01, 30.0, 0.0)
-        assert m.suggested["epsilon"] == 0.03
+        # An operating point only: each protocol's designer defaults hold.
+        for preset in PRESETS.values():
+            assert set(preset.suggested) == {"tf", "delta"}
 
     def test_presets_command(self, capsys):
         assert run_cli(["presets"]) == 0
@@ -208,6 +210,52 @@ class TestDesignCommand:
         assert code == 2
         assert "points_per_leg" in capsys.readouterr().err
         assert not (out / "schedule.csv").exists()
+
+
+_UNREAD = [("p2", "beta", "pi/3"), ("p2", "epsilon", "0.05"),
+           ("p2", "delta_two_mode", "exact_clamped"), ("p1", "epsilon", "0.05"),
+           ("chainwise", "beta", "pi/3"), ("chainwise", "delta_two_mode", "exact_clamped")]
+_UNREAD_IDS = [f"{protocol}-{key}" for protocol, key, _ in _UNREAD]
+
+
+class TestDesignKeys:
+    """A run takes, and records, only the design keys its protocol reads."""
+
+    @pytest.mark.parametrize("protocol, key, value", _UNREAD, ids=_UNREAD_IDS)
+    def test_unread_flag_rejected(self, protocol, key, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["design", "--protocol", protocol, "--tf", "4", "--delta", "1.2pi_GHz",
+                        "--" + key.replace("_", "-"), value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and protocol in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("protocol, key, value", _UNREAD, ids=_UNREAD_IDS)
+    def test_unread_config_key_rejected(self, protocol, key, value, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"protocol": protocol, "tf": 4, "delta": "1.2pi_GHz",
+                                   key: value}))
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and protocol in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset, protocol, flag", [
+        ("rb2_lambda", "p1", ["--beta", "pi/1.99"]),
+        ("rb2_m", "chainwise", ["--epsilon", "0.03"]),
+    ], ids=["rb2_lambda-beta", "rb2_m-epsilon"])
+    def test_preset_runs_the_designer_defaults(self, preset, protocol, flag, tmp_path):
+        # The presets suggest no design option; the designers' defaults
+        # equal the values they once suggested, bit for bit.
+        base = ["simulate", "--preset", preset, "--protocol", protocol,
+                "--tol", "1e-4", "--n-samples", "11"]
+        assert run_cli([*base, "--out", str(tmp_path / "preset")]) == 0
+        assert run_cli([*base, *flag, "--out", str(tmp_path / "explicit")]) == 0
+        assert ((tmp_path / "preset" / "timeseries.csv").read_bytes()
+                == (tmp_path / "explicit" / "timeseries.csv").read_bytes())
+        manifest = json.loads((tmp_path / "preset" / "manifest.json").read_text())
+        assert not {"beta", "epsilon"} & set(manifest)
 
 
 class TestSimulateCommand:
@@ -297,7 +345,6 @@ class TestSweepCommand:
             b"1,97.081295627784954,137.29368492956536\n"
             b"2,68.646842464782679,97.081295627784954\n")
         assert (out / "map_meta.json").read_text() == """{
-  "beta": 1.578689775673263,
   "decays_rad_us": [
     0.0,
     0.0,
@@ -308,9 +355,7 @@ class TestSweepCommand:
     2000.0,
     2
   ],
-  "delta_two_clamp_rad_us": 628.3185307179587,
-  "delta_two_mode": "dropped",
-  "epsilon": 0.03,
+  "design": {},
   "failed_cells": [],
   "metric": "peak_amplitude",
   "protocol": "p2",
@@ -340,6 +385,37 @@ class TestSweepCommand:
   ]
 }
 """ % json.dumps(str(out))
+
+    def test_map_meta_records_the_design_options(self, tmp_path, capsys):
+        out = tmp_path / "pk"
+        assert run_cli(["sweep", "--metric", "peak", "--protocol", "p1", "--tf", "1:2:2",
+                        "--delta", "1000:2000:2", "--delta-two-mode", "exact_clamped",
+                        "--delta-two-clamp", "300", "--out", str(out)]) == 0
+        meta = json.loads((out / "map_meta.json").read_text())
+        assert meta["design"] == {"mode": {"limit": 300.0, "mode": "exact_clamped"}}
+
+    @pytest.mark.parametrize("epoch", ["abc", "1.5", "inf", "1e20", "100000000000000000000"])
+    def test_bad_source_date_epoch_exits_2(self, epoch, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert run_cli(["sweep", "--metric", "peak", "--protocol", "p2", "--tf", "1:2:2",
+                        "--delta", "1000:2000:2", "--out", str(tmp_path / "pk")]) == 2
+        assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epoch, stamp", [("0", "1970-01-01T00:00:00Z"),
+                                              ("1700000000", "2023-11-14T22:13:20Z")])
+    def test_source_date_epoch_pins_timestamp(self, epoch, stamp, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        out = tmp_path / "pk"
+        assert run_cli(["sweep", "--metric", "peak", "--protocol", "p2", "--tf", "1:2:2",
+                        "--delta", "1000:2000:2", "--out", str(out)]) == 0
+        assert json.loads((out / "map_meta.json").read_text())["timestamp"] == stamp
+
+    def test_empty_source_date_epoch_means_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "")
+        out = tmp_path / "pk"
+        assert run_cli(["sweep", "--metric", "peak", "--protocol", "p2", "--tf", "1:2:2",
+                        "--delta", "1000:2000:2", "--out", str(out)]) == 0
+        assert json.loads((out / "map_meta.json").read_text())["timestamp"] > "2020"
 
     @pytest.mark.parametrize("failing_tf, code, failed", [((2.0, 4.0), 3, 4), ((4.0,), 0, 2)],
                              ids=["all", "partial"])

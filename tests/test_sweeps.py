@@ -55,6 +55,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="delta range must be finite"):
             lambda_spec(delta=(bad, 5000 * np.pi, 3))
 
+    @pytest.mark.parametrize("protocol, option", [
+        ("p2", "beta"), ("p2", "epsilon"), ("p2", "mode"), ("p1", "epsilon"),
+        ("chainwise", "beta"), ("chainwise", "mode"), ("p1", "delta_two_mode"),
+    ])
+    def test_unread_design_option_rejected(self, protocol, option):
+        decays = DecayVector(M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS)
+        pattern = f"{protocol} designer takes no option '{option}'"
+        with pytest.raises(ValueError, match=pattern):
+            SweepSpec(protocol, (1.0, 2.0, 2), (1000.0, 2000.0, 2), decays,
+                      design={option: 0.1})
+        with pytest.raises(ValueError, match=pattern):
+            design_schedule(protocol, 4.0, 1000.0, **{option: 0.1})
+        with pytest.raises(ValueError, match=pattern):
+            run_scenario(protocol, 4.0, 1000.0, decays, **{option: 0.1})
+
     def test_decay_dimension_matches_scheme(self):
         with pytest.raises(ValueError, match="decay"):
             SweepSpec("chainwise", (2.0, 8.0, 3), (1000 * np.pi, 5000 * np.pi, 3),
@@ -78,7 +93,7 @@ class TestPeakAmplitudeMaps:
 
     def test_chainwise_reference_cell(self, m_decays):
         spec = SweepSpec("chainwise", (8.0, 9.0, 2), (1270 * np.pi, 1400 * np.pi, 2),
-                         m_decays, epsilon=0.03)
+                         m_decays, design={"epsilon": 0.03})
         grid = sweep_peak_amplitude(spec)
         assert grid.cells[0, 0] == pytest.approx(40 * np.pi, rel=0.10)
 
@@ -116,16 +131,14 @@ class TestPeakAmplitudeMaps:
 
     def test_design_error_carries_coordinates(self):
         spec = SweepSpec("chainwise", (2.0, 4.0, 2), (1000 * np.pi, 2000 * np.pi, 2),
-                         DecayVector(M_DECAYS), epsilon=0.9)
+                         DecayVector(M_DECAYS), design={"epsilon": 0.9})
         with pytest.raises(ValueError, match="t_f=2"):
             sweep_peak_amplitude(spec)
 
 
 def per_cell_peaks(spec):
     return np.array([
-        [peak_amplitude(design_schedule(spec.protocol, tf, delta, beta=spec.beta,
-                                        epsilon=spec.epsilon,
-                                        delta_two_mode=spec.delta_two_mode))
+        [peak_amplitude(design_schedule(spec.protocol, tf, delta, **spec.design))
          for delta in spec.delta_values]
         for tf in spec.tf_values
     ])
@@ -175,12 +188,12 @@ class TestPeakRows:
 
     @pytest.mark.parametrize("spec", [
         SweepSpec("p1", (1.3, 5.7, 4), (1100 * np.pi, 4900 * np.pi, 6),
-                  DecayVector(LAMBDA_DECAYS), beta=1.2,
-                  delta_two_mode=DeltaTwoMode.exact_clamped()),
+                  DecayVector(LAMBDA_DECAYS),
+                  design={"beta": 1.2, "mode": DeltaTwoMode.exact_clamped()}),
         SweepSpec("chainwise", (1.0, 8.0, 4), (1000 * np.pi, 5000 * np.pi, 5),
-                  DecayVector(M_DECAYS), epsilon=0.001),
+                  DecayVector(M_DECAYS), design={"epsilon": 0.001}),
         SweepSpec("chainwise", (1.0, 8.0, 4), (1000 * np.pi, 5000 * np.pi, 5),
-                  DecayVector(M_DECAYS), epsilon=0.2),
+                  DecayVector(M_DECAYS), design={"epsilon": 0.2}),
         # Non-round axes, as a jittered grid makes them.
         SweepSpec("p2", (1.0 * 0.9714, 6.0 * 0.9714, 7),
                   (1000 * np.pi / 0.9714, 5000 * np.pi / 0.9714, 9), DecayVector(LAMBDA_DECAYS)),
@@ -194,7 +207,7 @@ class TestPeakRows:
     def test_design_error_names_cell(self):
         # sin(beta) < 0 makes every p1 coupling imaginary.
         spec = lambda_spec("p1", tf=(2.0, 4.0, 2), delta=(1000 * np.pi, 2000 * np.pi, 2),
-                           beta=4.0)
+                           design={"beta": 4.0})
         with pytest.raises(ValueError, match=r"t_f=2 us, delta=3141.59 rad/us: .*sin\(beta\)"):
             sweep_peak_amplitude(spec)
 
@@ -335,20 +348,20 @@ class TestEfficiencyMaps:
         # 0.9 for at least 80% of cells (frozen fraction; a 5x5 oracle run
         # over the same ranges measures 92%).
         spec = SweepSpec("chainwise", (4.0, 12.0, 3), (1000 * np.pi, 5000 * np.pi, 3),
-                         m_decays, epsilon=0.03)
+                         m_decays, design={"epsilon": 0.03})
         grid = sweep_efficiency(spec)
         assert np.mean(grid.cells >= 0.9) >= 0.8
 
     @pytest.mark.parametrize("protocol, options", [
         ("p1", {}),
-        ("p1", {"delta_two_mode": DeltaTwoMode.exact_clamped(300.0)}),
+        ("p1", {"mode": DeltaTwoMode.exact_clamped(300.0)}),
         ("p2", {}),
         ("chainwise", {"epsilon": 0.05}),
     ], ids=["p1-dropped", "p1-clamped", "p2", "chainwise"])
     def test_cells_are_two_sample_scenarios_bitwise(self, protocol, options):
         decays = DecayVector(M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS)
         spec = SweepSpec(protocol, (2.0, 3.0, 2), (1200 * np.pi, 1800 * np.pi, 2), decays,
-                         tol=1e-4, **options)
+                         design=options, tol=1e-4)
         grid = sweep_efficiency(spec)
         assert not grid.metadata["failed_cells"]
         for i, tf in enumerate(spec.tf_values):
