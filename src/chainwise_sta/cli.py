@@ -15,8 +15,10 @@ manifest back through ``--config`` reproduces the run bit for bit (set
 once, in ``_KEYS``, with the commands that take it; a flag and the same
 config key go through one converter, and a key the command does not take
 is rejected either way, as is a design key that the chosen protocol does
-not read (``sweeps.design_options``).  Flags override config values;
-preset suggestions fill the command's keys still missing.
+not read (``sweeps.design_options``) and ``gamma`` or ``tol`` given to a
+peak sweep, which propagates nothing.  Flags override config values;
+preset suggestions fill the command's keys still missing, except the
+keys a peak sweep does not read.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -249,6 +251,9 @@ _KEYS = {
     "out": (_for(_RUNS, _text), "output directory"),
 }
 
+# The sweep keys that a peak map, pure design with no propagation, does not read.
+_PEAK_UNREAD = ("gamma", "tol")
+
 
 def _load_config_file(path: str) -> dict:
     try:
@@ -285,13 +290,17 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg = {"command": command}
     for key, value in [*file_cfg.items(), *flags.items()]:
         cfg[key] = _convert(command, key, value)
+    unread = _PEAK_UNREAD if cfg.get("metric") == "peak" else ()
+    for key in unread:
+        if key in cfg:
+            raise ConfigError(f"a peak sweep does not read {key!r}")
     if "preset" in cfg:
         preset = PRESETS[cfg["preset"]]
         suggested = {"gamma": list(preset.decays), **preset.suggested}
         if preset.scheme == "m5":
             suggested["protocol"] = "chainwise"
         for key, value in suggested.items():
-            if key not in cfg and command in _KEYS[key][0]:
+            if key not in cfg and key not in unread and command in _KEYS[key][0]:
                 cfg[key] = _convert(command, key, value)
     return cfg
 

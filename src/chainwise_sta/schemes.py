@@ -18,8 +18,10 @@ warning below a detuning-to-coupling ratio of 10, and a hard error when the
 balancing constraint is broken.
 
 Channels may be passed as plain floats (constant drive) or as callables of
-time that accept numpy arrays; a chain's couplings are one callable giving
-them all on a last axis, which :func:`stack_channels` builds from channels.
+time that accept numpy arrays.  A chain comes in one form: its couplings are
+one callable giving them all on a last axis, which :func:`stack_channels`
+builds from channels, and its diagonal is one row of all its entries, a
+constant array or one such callable.
 """
 
 from __future__ import annotations
@@ -97,25 +99,25 @@ def stack_channels(channels: tuple[Channel, ...]) -> Callable[[np.ndarray], np.n
     return stacked
 
 
-def _chain_rule(diagonal: tuple[Channel, ...],
-                couplings: Callable[[np.ndarray], np.ndarray]) -> HamiltonianRule:
-    """Tridiagonal chain: H[k,k] = diagonal[k](t), H[k,k+1] = H[k+1,k] = couplings(t)[..., k] / 2.
+def _chain_rule(n: int, diagonal, couplings: Callable[[np.ndarray], np.ndarray]) -> HamiltonianRule:
+    """Tridiagonal n-level chain from one diagonal row and one couplings row.
 
-    Every chain Hamiltonian of this module, full or eliminated, is built
-    here.  ``diagonal`` holds floats, assigned as scalars, or callables of
-    t; ``couplings`` maps t to all n - 1 couplings on a last axis (see
-    :func:`stack_channels`), so couplings sharing a computation make it
-    once per call.  :class:`EffTwoLevel` overwrites its diagonal after.
+    H[k,k] is entry k of the diagonal row and H[k,k+1] = H[k+1,k] =
+    couplings(t)[..., k] / 2.  Every chain Hamiltonian of this module, full
+    or eliminated, is built here, and both rows come in one form:
+    ``diagonal`` holds all n entries, as a constant array or as a function
+    of t giving them on a last axis, and ``couplings`` maps t to all n - 1
+    couplings on a last axis (see :func:`stack_channels`).  Each row is
+    evaluated once per call and assigned in one step, so entries sharing a
+    computation make it once.
     """
-    n = len(diagonal)
     levels = np.arange(n)
-    diag = [as_channel(d) if callable(d) else float(d) for d in diagonal]
+    row = diagonal if callable(diagonal) else np.asarray(diagonal, dtype=float)
 
     def evaluate(t):
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros(t_arr.shape + (n, n), dtype=complex)
-        for k, d in enumerate(diag):
-            out[..., k, k] = d(t_arr) if callable(d) else d
+        out[..., levels, levels] = row(t_arr) if callable(row) else row
         val = 0.5 * couplings(t_arr)
         out[..., levels[:-1], levels[1:]] = val
         out[..., levels[1:], levels[:-1]] = val
@@ -163,17 +165,10 @@ class EffTwoLevel:
     def hamiltonian(self) -> HamiltonianRule:
         """Symmetric form: diag(+delta_e/2, -delta_e/2) with omega_e/2 coupling.
 
-        One delta_e evaluation per call fills both diagonal entries.
+        The diagonal row is one delta_e evaluation per call, split in two.
         """
-        dl = as_channel(self.delta_e)
-        chain = _chain_rule((0.0, 0.0), stack_channels((self.omega_e,)))
-
-        def evaluate(t):
-            out = chain(t)
-            out[..., (0, 1), (0, 1)] = np.multiply.outer(dl(t), (0.5, -0.5))
-            return out
-
-        return HamiltonianRule(2, evaluate)
+        return _chain_rule(2, lambda t: np.multiply.outer(self.delta_e(t), (0.5, -0.5)),
+                           stack_channels((self.omega_e,)))
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,7 @@ class EffThreeLevel:
         return self.couplings(t)[..., 1]
 
     def hamiltonian(self) -> HamiltonianRule:
-        return _chain_rule((0.0, 0.0, 0.0), self.couplings)
+        return _chain_rule(3, np.zeros(3), self.couplings)
 
 
 def _probe_times(duration: float | None) -> np.ndarray:
@@ -205,16 +200,17 @@ def _probe_times(duration: float | None) -> np.ndarray:
 def build_lambda(p: LambdaParams) -> HamiltonianRule:
     """Three-level ladder Hamiltonian.
 
-    Couplings omega1/2 and omega2/2 sit on the chain; the diagonal is
-    (0, delta_single, delta_two(t)).
+    Couplings omega1/2 and omega2/2 sit on the chain; the diagonal row is
+    (0, delta_single, delta_two(t)), so delta_two is evaluated once per call.
     """
-    return _chain_rule((0.0, p.delta_single, p.delta_two), stack_channels((p.omega1, p.omega2)))
+    return _chain_rule(3, stack_channels((0.0, p.delta_single, p.delta_two)),
+                       stack_channels((p.omega1, p.omega2)))
 
 
 def build_m(p: MParams) -> HamiltonianRule:
     """Five-level chain Hamiltonian with diagonal (0, delta, 0, delta, 0)."""
     delta = p.delta_single
-    return _chain_rule((0.0, delta, 0.0, delta, 0.0), p.couplings)
+    return _chain_rule(5, (0.0, delta, 0.0, delta, 0.0), p.couplings)
 
 
 def _warn_regime(delta: float, coupling_scale: float, context: str) -> None:

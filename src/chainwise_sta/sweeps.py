@@ -133,6 +133,8 @@ class SweepSpec:
     ``design`` holds keyword options of the protocol's designer, under the
     designer's own names (``design_options(protocol)``); the designer's
     defaults fill the rest, and an option it does not take is a ValueError.
+    ``decays`` and ``tol`` serve efficiency maps only: a peak map neither
+    reads nor records them.
     """
 
     protocol: str
@@ -208,19 +210,22 @@ def design_schedule(protocol: str, t_f: float, delta: float, **design) -> PulseS
 
 
 def _base_metadata(spec: SweepSpec, metric: str) -> dict:
-    return {
+    """The run's record; the decays and tolerance only where the metric reads them."""
+    meta = {
         "metric": metric,
         "protocol": spec.protocol,
-        "decays_rad_us": [float(g) for g in spec.decays.rates],
         "tf_range_us": list(spec.tf_range),
         "delta_range_rad_us": list(spec.delta_range),
         # The options given; a DeltaTwoMode is written as its mode and limit.
         "design": {name: asdict(value) if is_dataclass(value) else value
                    for name, value in spec.design.items()},
-        "tolerance": float(spec.tol),
         "timestamp": _timestamp(),
         "failed_cells": [],
     }
+    if metric == "efficiency":
+        meta.update(decays_rad_us=[float(g) for g in spec.decays.rates],
+                    tolerance=float(spec.tol))
+    return meta
 
 
 def _run_cells(spec: SweepSpec, cell_fn) -> tuple[np.ndarray, list]:

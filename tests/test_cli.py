@@ -345,11 +345,6 @@ class TestSweepCommand:
             b"1,97.081295627784954,137.29368492956536\n"
             b"2,68.646842464782679,97.081295627784954\n")
         assert (out / "map_meta.json").read_text() == """{
-  "decays_rad_us": [
-    0.0,
-    0.0,
-    0.0
-  ],
   "delta_range_rad_us": [
     1000.0,
     2000.0,
@@ -364,8 +359,7 @@ class TestSweepCommand:
     2.0,
     2
   ],
-  "timestamp": "1970-01-01T00:00:00Z",
-  "tolerance": 1e-06
+  "timestamp": "1970-01-01T00:00:00Z"
 }
 """
         assert (out / "manifest.json").read_text() == """{
@@ -385,6 +379,34 @@ class TestSweepCommand:
   ]
 }
 """ % json.dumps(str(out))
+
+    @pytest.mark.parametrize("key, value", [("tol", "1e-3"), ("gamma", "1,2,3")])
+    def test_peak_sweep_rejects_loss_keys(self, key, value, tmp_path, capsys):
+        # A peak map is pure design: it reads no decay rates and no tolerance.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"metric": "peak", "protocol": "p2", "tf": "1:2:2",
+                                   "delta": "1000:2000:2", key: value}))
+        out = tmp_path / "pk"
+        for argv in (["sweep", "--metric", "peak", "--protocol", "p2", "--tf", "1:2:2",
+                      "--delta", "1000:2000:2", "--" + key, value],
+                     ["sweep", "--config", str(cfg)]):
+            assert run_cli(argv + ["--out", str(out)]) == 2
+            assert f"a peak sweep does not read {key!r}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_peak_sweep_preset_fills_no_gamma(self, tmp_path, monkeypatch, capsys):
+        # The preset still picks the chainwise protocol; its decays stay out
+        # of the run, and the map is the one designed without the preset.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        base = ["sweep", "--metric", "peak", "--tf", "1:2:2", "--delta", "1000:2000:2"]
+        out, plain = tmp_path / "pk", tmp_path / "plain"
+        assert run_cli(base + ["--preset", "rb2_m", "--out", str(out)]) == 0
+        assert run_cli(base + ["--protocol", "chainwise", "--out", str(plain)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["protocol"] == "chainwise" and "gamma" not in manifest
+        meta = json.loads((out / "map_meta.json").read_text())
+        assert "decays_rad_us" not in meta and "tolerance" not in meta
+        assert (out / "map.csv").read_bytes() == (plain / "map.csv").read_bytes()
 
     def test_map_meta_records_the_design_options(self, tmp_path, capsys):
         out = tmp_path / "pk"

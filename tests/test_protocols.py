@@ -458,13 +458,13 @@ class TestModelRules:
                 return np.where(s > floor, val, 0.0)
             return omega
 
-        want = _chain_rule((0.0, delta, 0.0, delta, 0.0),
+        want = _chain_rule(5, (0.0, delta, 0.0, delta, 0.0),
                            stack_channels((omega1, lab(0), lab(1), omega1)))
         t = np.linspace(0.0, t_f, 5001)
         assert np.array_equal(hamiltonian_rule(leg).matrices(t), want.matrices(t))
 
         rt = build_roundtrip(leg, 0.1)
-        want_rt = _chain_rule((0.0, delta, 0.0, delta, 0.0),
+        want_rt = _chain_rule(5, (0.0, delta, 0.0, delta, 0.0),
                               stack_channels(tuple(rt.channels.values())))
         t_rt = np.linspace(0.0, rt.duration, 5001)
         assert np.array_equal(hamiltonian_rule(rt).matrices(t_rt), want_rt.matrices(t_rt))
@@ -521,7 +521,7 @@ class TestModelRules:
     def test_effective_h_equals_per_coupling_form_bitwise(self, chain_schedule):
         # Evaluating the couplings jointly changes how often they run, not H(t).
         pair = _chain_effective_couplings(chain_schedule.design["aux"])
-        want = _chain_rule((0.0, 0.0, 0.0),
+        want = _chain_rule(3, np.zeros(3),
                            stack_channels((lambda t: pair(t)[0], lambda t: pair(t)[1])))
         t = np.linspace(0.0, chain_schedule.duration, 5001)
         assert np.array_equal(effective_rule(chain_schedule).matrices(t), want.matrices(t))
@@ -532,7 +532,7 @@ class TestModelRules:
         def reduced(om):
             return lambda t: -om(t) * np.sqrt(om2(t) ** 2 + om3(t) ** 2) / (2.0 * delta)
 
-        want_rt = _chain_rule((0.0, 0.0, 0.0), stack_channels((reduced(om2), reduced(om3))))
+        want_rt = _chain_rule(3, np.zeros(3), stack_channels((reduced(om2), reduced(om3))))
         t_rt = np.linspace(0.0, rt.duration, 5001)
         assert np.array_equal(effective_rule(rt).matrices(t_rt), want_rt.matrices(t_rt))
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from chainwise_sta import (
     reduce_m,
     stack_channels,
 )
-from chainwise_sta.protocols import effective_rule
+from chainwise_sta.protocols import (DeltaTwoMode, design_protocol1, effective_rule,
+                                     hamiltonian_rule)
+from chainwise_sta.schemes import _chain_rule
 
 
 class TestBuildLambda:
@@ -83,6 +87,19 @@ class TestSharedChannels:
             assert np.array_equal(m[:, 1, 2], 0.5 * np.sin(t))
 
 
+class TestChainRule:
+    def test_constant_row_and_row_function_give_the_same_bytes(self):
+        # A chain's diagonal is one row, given as an array or as a function
+        # of t that returns it on a last axis.
+        row = (0.0, 7.5, -1.25, 7.5, 0.0)
+        couplings = stack_channels((np.sin, 1.5, np.cos, 2.5))
+        const = _chain_rule(5, row, couplings)
+        func = _chain_rule(5, stack_channels(row), couplings)
+        for t in (np.linspace(0.0, 3.0, 11), 0.7):
+            assert const(t).tobytes() == func(t).tobytes()
+            assert np.all(np.diagonal(const(t), axis1=-2, axis2=-1) == row)
+
+
 class TestBuildM:
     def test_zero_drive_is_diagonal(self):
         h = build_m(MParams(stack_channels((0.0, 0.0, 0.0, 0.0)), delta_single=7.0))
@@ -129,6 +146,22 @@ class TestReduceLambda:
         assert np.all(m[:, 0, 1] == 1.5) and np.all(m[:, 1, 0] == 1.5)
         h(0.5)
         assert len(calls) == 2
+
+    def test_full_hamiltonian_evaluates_delta_two_once(self):
+        # The diagonal row (0, delta_single, delta_two) is one stacked call.
+        leg = design_protocol1(4.0, 1800 * np.pi, mode=DeltaTwoMode.exact_clamped())
+        calls = []
+
+        def delta_two(t):
+            calls.append(np.shape(t))
+            return leg.delta_two(t)
+
+        h = hamiltonian_rule(dataclasses.replace(leg, delta_two=delta_two))
+        calls.clear()  # the schedule probes delta_two once when it is built
+        t = np.linspace(0.0, 4.0, 7)
+        m = h(t)
+        assert calls == [(7,)]
+        assert np.array_equal(m[:, 2, 2], leg.delta_two(t)) and np.all(m[:, 1, 1] == 1800 * np.pi)
 
     def test_full_vs_effective_propagation(self):
         p = LambdaParams(1.0, 1.0, delta_single=50.0, duration=20.0)
