@@ -387,15 +387,11 @@ def _cmd_simulate(cfg: dict) -> int:
 
 def _cmd_sweep(cfg: dict) -> int:
     _require(cfg, "protocol", "tf", "delta", "metric")
-    spec = SweepSpec(
-        protocol=cfg["protocol"],
-        tf_range=tuple(cfg["tf"]),
-        delta_range=tuple(cfg["delta"]),
-        decays=_decays(cfg, cfg["protocol"]),
-        design=_design_options(cfg),
-        **_given(cfg, "tol"),
-    )
-    grid = sweep_peak_amplitude(spec) if cfg["metric"] == "peak" else sweep_efficiency(spec)
+    spec = SweepSpec(cfg["protocol"], tuple(cfg["tf"]), tuple(cfg["delta"]), _design_options(cfg))
+    if cfg["metric"] == "peak":
+        grid = sweep_peak_amplitude(spec)
+    else:
+        grid = sweep_efficiency(spec, _decays(cfg, cfg["protocol"]), **_given(cfg, "tol"))
     out = _out_dir(cfg)
     grid.to_csv(out / "map.csv")
     _write_json(out / "map_meta.json", grid.metadata)

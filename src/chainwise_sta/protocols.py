@@ -544,23 +544,17 @@ def peak_amplitude(schedule: PulseSchedule) -> float:
 
     The first channel is ``omega`` or ``omega1``; the odd sample count puts
     each leg's midpoint on the grid, where the smooth designs peak.  A leg
-    with a p1, p2 or chainwise design record is read from the record as
-    :func:`peak_amplitudes` reads it: the delta-free profile is sampled once
-    (p1's is a constant) and its peak mapped through the detuning, bitwise
-    the sampled channel's peak, and a chainwise leg's other three channels
-    are never evaluated.  Any other schedule samples its first channel, a
-    column of the stacked couplings.
+    with a p1, p2 or chainwise design record is the one cell of
+    :func:`peak_amplitudes` at its own t_f and detuning: the delta-free
+    profile is sampled once (p1's is a constant) and its peak mapped
+    through the detuning, bitwise the sampled channel's peak, and the
+    couplings are never evaluated.  Any other schedule samples its first
+    channel, a column of the stacked couplings; that path is the
+    independent check of the record path.
     """
     d = schedule.design
-    protocol = d.get("protocol")
-    if protocol == "p1":
-        return float(_p1_coupling(d["t_f"], d["delta_single"], d["beta"]))
-    if protocol in ("p2", "chainwise"):
-        t = np.linspace(0.0, d["t_f"], _PEAK_POINTS)
-        if protocol == "p2":
-            return float(_p2_coupling(d["delta_single"], np.max(_p2_rate(d["aux"].theta_dot(t)))))
-        amplitude = _chain_amplitude(*_effective_pair(*d["aux"].angles(t)), d["floor"])
-        return float(_chain_root(d["delta_single"]) * np.max(amplitude))
+    if d.get("protocol") in ("p1", "p2", "chainwise"):
+        return float(peak_amplitudes(schedule, [d["t_f"]], [d["delta_single"]])[0, 0])
     channel = schedule.channels[schedule.channel_names[0]]
     best = 0.0
     start = 0.0

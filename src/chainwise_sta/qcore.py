@@ -812,11 +812,15 @@ def _propagate(h: HamiltonianRule, gamma: np.ndarray | None, psi0: np.ndarray,
         if (ratio**4 * tol < gate or (kept is not None and phase > _KEPT_PHASE)
                 or _gap_steps(segs, grid.duration, min(n, kept_n)).min() < min_steps):
             continue
+        # Every later row is finer, and its run takes no fewer steps.  Each
+        # run takes at least its target count, so the targets alone can
+        # settle the budget before any edge is built.
+        if n + kept_n >= heuristic:
+            break
         if kept_nodes is None:
             kept_nodes = nodes(kept_n)
         check_nodes = nodes(n)
         if check_nodes[0].size + kept_nodes[0].size - 2 >= heuristic:
-            # Every later row is finer, and its run takes no fewer steps.
             break
         if kept is None:
             kept = walk(*kept_nodes, commutator=False)
@@ -876,7 +880,7 @@ def propagate_state(
         mismatch, or unnormalized initial state.
     IntegrationError
         Non-finite H at a Magnus node, or violated norm-conservation
-        contract.
+        contract (a norm that is not finite violates it).
     """
     tol = _validated_tol(tol)
     if psi0.dimension != h.dimension:
@@ -887,11 +891,20 @@ def propagate_state(
         raise ValueError(f"initial state not normalized: |psi|^2 = {psi0.norm_sq:.12f}")
     traj = _propagate(h, None, psi0.amplitudes, grid, tol, breakpoints)
     drift = float(np.max(np.abs(traj.norms_sq - psi0.norm_sq)))
-    if drift > 100.0 * tol:
-        raise IntegrationError(
-            f"norm drift {drift:.3e} exceeds 100*tol; input may be stiff or singular"
-        )
+    _norm_contract(drift, 100.0 * tol,
+                   f"norm drift {drift:.3e} exceeds 100*tol; input may be stiff or singular")
     return traj
+
+
+def _norm_contract(change: float, bound: float, message: str) -> None:
+    """IntegrationError with ``message`` unless ``change`` is at most ``bound``.
+
+    NaN compares false with every bound, so the test is ``not change <=
+    bound``; a change that is not finite says so in its own message.
+    """
+    if not change <= bound:
+        raise IntegrationError(message if np.isfinite(change) else
+                               f"the trace is not finite ({change}); the propagation overflowed")
 
 
 def _pure_amplitudes(rho0: DensityMatrix) -> np.ndarray:
@@ -936,7 +949,7 @@ def propagate_density(
 
     Raises as :func:`propagate_state`, plus ValueError for a rho0 violating
     the DensityMatrix invariants (checked at construction) or of rank above
-    1, and IntegrationError on a growing trace.
+    1, and IntegrationError on a growing trace or one that is not finite.
     """
     tol = _validated_tol(tol)
     n = h.dimension
@@ -947,8 +960,7 @@ def propagate_density(
         )
     traj = _propagate(h, gamma.rates, _pure_amplitudes(rho0), grid, tol, breakpoints)
     growth = float(np.max(np.diff(traj.norms_sq)))
-    if growth > 10.0 * tol:
-        raise IntegrationError(f"trace increased by {growth:.3e} (> 10*tol)")
+    _norm_contract(growth, 10.0 * tol, f"trace increased by {growth:.3e} (> 10*tol)")
     return traj
 
 

@@ -90,6 +90,12 @@ def design_options(protocol: str) -> tuple[str, ...]:
     return _PROTOCOLS[protocol][1]
 
 
+def _check_decays(protocol: str, decays: DecayVector) -> None:
+    levels = PROTOCOL_LEVELS[protocol]
+    if decays.dimension != levels:
+        raise ValueError(f"{protocol} needs {levels} decay rates, got {decays.dimension}")
+
+
 def _check_design(protocol: str, design) -> None:
     takes = design_options(protocol)
     for name in design:
@@ -128,21 +134,19 @@ def _timestamp() -> str:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid and fixed options for one sweep.
+    """The grid of one sweep: a protocol, its design options and two axes.
 
     ``design`` holds keyword options of the protocol's designer, under the
     designer's own names (``design_options(protocol)``); the designer's
     defaults fill the rest, and an option it does not take is a ValueError.
-    ``decays`` and ``tol`` serve efficiency maps only: a peak map neither
-    reads nor records them.
+    A peak map reads nothing else; an efficiency map takes its decays and
+    tolerance as arguments of :func:`sweep_efficiency`.
     """
 
     protocol: str
     tf_range: tuple[float, float, int]        # min, max, count (us)
     delta_range: tuple[float, float, int]     # min, max, count (rad/us)
-    decays: DecayVector
     design: dict = field(default_factory=dict)
-    tol: float = DEFAULT_MAP_TOL
 
     def __post_init__(self):
         _check_design(self.protocol, self.design)
@@ -151,11 +155,6 @@ class SweepSpec:
                 raise ValueError(f"{name} range needs at least 2 points")
             if not 0 < lo <= hi < np.inf:
                 raise ValueError(f"{name} range must be finite, positive and ordered")
-        expected = PROTOCOL_LEVELS[self.protocol]
-        if self.decays.dimension != expected:
-            raise ValueError(
-                f"{self.protocol} needs {expected} decay rates, got {self.decays.dimension}"
-            )
 
     @property
     def tf_values(self) -> np.ndarray:
@@ -210,8 +209,8 @@ def design_schedule(protocol: str, t_f: float, delta: float, **design) -> PulseS
 
 
 def _base_metadata(spec: SweepSpec, metric: str) -> dict:
-    """The run's record; the decays and tolerance only where the metric reads them."""
-    meta = {
+    """The run's record of its grid; a metric adds what else it reads."""
+    return {
         "metric": metric,
         "protocol": spec.protocol,
         "tf_range_us": list(spec.tf_range),
@@ -222,10 +221,6 @@ def _base_metadata(spec: SweepSpec, metric: str) -> dict:
         "timestamp": _timestamp(),
         "failed_cells": [],
     }
-    if metric == "efficiency":
-        meta.update(decays_rad_us=[float(g) for g in spec.decays.rates],
-                    tolerance=float(spec.tol))
-    return meta
 
 
 def _run_cells(spec: SweepSpec, cell_fn) -> tuple[np.ndarray, list]:
@@ -284,23 +279,29 @@ def _cell_error(tf: float, delta: float, reason) -> ValueError:
     return ValueError(f"design failed at t_f={tf:.6g} us, delta={delta:.6g} rad/us: {reason}")
 
 
-def sweep_efficiency(spec: SweepSpec) -> GridMap:
-    """Final target-level population per cell under the spec's decays.
+def sweep_efficiency(spec: SweepSpec, decays: DecayVector,
+                     tol: float = DEFAULT_MAP_TOL) -> GridMap:
+    """Final target-level population per cell under ``decays``.
 
-    Each cell is ``run_scenario(..., tol=spec.tol, n_samples=2)
-    .final_efficiency``; integration failures become NaN cells listed in
-    ``metadata["failed_cells"]``.
+    ``decays`` holds one rate per level of the protocol's scheme; a wrong
+    count is a ValueError before any cell is designed.  Each cell is
+    ``run_scenario(..., tol=tol, n_samples=2).final_efficiency``;
+    integration failures become NaN cells listed in
+    ``metadata["failed_cells"]``.  The metadata also records the decays
+    and tol.
     """
+    _check_decays(spec.protocol, decays)
 
     def cell(tf, delta):
         try:
-            result = run_scenario(spec.protocol, tf, delta, spec.decays,
-                                  tol=spec.tol, n_samples=2, **spec.design)
+            result = run_scenario(spec.protocol, tf, delta, decays,
+                                  tol=tol, n_samples=2, **spec.design)
         except IntegrationError as exc:
             return np.nan, str(exc)
         return result.final_efficiency, None
 
     meta = _base_metadata(spec, "efficiency")
+    meta.update(decays_rad_us=[float(g) for g in decays.rates], tolerance=float(tol))
     cells, meta["failed_cells"] = _run_cells(spec, cell)
     return GridMap(spec.tf_values, spec.delta_values, cells, meta)
 
@@ -390,8 +391,7 @@ def run_scenario(
     schedule = leg if roundtrip_hold is None else build_roundtrip(leg, roundtrip_hold)
     h = hamiltonian_rule(schedule)
     n = h.dimension
-    if decays.dimension != n:
-        raise ValueError(f"{protocol} needs {n} decay rates, got {decays.dimension}")
+    _check_decays(protocol, decays)
     grid = TimeGrid(0.0, schedule.duration, n_samples)
     rho0 = DensityMatrix.pure(StateVector.basis(n, 0))
     traj = propagate_density(h, decays, rho0, grid, tol=tol, breakpoints=schedule.breakpoints)

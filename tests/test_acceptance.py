@@ -283,12 +283,11 @@ def test_criterion_10_structural_invariants(monkeypatch):
     assert np.min(np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, 1, 2).conj()))) >= -1e-8
 
     # Sweep maps identical regardless of worker count (bitwise).
-    spec = SweepSpec("p2", (2.0, 4.0, 2), (1200 * np.pi, 1800 * np.pi, 2),
-                     DecayVector(LAMBDA_DECAYS))
+    spec = SweepSpec("p2", (2.0, 4.0, 2), (1200 * np.pi, 1800 * np.pi, 2))
     monkeypatch.setenv("CHAINWISE_STA_THREADS", "1")
-    a = sweep_efficiency(spec)
+    a = sweep_efficiency(spec, DecayVector(LAMBDA_DECAYS))
     monkeypatch.setenv("CHAINWISE_STA_THREADS", "3")
-    b = sweep_efficiency(spec)
+    b = sweep_efficiency(spec, DecayVector(LAMBDA_DECAYS))
     assert np.array_equal(a.cells, b.cells)
     report(10, "boundary conditions 1e-12; channel identity 1e-9; trace/Hermiticity/"
                "positivity preserved; sweeps order-independent bitwise")

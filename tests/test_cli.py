@@ -283,6 +283,18 @@ class TestSimulateCommand:
         assert code == 2
         assert "decay rates must be finite and non-negative" in capsys.readouterr().err
 
+    # The step's matrix exponential overflows at this rate; the run must
+    # fail the trace contract, not report a NaN efficiency.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_trace_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        code = run_cli(["simulate", "--protocol", "p2", "--tf", "1", "--delta", "1000",
+                        "--gamma", "1e20,0,0", "--n-samples", "2", "--out", str(out)])
+        assert code == 3
+        assert "trace is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import chainwise_sta.cli as cli_mod
         from chainwise_sta import IntegrationError
@@ -465,6 +477,23 @@ class TestSweepCommand:
             assert "numerical failure" in captured.err and "all 4 cells failed" in captured.err
         else:
             assert f"failed={failed}" in captured.out
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_trace_fails_every_cell(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        assert run_cli(["sweep", "--metric", "efficiency", "--protocol", "p2", "--tf", "1:2:2",
+                        "--delta", "1000:2000:2", "--gamma", "1e9,0,0", "--out", str(out)]) == 3
+        meta = json.loads((out / "map_meta.json").read_text())
+        assert [cell[:2] for cell in meta["failed_cells"]] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert all("trace is not finite" in cell[2] for cell in meta["failed_cells"])
+
+    def test_wrong_decay_count_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        assert run_cli(["sweep", "--metric", "efficiency", "--protocol", "p2", "--tf", "1:2:2",
+                        "--delta", "1000:2000:2", "--gamma", "1,2,3,4,5", "--out", str(out)]) == 2
+        assert "p2 needs 3 decay rates, got 5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_range_syntax(self, tmp_path, capsys):
         code = run_cli(["sweep", "--protocol", "p2", "--tf", "2-4",

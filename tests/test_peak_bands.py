@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainwise_sta.protocols as protocols_mod
-from chainwise_sta import DecayVector, peak_amplitude
+from chainwise_sta import peak_amplitude
 from chainwise_sta.protocols import (
     design_chainwise,
     design_protocol1,
@@ -22,7 +22,6 @@ from chainwise_sta.protocols import (
 )
 from chainwise_sta.sweeps import SweepSpec, sweep_peak_amplitude
 
-from conftest import LAMBDA_DECAYS, M_DECAYS
 
 PEAK_POINTS, PROBE_POINTS = 2001, 257
 DELTAS = np.array([1000 * np.pi, 2500 * np.pi, 5000 * np.pi])
@@ -126,8 +125,7 @@ class TestFallback:
 
     @pytest.mark.parametrize("protocol", ["p2", "chainwise"])
     def test_nan_reference_sample_names_first_cell(self, monkeypatch, protocol):
-        decays = DecayVector(M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS)
-        spec = SweepSpec(protocol, (1.0, 3.0, 3), (1000 * np.pi, 5000 * np.pi, 3), decays)
+        spec = SweepSpec(protocol, (1.0, 3.0, 3), (1000 * np.pi, 5000 * np.pi, 3))
         nan_at_reference_sample(monkeypatch, protocol, 1.0)
         with pytest.raises(ValueError) as err:
             sweep_peak_amplitude(spec)

@@ -279,9 +279,11 @@ class TestChainwise:
 class TestPeakAmplitude:
     def test_designed_leg_samples_its_profile_once(self, chain_schedule, monkeypatch):
         # A designed chainwise leg is read from its record: one angle
-        # evaluation on the 2001 peak samples, and the four stacked
-        # channels are never evaluated.  The same leg without its record
-        # samples its first channel, a column of one couplings call.
+        # evaluation on the 257-point floor probe and one on the 2001 peak
+        # samples (then one on the candidates of no other row), and the
+        # stacked channels are never evaluated.  The same
+        # leg without its record samples its first channel, a column of one
+        # couplings call.
         stacked = []
 
         def counted_couplings(t):
@@ -290,26 +292,32 @@ class TestPeakAmplitude:
 
         spy = dataclasses.replace(chain_schedule, couplings=counted_couplings)
         bare = dataclasses.replace(spy, design={})
-        angles = ThreeLevelAux.angles
+        angles = protocols_mod._scaled_angles
         calls = []
 
-        def counted_angles(aux, t):
+        def counted_angles(t, *args):
             calls.append(np.size(t))
-            return angles(aux, t)
+            return angles(t, *args)
 
-        monkeypatch.setattr(ThreeLevelAux, "angles", counted_angles)
+        monkeypatch.setattr(protocols_mod, "_scaled_angles", counted_angles)
         stacked.clear()
         peak_amplitude(spy)
-        assert calls == [2001]
+        assert calls == [257, 2001, 0]
         assert stacked == []
         peak_amplitude(bare)
         assert stacked == [2001]
 
-    @pytest.mark.parametrize("protocol", ["p1", "p2", "chainwise"])
+    @pytest.mark.parametrize("protocol", [
+        "p1", "p2", "chainwise", "chainwise-detection", "chainwise-eps0.001", "chainwise-eps0.5",
+    ])
     def test_record_peak_equals_sampled_channel_bitwise(self, protocol):
         # The same leg without its design record takes the channel path.
         design = {"p1": design_protocol1, "p2": design_protocol2,
-                  "chainwise": lambda t_f, d: design_chainwise(t_f, d, 0.03)}[protocol]
+                  "chainwise": lambda t_f, d: design_chainwise(t_f, d, 0.03),
+                  "chainwise-detection": lambda t_f, d: design_chainwise(
+                      t_f, d, 0.03, direction="detection"),
+                  "chainwise-eps0.001": lambda t_f, d: design_chainwise(t_f, d, 0.001),
+                  "chainwise-eps0.5": lambda t_f, d: design_chainwise(t_f, d, 0.5)}[protocol]
         for t_f, delta in ((1.0, 1000 * np.pi), (3.3, 2718.0), (8.0, 5000 * np.pi)):
             leg = design(t_f, delta)
             assert peak_amplitude(leg) == peak_amplitude(dataclasses.replace(leg, design={}))

@@ -183,6 +183,20 @@ class TestPropagateState:
             propagate_state(gain_between_samples(), StateVector.basis(2, 1),
                             TimeGrid(0.0, 1.0, 2), tol=1e-6)
 
+    def test_non_finite_norm_is_integration_error(self, monkeypatch):
+        # NaN compares false with every bound: a run whose states are not
+        # finite must still break the norm contract.
+        real = qcore._propagate
+
+        def not_finite(*args):
+            traj = real(*args)
+            traj.states[1:] = np.nan
+            return traj
+
+        monkeypatch.setattr(qcore, "_propagate", not_finite)
+        with pytest.raises(IntegrationError, match="trace is not finite"):
+            propagate_state(two_level(1.0, 0.0), StateVector.basis(2, 0), TimeGrid(0.0, 1.0, 11))
+
     def test_unnormalized_initial_state_rejected(self):
         bad = StateVector(np.array([0.7, 0.7j]))
         with pytest.raises(ValueError, match="normalized"):
@@ -248,6 +262,17 @@ class TestPropagateDensity:
             propagate_density(gain_between_samples(), DecayVector.none(2),
                               DensityMatrix.pure(StateVector.basis(2, 1)),
                               TimeGrid(0.0, 1.0, 2), tol=1e-6)
+
+    # The step's matrix exponential overflows at this rate; the run must
+    # fail the trace contract, not return NaN populations.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("n_samples", [2, 11])
+    def test_non_finite_trace_is_integration_error(self, n_samples):
+        psi0 = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        with pytest.raises(IntegrationError, match="trace is not finite"):
+            propagate_density(two_level(2.0, 0.0), DecayVector([1e9, 0.0]),
+                              DensityMatrix.pure(psi0), TimeGrid(0.0, 1.0, n_samples))
 
     def test_trace_monotone_under_loss(self):
         h = two_level(2.0, 0.0)
@@ -552,6 +577,29 @@ class TestStepPair:
         # The heuristic count once after the checks and once with the gate shut.
         assert [commutator for _, commutator in walks] == [False, False, False, True, True]
         assert np.array_equal(walks[3][0], walks[4][0])
+        assert np.array_equal(got.states, want.states)
+
+    def test_over_budget_rows_build_no_edges(self, walks, monkeypatch):
+        # The 13.5 pi row's gate is open here, but its run and the 5.5 pi
+        # run target about 0.71M + 1.74M steps, past the heuristic count's
+        # 200k cap: only the heuristic run's step edges are built.
+        sched, decays = _cell("p2", 1.0, 3e7)
+        h = hamiltonian_rule(sched)
+        grid = TimeGrid(0.0, sched.duration, 2)
+        action, _, ratio = qcore._checked_action(h, grid, np.array(decays))
+        assert ratio**4 * 1e-6 >= qcore._CHECKS[0][1]
+        targets = []
+        nodes = qcore._magnus_nodes
+
+        def recorded(grid, breakpoints, n_target):
+            targets.append(n_target)
+            return nodes(grid, breakpoints, n_target)
+
+        monkeypatch.setattr(qcore, "_magnus_nodes", recorded)
+        got = _final_run(sched, decays, 1e-6)
+        assert targets == [qcore._magnus_step_count(1e-6, action)] == [200_000]
+        assert len(walks) == 1 and walks[0][1]
+        want = self.heuristic(monkeypatch, lambda: _final_run(sched, decays, 1e-6))
         assert np.array_equal(got.states, want.states)
 
     @pytest.mark.parametrize("t_f, delta, tol", [(3.4, 3600 * np.pi, 1e-6),

@@ -32,7 +32,7 @@ from test_acceptance import FROZEN_M5_EFFICIENCY, FROZEN_P2_EFFICIENCY
 
 def lambda_spec(protocol="p1", tf=(1.0, 6.0, 3), delta=(1000 * np.pi, 5000 * np.pi, 3),
                 **kw):
-    return SweepSpec(protocol, tf, delta, DecayVector(LAMBDA_DECAYS), **kw)
+    return SweepSpec(protocol, tf, delta, **kw)
 
 
 class TestSpecValidation:
@@ -63,17 +63,11 @@ class TestSpecValidation:
         decays = DecayVector(M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS)
         pattern = f"{protocol} designer takes no option '{option}'"
         with pytest.raises(ValueError, match=pattern):
-            SweepSpec(protocol, (1.0, 2.0, 2), (1000.0, 2000.0, 2), decays,
-                      design={option: 0.1})
+            SweepSpec(protocol, (1.0, 2.0, 2), (1000.0, 2000.0, 2), design={option: 0.1})
         with pytest.raises(ValueError, match=pattern):
             design_schedule(protocol, 4.0, 1000.0, **{option: 0.1})
         with pytest.raises(ValueError, match=pattern):
             run_scenario(protocol, 4.0, 1000.0, decays, **{option: 0.1})
-
-    def test_decay_dimension_matches_scheme(self):
-        with pytest.raises(ValueError, match="decay"):
-            SweepSpec("chainwise", (2.0, 8.0, 3), (1000 * np.pi, 5000 * np.pi, 3),
-                      DecayVector(LAMBDA_DECAYS))
 
 
 class TestPeakAmplitudeMaps:
@@ -83,26 +77,24 @@ class TestPeakAmplitudeMaps:
         assert grid.cells[0, 0] == pytest.approx(30 * np.pi, rel=5e-3)
 
     def test_p2_cells_scale_with_sqrt_tf(self):
-        spec = SweepSpec("p2", (1.0, 4.0, 4), (1000 * np.pi, 4000 * np.pi, 4),
-                         DecayVector(LAMBDA_DECAYS))
+        spec = SweepSpec("p2", (1.0, 4.0, 4), (1000 * np.pi, 4000 * np.pi, 4))
         grid = sweep_peak_amplitude(spec)
         # tf axis is 1,2,3,4: cells at tf=2 equal cells at tf=1 over sqrt(2),
         # and tf=4 vs tf=2 likewise.
         assert np.allclose(grid.cells[1], grid.cells[0] / np.sqrt(2), rtol=1e-12)
         assert np.allclose(grid.cells[3], grid.cells[1] / np.sqrt(2), rtol=1e-12)
 
-    def test_chainwise_reference_cell(self, m_decays):
+    def test_chainwise_reference_cell(self):
         spec = SweepSpec("chainwise", (8.0, 9.0, 2), (1270 * np.pi, 1400 * np.pi, 2),
-                         m_decays, design={"epsilon": 0.03})
+                         design={"epsilon": 0.03})
         grid = sweep_peak_amplitude(spec)
         assert grid.cells[0, 0] == pytest.approx(40 * np.pi, rel=0.10)
 
-    def test_monotone_decreasing_in_tf(self, m_decays):
+    def test_monotone_decreasing_in_tf(self):
         for spec in (
             lambda_spec("p1", tf=(1.0, 8.0, 5)),
             lambda_spec("p2", tf=(1.0, 8.0, 5)),
-            SweepSpec("chainwise", (2.0, 10.0, 5), (1270 * np.pi, 3000 * np.pi, 3),
-                      m_decays),
+            SweepSpec("chainwise", (2.0, 10.0, 5), (1270 * np.pi, 3000 * np.pi, 3)),
         ):
             grid = sweep_peak_amplitude(spec)
             assert np.all(np.diff(grid.cells, axis=0) < 0)
@@ -118,9 +110,7 @@ class TestPeakAmplitudeMaps:
             raise AssertionError("peak sweep built a thread pool")
 
         monkeypatch.setattr(sweeps_mod, "ThreadPoolExecutor", no_pool)
-        decays = M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS
-        spec = SweepSpec(protocol, (2.0, 8.0, 3), (1270 * np.pi, 4000 * np.pi, 4),
-                         DecayVector(decays))
+        spec = SweepSpec(protocol, (2.0, 8.0, 3), (1270 * np.pi, 4000 * np.pi, 4))
         grid = sweep_peak_amplitude(spec)
         expected = np.array([
             [peak_amplitude(design_schedule(protocol, tf, delta)) for delta in spec.delta_values]
@@ -131,7 +121,7 @@ class TestPeakAmplitudeMaps:
 
     def test_design_error_carries_coordinates(self):
         spec = SweepSpec("chainwise", (2.0, 4.0, 2), (1000 * np.pi, 2000 * np.pi, 2),
-                         DecayVector(M_DECAYS), design={"epsilon": 0.9})
+                         design={"epsilon": 0.9})
         with pytest.raises(ValueError, match="t_f=2"):
             sweep_peak_amplitude(spec)
 
@@ -158,9 +148,7 @@ class TestPeakRows:
                             lambda *a, **kw: designs.append(a[0]) or real_design(*a, **kw))
         monkeypatch.setattr(protocols_mod, "solve_aux_polynomials",
                             lambda *a, **kw: solves.append(a[0]) or real_solve(*a, **kw))
-        decays = M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS
-        spec = SweepSpec(protocol, (1.0, 8.0, 5), (1000 * np.pi, 5000 * np.pi, 7),
-                         DecayVector(decays))
+        spec = SweepSpec(protocol, (1.0, 8.0, 5), (1000 * np.pi, 5000 * np.pi, 7))
         grid = sweep_peak_amplitude(spec)
         assert designs == [spec.tf_values[0]]
         assert solves == (designs if protocol == "chainwise" else [])
@@ -168,17 +156,14 @@ class TestPeakRows:
 
     @pytest.mark.parametrize("protocol", ["p1", "p2", "chainwise"])
     def test_two_row_map(self, protocol):
-        decays = M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS
-        spec = SweepSpec(protocol, (1.7, 7.3, 2), (1100 * np.pi, 4700 * np.pi, 3),
-                         DecayVector(decays))
+        spec = SweepSpec(protocol, (1.7, 7.3, 2), (1100 * np.pi, 4700 * np.pi, 3))
         assert np.array_equal(sweep_peak_amplitude(spec).cells, per_cell_peaks(spec))
 
     def test_rows_independent_of_batch(self):
         # A row's bytes do not depend on where it sits in the batch: a
         # 41-row chainwise map equals its rows computed as two bands.
         spec = SweepSpec("chainwise", (1.0 * 1.0286, 8.0 * 1.0286, 41),
-                         (1000 * np.pi / 1.0286, 5000 * np.pi / 1.0286, 41),
-                         DecayVector(M_DECAYS))
+                         (1000 * np.pi / 1.0286, 5000 * np.pi / 1.0286, 41))
         tf, deltas = spec.tf_values, spec.delta_values
         full = sweep_peak_amplitude(spec).cells
         bands = [protocols_mod.peak_amplitudes(design_schedule("chainwise", rows[0], deltas[0]),
@@ -188,17 +173,16 @@ class TestPeakRows:
 
     @pytest.mark.parametrize("spec", [
         SweepSpec("p1", (1.3, 5.7, 4), (1100 * np.pi, 4900 * np.pi, 6),
-                  DecayVector(LAMBDA_DECAYS),
                   design={"beta": 1.2, "mode": DeltaTwoMode.exact_clamped()}),
         SweepSpec("chainwise", (1.0, 8.0, 4), (1000 * np.pi, 5000 * np.pi, 5),
-                  DecayVector(M_DECAYS), design={"epsilon": 0.001}),
+                  design={"epsilon": 0.001}),
         SweepSpec("chainwise", (1.0, 8.0, 4), (1000 * np.pi, 5000 * np.pi, 5),
-                  DecayVector(M_DECAYS), design={"epsilon": 0.2}),
+                  design={"epsilon": 0.2}),
         # Non-round axes, as a jittered grid makes them.
         SweepSpec("p2", (1.0 * 0.9714, 6.0 * 0.9714, 7),
-                  (1000 * np.pi / 0.9714, 5000 * np.pi / 0.9714, 9), DecayVector(LAMBDA_DECAYS)),
+                  (1000 * np.pi / 0.9714, 5000 * np.pi / 0.9714, 9)),
         SweepSpec("chainwise", (1.0 * 1.0286, 8.0 * 1.0286, 5),
-                  (1000 * np.pi / 1.0286, 5000 * np.pi / 1.0286, 9), DecayVector(M_DECAYS)),
+                  (1000 * np.pi / 1.0286, 5000 * np.pi / 1.0286, 9)),
     ], ids=["p1-clamped-beta", "chainwise-eps0.001", "chainwise-eps0.2", "p2-jittered",
             "chainwise-jittered"])
     def test_rows_equal_per_cell_designs_bitwise(self, spec):
@@ -272,45 +256,44 @@ class TestEfficiencyMaps:
     def test_lossless_deep_elimination_cells(self):
         # With no decay and detuning >= 50x the peak coupling, transport is
         # essentially perfect.
-        spec = SweepSpec("p2", (6.0, 8.0, 2), (1500 * np.pi, 3000 * np.pi, 2),
-                         DecayVector.none(3))
-        grid = sweep_efficiency(spec)
+        spec = SweepSpec("p2", (6.0, 8.0, 2), (1500 * np.pi, 3000 * np.pi, 2))
+        grid = sweep_efficiency(spec, DecayVector.none(3))
         ratio = spec.delta_values[0] / np.sqrt(3 * np.pi * spec.delta_values[0] / 6.0)
         assert ratio >= 50
         assert np.all(grid.cells >= 0.99)
 
     def test_cells_in_unit_interval(self):
         grid = sweep_efficiency(lambda_spec("p1", tf=(2.0, 4.0, 2),
-                                            delta=(1500 * np.pi, 2500 * np.pi, 2)))
+                                            delta=(1500 * np.pi, 2500 * np.pi, 2)),
+                                DecayVector(LAMBDA_DECAYS))
         assert np.all(grid.cells >= 0.0) and np.all(grid.cells <= 1.0 + 1e-9)
 
     def test_loss_monotonicity(self):
         effs = []
         for scale in (0.5, 1.0, 2.0):
             decays = DecayVector(np.array(LAMBDA_DECAYS) * scale)
-            spec = SweepSpec("p2", (4.0, 5.0, 2), (1200 * np.pi, 1500 * np.pi, 2), decays)
-            effs.append(sweep_efficiency(spec).cells)
+            spec = SweepSpec("p2", (4.0, 5.0, 2), (1200 * np.pi, 1500 * np.pi, 2))
+            effs.append(sweep_efficiency(spec, decays).cells)
         assert np.all(effs[0] >= effs[1]) and np.all(effs[1] >= effs[2])
 
     @pytest.mark.parametrize("protocol", ["p2", "chainwise"])
     def test_order_independence_bitwise(self, monkeypatch, protocol):
         # Pins the 3x3 and the 5x5 kernels bitwise across worker counts.
-        decays = M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS
-        spec = SweepSpec(protocol, (2.0, 4.0, 2), (1200 * np.pi, 1800 * np.pi, 2),
-                         DecayVector(decays))
+        decays = DecayVector(M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS)
+        spec = SweepSpec(protocol, (2.0, 4.0, 2), (1200 * np.pi, 1800 * np.pi, 2))
         monkeypatch.setenv("CHAINWISE_STA_THREADS", "1")
-        serial = sweep_efficiency(spec)
+        serial = sweep_efficiency(spec, decays)
         monkeypatch.setenv("CHAINWISE_STA_THREADS", "4")
-        threaded = sweep_efficiency(spec)
+        threaded = sweep_efficiency(spec, decays)
         assert np.array_equal(serial.cells, threaded.cells)
 
     def test_heaviest_cells_submitted_first(self, monkeypatch):
         # Cells go to the pool in descending t_f * delta; placement by index
         # keeps the map bitwise equal at any worker count.
-        spec = SweepSpec("p2", (1.0, 3.0, 3), (1000 * np.pi, 3000 * np.pi, 3),
-                         DecayVector(LAMBDA_DECAYS), tol=1e-4)
+        spec = SweepSpec("p2", (1.0, 3.0, 3), (1000 * np.pi, 3000 * np.pi, 3))
+        decays = DecayVector(LAMBDA_DECAYS)
         monkeypatch.setenv("CHAINWISE_STA_THREADS", "2")
-        threaded = sweep_efficiency(spec)
+        threaded = sweep_efficiency(spec, decays, tol=1e-4)
         order = []
         real = sweeps_mod.design_schedule
 
@@ -320,7 +303,7 @@ class TestEfficiencyMaps:
 
         monkeypatch.setattr(sweeps_mod, "design_schedule", recording)
         monkeypatch.setenv("CHAINWISE_STA_THREADS", "1")
-        serial = sweep_efficiency(spec)
+        serial = sweep_efficiency(spec, decays, tol=1e-4)
         assert np.array_equal(serial.cells, threaded.cells)
         assert len(order) == 9
         assert order == sorted(order, reverse=True)
@@ -337,7 +320,7 @@ class TestEfficiencyMaps:
 
         monkeypatch.setattr(sweeps_mod, "propagate_density", flaky)
         spec = lambda_spec("p2", tf=(2.0, 3.0, 2), delta=(1200 * np.pi, 1500 * np.pi, 2))
-        grid = sweep_efficiency(spec)
+        grid = sweep_efficiency(spec, DecayVector(LAMBDA_DECAYS))
         assert np.isnan(grid.cells[1]).all()
         assert np.isfinite(grid.cells[0]).all()
         assert len(grid.metadata["failed_cells"]) == 2
@@ -348,8 +331,8 @@ class TestEfficiencyMaps:
         # 0.9 for at least 80% of cells (frozen fraction; a 5x5 oracle run
         # over the same ranges measures 92%).
         spec = SweepSpec("chainwise", (4.0, 12.0, 3), (1000 * np.pi, 5000 * np.pi, 3),
-                         m_decays, design={"epsilon": 0.03})
-        grid = sweep_efficiency(spec)
+                         design={"epsilon": 0.03})
+        grid = sweep_efficiency(spec, m_decays)
         assert np.mean(grid.cells >= 0.9) >= 0.8
 
     @pytest.mark.parametrize("protocol, options", [
@@ -360,24 +343,32 @@ class TestEfficiencyMaps:
     ], ids=["p1-dropped", "p1-clamped", "p2", "chainwise"])
     def test_cells_are_two_sample_scenarios_bitwise(self, protocol, options):
         decays = DecayVector(M_DECAYS if protocol == "chainwise" else LAMBDA_DECAYS)
-        spec = SweepSpec(protocol, (2.0, 3.0, 2), (1200 * np.pi, 1800 * np.pi, 2), decays,
-                         design=options, tol=1e-4)
-        grid = sweep_efficiency(spec)
+        spec = SweepSpec(protocol, (2.0, 3.0, 2), (1200 * np.pi, 1800 * np.pi, 2),
+                         design=options)
+        grid = sweep_efficiency(spec, decays, tol=1e-4)
         assert not grid.metadata["failed_cells"]
         for i, tf in enumerate(spec.tf_values):
             for j, delta in enumerate(spec.delta_values):
-                scenario = run_scenario(protocol, tf, delta, decays, tol=spec.tol,
+                scenario = run_scenario(protocol, tf, delta, decays, tol=1e-4,
                                         n_samples=2, **options)
                 assert grid.cells[i, j] == scenario.final_efficiency
 
+    def test_decay_count_checked_before_any_design(self, monkeypatch):
+        designs = []
+        monkeypatch.setattr(sweeps_mod, "design_schedule", lambda *a, **kw: designs.append(a))
+        spec = SweepSpec("chainwise", (2.0, 8.0, 3), (1000 * np.pi, 5000 * np.pi, 3))
+        with pytest.raises(ValueError, match="chainwise needs 5 decay rates, got 3"):
+            sweep_efficiency(spec, DecayVector(LAMBDA_DECAYS))
+        assert designs == []
+
     def test_metadata_records_run(self):
         spec = lambda_spec("p1", tf=(2.0, 3.0, 2), delta=(1500 * np.pi, 2000 * np.pi, 2))
-        grid = sweep_efficiency(spec)
+        grid = sweep_efficiency(spec, DecayVector(LAMBDA_DECAYS))
         md = grid.metadata
         assert md["protocol"] == "p1"
         assert md["metric"] == "efficiency"
         assert md["decays_rad_us"] == pytest.approx(list(LAMBDA_DECAYS))
-        assert md["tolerance"] == spec.tol
+        assert md["tolerance"] == sweeps_mod.DEFAULT_MAP_TOL
         assert "timestamp" in md
 
 
@@ -450,7 +441,7 @@ class TestThreadCap:
         with pytest.raises(ValueError, match="CHAINWISE_STA_THREADS"):
             thread_cap()
         with pytest.raises(ValueError, match="CHAINWISE_STA_THREADS"):
-            sweep_efficiency(lambda_spec("p2", tol=1e-4))
+            sweep_efficiency(lambda_spec("p2"), DecayVector(LAMBDA_DECAYS), tol=1e-4)
 
 
 class TestGridMapExport:
