@@ -66,7 +66,11 @@ class StarkBalanceError(ValueError):
 
 
 def as_channel(value: Channel) -> Callable[[np.ndarray], np.ndarray]:
-    """Normalize a float or callable into an array-valued function of time."""
+    """Normalize a float or callable into an array-valued function of time.
+
+    A constant gives a read-only broadcast view of one stored value in the
+    shape of t, so no call fills an array with it.
+    """
     if callable(value):
         func = value
 
@@ -75,26 +79,28 @@ def as_channel(value: Channel) -> Callable[[np.ndarray], np.ndarray]:
             return np.broadcast_to(np.asarray(func(t_arr), dtype=float), t_arr.shape)
 
         return channel
-    const = float(value)
-
-    def constant(t):
-        return np.full(np.asarray(t, dtype=float).shape, const)
-
-    return constant
+    const = np.array(float(value))
+    return lambda t: np.broadcast_to(const, np.shape(t))
 
 
 def stack_channels(channels: tuple[Channel, ...]) -> Callable[[np.ndarray], np.ndarray]:
     """t -> the channels (floats or callables) on a last axis, in order.
 
-    A channel given twice as the same object (pump = Stokes in the ladder,
-    omega4 = omega1 in a chain) is evaluated once per call.
+    A float fills its column as a scalar and a callable's values are
+    written into its column, so neither makes a per-call array of its own
+    shape; a callable given twice as the same object (pump = Stokes in the
+    ladder, omega4 = omega1 in a chain) is evaluated once per call.
     """
-    funcs = {id(c): as_channel(c) for c in channels}
+    funcs = {id(c): c for c in channels if callable(c)}
+    consts = {k: float(c) for k, c in enumerate(channels) if not callable(c)}
 
     def stacked(t):
         t_arr = np.asarray(t, dtype=float)
         vals = {key: f(t_arr) for key, f in funcs.items()}
-        return np.stack([vals[id(c)] for c in channels], axis=-1)
+        out = np.empty(t_arr.shape + (len(channels),))
+        for k, c in enumerate(channels):
+            out[..., k] = consts[k] if k in consts else vals[id(c)]
+        return out
 
     return stacked
 

@@ -271,6 +271,28 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["final_efficiency"] == pytest.approx(0.9189, abs=2e-3)
 
+    @pytest.mark.parametrize("command, extra", [("simulate", []),
+                                                ("roundtrip", ["--hold", "0.1"])])
+    def test_frequency_forms_write_the_same_bytes(self, command, extra, tmp_path, capsys):
+        # GHz, MHz, 2pi_x and bare rad/us forms of 1200 pi rad/us parse to
+        # one float, so every run writes the same files; the manifests
+        # differ only in their --out.
+        forms = ["1.2pi_GHz", "1200pi_MHz", "2pi_x600_MHz", repr(1200 * np.pi)]
+        outs = []
+        for k, delta in enumerate(forms):
+            outs.append(tmp_path / f"run{k}")
+            assert run_cli([command, "--preset", "rb2_lambda", "--protocol", "p2", "--tf", "2",
+                            "--delta", delta, "--tol", "1e-6", "--n-samples", "11",
+                            *extra, "--out", str(outs[-1])]) == 0
+        for out in outs[1:]:
+            for name in ("timeseries.csv", "summary.json"):
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest.pop("out") == str(out)
+            first = json.loads((outs[0] / "manifest.json").read_text())
+            first.pop("out")
+            assert manifest == first
+
     def test_missing_preset(self, tmp_path, capsys):
         code = run_cli(["simulate", "--preset", "na2_x", "--out", str(tmp_path)])
         assert code == 2
@@ -293,6 +315,16 @@ class TestSimulateCommand:
                         "--gamma", "1e20,0,0", "--n-samples", "2", "--out", str(out)])
         assert code == 3
         assert "trace is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_detuning_past_the_step_budget_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # 200k steps would turn 5e294 rad each; this crashed with an
+        # OverflowError (exit 1) in the row gate's R**4.
+        out = tmp_path / "sim"
+        code = run_cli(["simulate", "--protocol", "p2", "--tf", "1", "--delta", "1e300",
+                        "--n-samples", "2", "--out", str(out)])
+        assert code == 3
+        assert "200000 steps" in capsys.readouterr().err
         assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):

@@ -186,14 +186,14 @@ class TestPropagateState:
     def test_non_finite_norm_is_integration_error(self, monkeypatch):
         # NaN compares false with every bound: a run whose states are not
         # finite must still break the norm contract.
-        real = qcore._propagate
+        real = qcore._walk
 
         def not_finite(*args):
-            traj = real(*args)
-            traj.states[1:] = np.nan
-            return traj
+            states = real(*args)
+            states[1:] = np.nan
+            return states
 
-        monkeypatch.setattr(qcore, "_propagate", not_finite)
+        monkeypatch.setattr(qcore, "_walk", not_finite)
         with pytest.raises(IntegrationError, match="trace is not finite"):
             propagate_state(two_level(1.0, 0.0), StateVector.basis(2, 0), TimeGrid(0.0, 1.0, 11))
 
@@ -581,9 +581,11 @@ class TestStepPair:
 
     def test_over_budget_rows_build_no_edges(self, walks, monkeypatch):
         # The 13.5 pi row's gate is open here, but its run and the 5.5 pi
-        # run target about 0.71M + 1.74M steps, past the heuristic count's
-        # 200k cap: only the heuristic run's step edges are built.
-        sched, decays = _cell("p2", 1.0, 3e7)
+        # run target about 71k + 174k steps, past the heuristic count's
+        # 200k cap: only the heuristic run's step edges are built.  That
+        # count turns 15 rad (4.8 pi) of detuning phase per step, inside
+        # the 5.5 pi budget (see the test below for a run past it).
+        sched, decays = _cell("p2", 1.0, 3e6)
         h = hamiltonian_rule(sched)
         grid = TimeGrid(0.0, sched.duration, 2)
         action, _, ratio = qcore._checked_action(h, grid, np.array(decays))
@@ -601,6 +603,21 @@ class TestStepPair:
         assert len(walks) == 1 and walks[0][1]
         want = self.heuristic(monkeypatch, lambda: _final_run(sched, decays, 1e-6))
         assert np.array_equal(got.states, want.states)
+
+    @pytest.mark.parametrize("delta", [3e7, 1e300])
+    def test_detuning_past_the_step_budget_raises(self, walks, monkeypatch, delta):
+        # The clamped count, 200k steps, would turn 150 rad (47.7 pi) of
+        # detuning phase per step at 3e7 rad/us, coarser than any run this
+        # module returns.  1e300 rad/us overflowed R**4 in the row gate.
+        # Both are an IntegrationError naming the count and the budget,
+        # raised before any step edge is built.
+        sched, decays = _cell("p2", 1.0, delta)
+        built = []
+        nodes = qcore._magnus_nodes
+        monkeypatch.setattr(qcore, "_magnus_nodes", lambda *args: built.append(args) or nodes(*args))
+        with pytest.raises(IntegrationError, match=r"200000 steps .* budget of 17\.3 rad \(5\.5 pi\)"):
+            _final_run(sched, decays, 1e-6)
+        assert built == [] and walks == []
 
     @pytest.mark.parametrize("t_f, delta, tol", [(3.4, 3600 * np.pi, 1e-6),
                                                  (1.0, 1000 * np.pi, 1e-4)],
@@ -769,11 +786,12 @@ class TestMagnusKernel:
         norms = np.geomspace(1e-3, 60.0, m)
         a *= (norms / np.max(np.sum(np.abs(a), axis=-1), axis=-1))[:, None, None]
         a[0] = 0.0
-        got = qcore._expm_batch(a.transpose(1, 2, 0)).transpose(2, 0, 1)
+        got = qcore._expm_batch(a.transpose(1, 2, 0), qcore._workspace(n, m)).transpose(2, 0, 1)
         want = np.array([scipy.linalg.expm(x) for x in a])
         rel = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
         assert np.max(rel) <= 1e-13
-        assert np.array_equal(qcore._expm_batch(np.zeros((n, n, 1)))[:, :, 0], np.eye(n))
+        zero = qcore._expm_batch(np.zeros((n, n, 1)), qcore._workspace(n, 1))
+        assert np.array_equal(zero[:, :, 0], np.eye(n))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("batch", [(0,), (1,), (7,), (3, 5)],
@@ -783,7 +801,9 @@ class TestMagnusKernel:
         rng = np.random.default_rng(10 * n + len(batch))
         a = rng.normal(size=batch + (n, n)) + 1j * rng.normal(size=batch + (n, n))
         b = rng.normal(size=batch + (n, n)) + 1j * rng.normal(size=batch + (n, n))
-        got = qcore._matmul(np.moveaxis(a, (-2, -1), (0, 1)), np.moveaxis(b, (-2, -1), (0, 1)))
+        out, term = (np.empty((n, n) + batch, dtype=complex) for _ in range(2))
+        got = qcore._matmul(np.moveaxis(a, (-2, -1), (0, 1)), np.moveaxis(b, (-2, -1), (0, 1)),
+                            out, term)
         want = np.moveaxis(a @ b, (-2, -1), (0, 1))
         scale = np.moveaxis(np.abs(a) @ np.abs(b), (-2, -1), (0, 1))
         assert got.shape == want.shape
@@ -809,9 +829,7 @@ class TestMagnusKernel:
                     want[i, col] = acc
             return want
 
-        a, b = stack(37), stack(37)
-        assert np.array_equal(qcore._matmul(a, b), reference(a, b))
-        out, term = np.empty_like(a), np.empty_like(a)
+        out, term = np.empty((n, n, 37), dtype=complex), np.empty((n, n, 37), dtype=complex)
         for _ in range(2):
             a, b = stack(37), stack(37)
             assert qcore._matmul(a, b, out, term) is out
@@ -835,7 +853,7 @@ class TestMagnusKernel:
         for c0 in (0, 40, 80):
             block = a[:, :, c0:c0 + 40]
             got = qcore._expm_batch(block, work[..., :block.shape[2]])
-            assert np.array_equal(got, qcore._expm_batch(block))
+            assert np.array_equal(got, qcore._expm_batch(block, qcore._workspace(n, block.shape[2])))
         assert np.array_equal(a, a_before)
 
     def test_sample_propagators_workspace_reuse_bitwise(self, monkeypatch):
@@ -862,7 +880,7 @@ class TestMagnusKernel:
 
             def fresh_block(h, gamma, edges, work, commutator):
                 flags.append(commutator)
-                return blocks(h, gamma, edges, commutator=commutator)
+                return blocks(h, gamma, edges, qcore._workspace(5, edges.size - 1), commutator)
 
             with monkeypatch.context() as m:
                 m.setattr(qcore, "_magnus_propagators", fresh_block)
@@ -921,7 +939,8 @@ class TestMagnusKernel:
         h = HamiltonianRule(n, evaluate)
         gamma = rng.uniform(0.0, 5.0, size=n)
         edges = np.sort(rng.uniform(0.0, 2.0, size=17))
-        got = qcore._magnus_propagators(h, gamma, edges, commutator=False).transpose(2, 0, 1)
+        got = qcore._magnus_propagators(h, gamma, edges, qcore._workspace(n, edges.size - 1),
+                                        commutator=False).transpose(2, 0, 1)
         want = []
         for a, b in zip(edges[:-1], edges[1:]):
             dt = b - a
@@ -936,7 +955,8 @@ class TestMagnusKernel:
         # Two independent chains of length matrices, reduced together.
         rng = np.random.default_rng(length)
         x = rng.normal(size=(2, length, 4, 4)) + 1j * rng.normal(size=(2, length, 4, 4))
-        got = qcore._ordered_product(x.transpose(2, 3, 1, 0))
+        stacks = np.empty((3, 4, 4, -(-length // 2) * 2), dtype=complex)
+        got = qcore._ordered_product(x.transpose(2, 3, 1, 0), stacks)
         for c in range(2):
             want = np.eye(4)
             for k in range(length):
@@ -956,7 +976,8 @@ class TestMagnusKernel:
             want = np.broadcast_to(np.eye(n, dtype=complex), batch + (n, n))
             for k in range(length):
                 want = x[..., k, :, :] @ want
-            got = qcore._ordered_product(np.moveaxis(x, (-3, -2, -1), (2, 0, 1)))
+            stacks = np.empty((3, n, n, -(-length // 2) * int(np.prod(batch))), dtype=complex)
+            got = qcore._ordered_product(np.moveaxis(x, (-3, -2, -1), (2, 0, 1)), stacks)
             err = np.linalg.norm(np.moveaxis(got, (0, 1), (-2, -1)) - want, axis=(-2, -1))
             assert np.max(err) <= 1e-13 * np.sqrt(n), length
 
@@ -978,7 +999,7 @@ class TestMagnusKernel:
         sizes, stacked = [], []
         matmul, product = qcore._matmul, qcore._product
 
-        def record_matmul(a, b, out=None, term=None):
+        def record_matmul(a, b, out, term):
             sizes.append(out.size)
             return matmul(a, b, out, term)
 
@@ -1049,7 +1070,7 @@ class TestMagnusKernel:
         sample_idx = np.array([0, 1, 17, chunk - 1, chunk, chunk + 5, 3 * chunk + 3, n_steps])
         got = qcore._walk(h, gamma, np.eye(3), edges, sample_idx)
 
-        u = qcore._magnus_propagators(h, gamma, edges)
+        u = qcore._magnus_propagators(h, gamma, edges, qcore._workspace(3, n_steps))
         want, acc = [np.eye(3)], np.eye(3)
         for k in range(n_steps):
             acc = u[:, :, k] @ acc
@@ -1092,6 +1113,31 @@ class TestMagnusKernel:
         ref = propagator(32768)
         err_128, err_256 = (np.max(np.abs(propagator(n) - ref)) for n in (128, 256))
         assert err_128 / err_256 >= 12.0
+
+    @pytest.mark.parametrize("commutator, min_ratio", [(True, 10.0), (False, 3.0)],
+                             ids=["fourth-order", "second-order"])
+    def test_step_order_below_pi_of_detuning_phase(self, commutator, min_ratio):
+        # A smooth lossy ladder detuned as the map cells are, walked at
+        # delta h = 0.62 pi and 0.31 pi per step against a fourth-order run
+        # 8x finer than the finer of the two.  Halving the step cuts the
+        # error 17.2x with the commutator term and 4.2x without it: the
+        # step order, not only the step count, sets the accuracy here.
+        p = schemes.LambdaParams(
+            omega1=lambda t: 400.0 * np.sin(np.pi * t) ** 2,
+            omega2=lambda t: 320.0 * np.sin(np.pi * t),
+            delta_single=2000.0,
+            delta_two=lambda t: 5.0 * np.cos(2.0 * t),
+        )
+        h = schemes.build_lambda(p)
+        gamma = np.array([0.01, 30.0, 0.01])
+
+        def propagator(n_steps, commutator=True):
+            edges = np.linspace(0.0, 1.0, n_steps + 1)
+            return qcore._walk(h, gamma, np.eye(3), edges, np.array([n_steps]), commutator)[0]
+
+        ref = propagator(8 * 2048)
+        coarse, fine = (np.max(np.abs(propagator(n, commutator) - ref)) for n in (1024, 2048))
+        assert coarse / fine >= min_ratio
 
 
 class TestObservables:

@@ -545,3 +545,51 @@ class TestRunScenario:
                               roundtrip_hold=0.05, n_samples=201)
         s = result.summary()
         assert "one_way_efficiency" in s and "roundtrip_efficiency" in s
+
+
+# A run depends on delta and t_f only through delta * t_f (and gamma * t_f):
+# the designed Rabi frequencies scale as sqrt(delta / t_f), so H t_f in the
+# scaled time t / t_f is unchanged.  At c = 2 and 1/2 every scaling is a
+# power of two, exact in binary floating point, so p1 and p2 repeat the
+# same walk bit for bit.  Chainwise is not bitwise: its effective pair
+# scales exactly, but `protocols._chain_channels` multiplies sqrt(2 delta)
+# by (omega_e1**2 + omega_e2**2) ** (1/4), which each scale by the
+# irrational sqrt(c) and are rounded apart (channels off by up to 3.4e-16
+# relative at M5*).
+_SCALE_TOLERANCE = {"p1": 0.0, "p2": 0.0, "chainwise": 1e-14}
+_SCALE_CELLS = {
+    "p1": ((4.0, 1800 * np.pi), LAMBDA_DECAYS, {}),
+    "p2": ((4.0, 1200 * np.pi), LAMBDA_DECAYS, {}),
+    "chainwise": ((8.0, 1270 * np.pi), M_DECAYS, {"epsilon": 0.03}),
+}
+
+
+class TestDetuningPhaseScaling:
+    @pytest.mark.parametrize("c", [2.0, 0.5])
+    @pytest.mark.parametrize("tol, n_samples", [(1e-6, 2), (1e-8, 11)],
+                             ids=["checked", "heuristic"])
+    @pytest.mark.parametrize("protocol", ["p1", "p2", "chainwise"])
+    def test_scenario_depends_on_delta_times_tf(self, protocol, tol, n_samples, c):
+        (t_f, delta), decays, design = _SCALE_CELLS[protocol]
+        base = run_scenario(protocol, t_f, delta, DecayVector(decays),
+                            tol=tol, n_samples=n_samples, **design)
+        scaled = run_scenario(protocol, c * t_f, delta / c, DecayVector(np.array(decays) / c),
+                              tol=tol, n_samples=n_samples, **design)
+        assert np.array_equal(scaled.times, c * base.times)
+        dev = np.max(np.abs(scaled.populations - base.populations))
+        assert dev <= _SCALE_TOLERANCE[protocol], dev
+
+    @pytest.mark.parametrize("c", [2.0, 0.5])
+    @pytest.mark.parametrize("protocol", ["p1", "p2", "chainwise"])
+    def test_efficiency_map_depends_on_delta_times_tf(self, protocol, c):
+        _, decays, design = _SCALE_CELLS[protocol]
+        tf, delta = (1.0, 2.0, 2), (1000 * np.pi, 2000 * np.pi, 2)
+        base = sweep_efficiency(SweepSpec(protocol, tf, delta, design=design),
+                                DecayVector(decays))
+        scaled = sweep_efficiency(
+            SweepSpec(protocol, (c * tf[0], c * tf[1], 2), (delta[0] / c, delta[1] / c, 2),
+                      design=design),
+            DecayVector(np.array(decays) / c))
+        assert base.metadata["failed_cells"] == scaled.metadata["failed_cells"] == []
+        dev = np.max(np.abs(scaled.cells - base.cells))
+        assert dev <= _SCALE_TOLERANCE[protocol], dev
