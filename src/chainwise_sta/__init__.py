@@ -33,9 +33,7 @@ from .invariants import (
     TwoLevelAux,
     eigenstates2,
     eigenstates3,
-    invariant2,
     invariant2_rule,
-    invariant3,
     invariant3_rule,
     invariant_residual,
     lr_phase,

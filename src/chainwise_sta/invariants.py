@@ -28,9 +28,7 @@ from .qcore import HamiltonianRule, StateVector, TimeGrid
 __all__ = [
     "TwoLevelAux",
     "ThreeLevelAux",
-    "invariant2",
     "eigenstates2",
-    "invariant3",
     "eigenstates3",
     "invariant2_rule",
     "invariant3_rule",
@@ -103,15 +101,12 @@ class ThreeLevelAux:
     endpoints.  Coefficients ``scaled_a`` / ``scaled_b`` live in the scaled
     time s = t / t_f, where the endpoint derivatives cancel exactly in
     floating point (the inverse-engineered channels take a fourth root of
-    the squared derivatives, so exact zeros matter); ``poly_a`` / ``poly_b``
-    expose the same polynomials in plain time.
+    the squared derivatives, so exact zeros matter).
 
     ``angles(t)`` returns (chi, chi_dot, vartheta, vartheta_dot) from one
     scaled time; the derivative coefficients are formed from the current
     ``scaled_a`` / ``scaled_b`` on each call, and every value is bitwise
-    equal to numpy's ``polyval``/``polyder``.  ``chi``, ``chi_deriv``,
-    ``vartheta`` and ``vartheta_deriv`` pick one entry of it.  Callers that
-    need several angles at the same times make one ``angles`` call.
+    equal to numpy's ``polyval``/``polyder``.
     """
 
     t_f: float
@@ -140,29 +135,9 @@ class ThreeLevelAux:
         if not worst <= 1e-12:
             raise ValueError(f"boundary conditions violated by {worst:.3e}")
 
-    @property
-    def poly_a(self) -> np.ndarray:
-        return self.scaled_a / self.t_f ** np.arange(5)
-
-    @property
-    def poly_b(self) -> np.ndarray:
-        return self.scaled_b / self.t_f ** np.arange(4)
-
     def angles(self, t):
         """(chi, chi_dot, vartheta, vartheta_dot) at times t, in rad and rad/us."""
         return _scaled_angles(np.asarray(t, dtype=float), self.t_f, self.scaled_a, self.scaled_b)
-
-    def chi(self, t):
-        return self.angles(t)[0]
-
-    def chi_deriv(self, t):
-        return self.angles(t)[1]
-
-    def vartheta(self, t):
-        return self.angles(t)[2]
-
-    def vartheta_deriv(self, t):
-        return self.angles(t)[3]
 
 
 def _cubic_rate(t, t_f):
@@ -256,11 +231,6 @@ def _invariant2_stack(aux: TwoLevelAux, times) -> np.ndarray:
     return out
 
 
-def invariant2(aux: TwoLevelAux, t: float) -> np.ndarray:
-    """Two-level invariant matrix at time t; eigenvalues are +-1/2."""
-    return _invariant2_stack(aux, np.asarray(float(t)))
-
-
 def eigenstates2(aux: TwoLevelAux, t: float) -> tuple[StateVector, StateVector]:
     """Orthonormal eigenstate pair (phi_plus, phi_minus) at time t."""
     times = np.asarray(float(t))
@@ -282,11 +252,6 @@ def _invariant3_stack(aux: ThreeLevelAux, times) -> np.ndarray:
     return out
 
 
-def invariant3(aux: ThreeLevelAux, t: float) -> np.ndarray:
-    """Three-level invariant matrix at time t; spectrum {-1/2, 0, +1/2}."""
-    return _invariant3_stack(aux, np.asarray(float(t)))
-
-
 def eigenstates3(aux: ThreeLevelAux, t: float) -> tuple[StateVector, StateVector, StateVector]:
     """Eigenstates (phi_0, phi_plus, phi_minus) of the three-level invariant."""
     times = np.asarray(float(t))
@@ -295,12 +260,14 @@ def eigenstates3(aux: ThreeLevelAux, t: float) -> tuple[StateVector, StateVector
 
 
 def invariant2_rule(aux: TwoLevelAux) -> HamiltonianRule:
-    """The two-level invariant as a Hermitian matrix-valued function of time."""
+    """The two-level invariant as a Hermitian matrix-valued function of time;
+    eigenvalues +-1/2."""
     return HamiltonianRule(2, lambda t: _invariant2_stack(aux, t))
 
 
 def invariant3_rule(aux: ThreeLevelAux) -> HamiltonianRule:
-    """The three-level invariant as a Hermitian matrix-valued function of time."""
+    """The three-level invariant as a Hermitian matrix-valued function of time;
+    spectrum {-1/2, 0, +1/2}."""
     return HamiltonianRule(3, lambda t: _invariant3_stack(aux, t))
 
 

@@ -232,12 +232,9 @@ def design_protocol1(
     ``printed_delta_form`` switches to dividing by cot(beta) instead of
     multiplying, for comparison runs only; it makes the detuning large.
     """
-    if not 0 < t_f < np.inf:
-        raise ValueError("t_f must be finite and positive")
+    aux = TwoLevelAux.linear_sweep(t_f, beta)
     if not (np.isfinite(delta_single) and delta_single != 0):
         raise ValueError("delta_single must be finite and nonzero")
-    if not (np.isfinite(beta) and abs(np.sin(beta)) >= 1e-12):
-        raise ValueError("beta must be finite with sin(beta) nonzero")
     omega_bar = float(_p1_coupling(t_f, delta_single, beta))
     if np.isnan(omega_bar):
         raise ValueError(
@@ -271,8 +268,7 @@ def design_protocol1(
             return np.clip(raw, -limit, limit)
 
     return _leg("lambda3", "p1", couplings, t_f, delta_single, delta_two,
-                beta=float(beta), mode=mode, printed_delta_form=printed_delta_form,
-                aux=TwoLevelAux.linear_sweep(t_f, beta))
+                beta=float(beta), mode=mode, printed_delta_form=printed_delta_form, aux=aux)
 
 
 def _p1_coupling(t_f, delta_single, beta):
@@ -302,12 +298,10 @@ def design_protocol2(t_f: float, delta_single: float) -> PulseSchedule:
     both leg edges and peaks at sqrt(3 pi delta_single / t_f); no auxiliary
     two-photon detuning is required.
     """
-    if not 0 < t_f < np.inf:
-        raise ValueError("t_f must be finite and positive")
+    aux = TwoLevelAux.cubic_sweep(t_f)
     if not 0 < delta_single < np.inf:
         raise ValueError("delta_single must be finite and positive (negative makes the "
                          "squared coupling negative)")
-    aux = TwoLevelAux.cubic_sweep(t_f)
 
     def couplings(t):
         return _p2_coupling(delta_single, _p2_rate(aux.theta_dot(t)))[..., None]
@@ -539,31 +533,30 @@ def effective_rule(schedule: PulseSchedule) -> HamiltonianRule:
     return schemes.reduce_m(_m_params(schedule)).hamiltonian()
 
 
+def _designed_protocol(leg: PulseSchedule) -> str:
+    """The protocol of a designed p1, p2 or chainwise leg; a ValueError otherwise."""
+    protocol = leg.design.get("protocol")
+    if protocol not in ("p1", "p2", "chainwise"):
+        raise ValueError(f"peak amplitudes need a designed p1, p2 or chainwise leg, "
+                         f"got {protocol!r}")
+    return protocol
+
+
 def peak_amplitude(schedule: PulseSchedule) -> float:
-    """Largest |first channel| over 2001 endpoint-inclusive samples per leg.
+    """Largest |first channel| of a designed leg over 2001 endpoint-inclusive samples.
 
     The first channel is ``omega`` or ``omega1``; the odd sample count puts
-    each leg's midpoint on the grid, where the smooth designs peak.  A leg
-    with a p1, p2 or chainwise design record is the one cell of
-    :func:`peak_amplitudes` at its own t_f and detuning: the delta-free
-    profile is sampled once (p1's is a constant) and its peak mapped
-    through the detuning, bitwise the sampled channel's peak, and the
-    couplings are never evaluated.  Any other schedule samples its first
-    channel, a column of the stacked couplings; that path is the
-    independent check of the record path.
+    the midpoint on the grid, where the smooth designs peak.  The leg is
+    the one cell of :func:`peak_amplitudes` at its own t_f and detuning:
+    the delta-free profile is sampled once (p1's is a constant) and its
+    peak mapped through the detuning, bitwise the sampled channel's peak,
+    and the couplings are never evaluated.  A schedule without a p1, p2 or
+    chainwise design record (a round trip, a hand-built schedule) is a
+    ValueError.
     """
+    _designed_protocol(schedule)
     d = schedule.design
-    if d.get("protocol") in ("p1", "p2", "chainwise"):
-        return float(peak_amplitudes(schedule, [d["t_f"]], [d["delta_single"]])[0, 0])
-    channel = schedule.channels[schedule.channel_names[0]]
-    best = 0.0
-    start = 0.0
-    for seg in schedule.segments:
-        if seg.duration > 0:
-            t = np.linspace(start, start + seg.duration, _PEAK_POINTS)
-            best = max(best, float(np.max(np.abs(channel(t)))))
-        start += seg.duration
-    return best
+    return float(peak_amplitudes(schedule, [d["t_f"]], [d["delta_single"]])[0, 0])
 
 
 def _rows_linspace(stops, num: int, columns=None) -> np.ndarray:
@@ -584,9 +577,10 @@ def _rows_linspace(stops, num: int, columns=None) -> np.ndarray:
 
 
 def peak_amplitudes(leg: PulseSchedule, tf_values, deltas) -> np.ndarray:
-    """``peak_amplitude`` of a designed leg redone at every (t_f, delta) cell.
+    """The peak of a designed leg's first channel, redone at every (t_f, delta) cell.
 
-    Entry (i, j) is bitwise ``peak_amplitude`` of the same designer at
+    Entry (i, j) is bitwise the largest |first channel| over the 2001
+    endpoint-inclusive samples of the same designer's leg at
     ``tf_values[i]`` and ``deltas[j]``; the leg fixes every other design
     parameter (beta, epsilon, direction), and both axes must be positive.
 
@@ -613,10 +607,10 @@ def peak_amplitudes(leg: PulseSchedule, tf_values, deltas) -> np.ndarray:
     in one batch, so a row with a non-finite sampled profile has NaN cells.
     """
     d = leg.design
+    protocol = _designed_protocol(leg)
     tf_values = np.asarray(tf_values, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
     column = tf_values[:, None]
-    protocol = d.get("protocol")
     if protocol == "p1":
         return _p1_coupling(column, deltas, d["beta"])
     if protocol == "p2":
@@ -628,7 +622,7 @@ def peak_amplitudes(leg: PulseSchedule, tf_values, deltas) -> np.ndarray:
             # max propagates a non-finite rate into the row's peak.
             return np.max(rate, axis=1), rate, None
 
-    elif protocol == "chainwise":
+    else:
         aux = d["aux"]
         probe = _rows_linspace(tf_values, _PROBE_POINTS)
         floor = _chain_floor(*_effective_pair(
@@ -646,9 +640,6 @@ def peak_amplitudes(leg: PulseSchedule, tf_values, deltas) -> np.ndarray:
             # |omega1| / root.
             finite = np.isfinite(floor[rows]) & np.all(np.isfinite(e1) & np.isfinite(e2), axis=1)
             return np.where(finite, np.max(amp, axis=1), np.nan), amp, chi
-
-    else:
-        raise ValueError(f"peak maps need a designed p1, p2 or chainwise leg, got {protocol!r}")
 
     def certified(peaks):
         return bool(np.all(np.isfinite(peaks) & (peaks >= _PEAK_FLOOR)))

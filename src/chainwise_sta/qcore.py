@@ -198,10 +198,6 @@ class DecayVector:
     def dimension(self) -> int:
         return self.rates.size
 
-    @classmethod
-    def none(cls, dimension: int) -> "DecayVector":
-        return cls(np.zeros(dimension))
-
 
 @dataclass(frozen=True)
 class TimeGrid:

@@ -136,8 +136,9 @@ def _chain_rule(n: int, diagonal, couplings: Callable[[np.ndarray], np.ndarray])
 class LambdaParams:
     """Drive parameters of the three-level ladder.
 
-    ``duration`` is optional and only used to sample time-dependent channels
-    for the reduction diagnostics; constant channels need no duration.
+    ``duration`` is the window over which :func:`reduce_lambda` checks the
+    drive; it is required when any channel is a function of time, and
+    constant channels need none.
     """
 
     omega1: Channel
@@ -153,7 +154,9 @@ class MParams:
 
     ``couplings`` maps times to the four Rabi channels (omega1, omega2,
     omega3, omega4) on a last axis; :func:`stack_channels` builds it from
-    floats or callables.  :func:`build_m` and :func:`reduce_m` both read it.
+    floats or callables.  :func:`build_m` and :func:`reduce_m` both read it;
+    :func:`reduce_m` checks the couplings over [0, ``duration``], so it
+    needs the duration.
     """
 
     couplings: Callable[[np.ndarray], np.ndarray]
@@ -187,20 +190,19 @@ class EffThreeLevel:
 
     couplings: Callable[[np.ndarray], np.ndarray]
 
-    def omega_e1(self, t):
-        return self.couplings(t)[..., 0]
-
-    def omega_e2(self, t):
-        return self.couplings(t)[..., 1]
-
     def hamiltonian(self) -> HamiltonianRule:
         return _chain_rule(3, np.zeros(3), self.couplings)
 
 
-def _probe_times(duration: float | None) -> np.ndarray:
-    if duration is None:
-        return np.array([0.0])
-    return np.linspace(0.0, duration, _N_PROBE)
+def _probe_times(duration: float | None, channels) -> np.ndarray:
+    """The times at which a reduction checks its drive, across [0, duration].
+
+    A drive with a channel that is a function of time needs its duration;
+    a constant drive is the same at every time, so it needs none.
+    """
+    if duration is None and any(callable(c) for c in channels):
+        raise ValueError("a drive that varies in time needs a duration to check it over")
+    return np.linspace(0.0, duration or 0.0, _N_PROBE)
 
 
 def build_lambda(p: LambdaParams) -> HamiltonianRule:
@@ -242,7 +244,7 @@ def reduce_lambda(p: LambdaParams) -> EffTwoLevel:
     om1 = as_channel(p.omega1)
     om2 = as_channel(p.omega2)
     dl2 = as_channel(p.delta_two)
-    probes = _probe_times(p.duration)
+    probes = _probe_times(p.duration, (p.omega1, p.omega2, p.delta_two))
     o1 = om1(probes)
     o2 = om2(probes)
     mismatch = float(np.max(np.abs(o1 - o2)))
@@ -285,7 +287,7 @@ def reduce_m(p: MParams) -> EffThreeLevel:
     delta = float(p.delta_single)
     if delta == 0.0:
         raise ValueError("reduction undefined for delta_single = 0")
-    probes = _probe_times(p.duration)
+    probes = _probe_times(p.duration, (p.couplings,))
     vals = np.asarray(p.couplings(probes), dtype=float)
     o1, o2, o3, o4 = vals.T
     root = np.sqrt(o2**2 + o3**2)

@@ -10,21 +10,19 @@ profiles differ between rows only through t_f, so the first row is sampled
 in full and every other row only at the samples where the first row
 comes near its peak (``protocols.peak_amplitudes``), bitwise equal to
 designing each cell.  The map runs in the calling thread.  Efficiency
-cells spend their time in large numpy operations that release the GIL;
-they run as independent tasks on a thread pool capped by the
+cells run as independent tasks on a thread pool capped by the
 ``CHAINWISE_STA_THREADS`` environment variable (a positive integer;
-default: the cores this process may run on).
+default: the cores this process may run on).  The pool overlaps them
+only in part: a cell holds the GIL for the Python and small-array work
+between its larger numpy calls, so each of two concurrent cells runs
+slower than it does alone (see the ``qcore`` module docstring).
 Cells are submitted in descending t_f * delta, the detuning phase budget
 that every Magnus step count scales with, so that the longest cells
 mostly do not start last and leave one worker finishing alone.  The order
 is approximate: a cell certified against a coarser check run walks
-55-67% of the steps per unit of budget of a cell on the finer check, and
-a gate-closed cell on the heuristic count more (see
-``qcore._propagate``).  It still schedules well: over the 64 2x2 bench
-map tiles (8 jitter levels, tol 1e-6), two-worker list scheduling of
-solo per-cell times (best of 3, one thread) gives a total makespan of
-2,346 ms in this order, against 2,333 ms for the best order of each
-tile (+0.6%) and 2,479 ms for row-major order.  Results are placed by
+fewer steps per unit of budget than a cell on the finer check, and a
+gate-closed cell on the heuristic count more (see ``qcore._propagate``);
+CHANGES.md records the makespans measured for it.  Results are placed by
 index: the assembled map is bitwise-identical regardless of evaluation
 order or worker count.
 
@@ -91,8 +89,10 @@ def design_options(protocol: str) -> tuple[str, ...]:
 
 
 def _check_decays(protocol: str, decays: DecayVector) -> None:
-    levels = PROTOCOL_LEVELS[protocol]
-    if decays.dimension != levels:
+    """One decay rate per level of the protocol's scheme; an unknown protocol
+    is left to the designer dispatch, which names it."""
+    levels = PROTOCOL_LEVELS.get(protocol)
+    if levels is not None and decays.dimension != levels:
         raise ValueError(f"{protocol} needs {levels} decay rates, got {decays.dimension}")
 
 
@@ -331,10 +331,6 @@ class ScenarioResult:
     def roundtrip_efficiency(self) -> float | None:
         return None if self.one_way_efficiency is None else self.final_efficiency
 
-    @property
-    def peak_excited_total(self) -> float:
-        return max(self.peak_excited.values())
-
     def to_csv(self, path) -> None:
         n = self.populations.shape[1]
         header = "t_us," + ",".join(f"pop_{k + 1}" for k in range(n)) + ",trace\n"
@@ -371,7 +367,8 @@ def run_scenario(
 
     ``design`` passes keyword options to the protocol's designer, as in
     ``design_schedule``; an option the designer does not take raises
-    ValueError naming it.
+    ValueError naming it.  ``decays`` holds one rate per level of the
+    scheme; a wrong count is a ValueError before anything is designed.
 
     The run starts in the first level; the last level is the target (level
     3 of the three-level ladder, level 5 of the chain) and the odd interior
@@ -387,11 +384,11 @@ def run_scenario(
     can miss the true peak.  An efficiency map cell is this run's
     ``final_efficiency`` at 2 samples.
     """
+    _check_decays(protocol, decays)
     leg = design_schedule(protocol, t_f, delta, **design)
     schedule = leg if roundtrip_hold is None else build_roundtrip(leg, roundtrip_hold)
     h = hamiltonian_rule(schedule)
     n = h.dimension
-    _check_decays(protocol, decays)
     grid = TimeGrid(0.0, schedule.duration, n_samples)
     rho0 = DensityMatrix.pure(StateVector.basis(n, 0))
     traj = propagate_density(h, decays, rho0, grid, tol=tol, breakpoints=schedule.breakpoints)

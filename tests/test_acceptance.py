@@ -195,8 +195,8 @@ def test_criterion_7_roundtrip_detection():
     # Five-level return leg reverses the sweep angle boundary conditions.
     chain_rt = build_roundtrip(design_chainwise(*CHAIN_STAR), 0.1)
     back_aux = chain_rt.design["backward"]["aux"]
-    assert back_aux.vartheta(0.0) == pytest.approx(np.pi / 2, abs=1e-12)
-    assert back_aux.vartheta(CHAIN_STAR[0]) == pytest.approx(0.0, abs=1e-12)
+    assert back_aux.angles(0.0)[2] == pytest.approx(np.pi / 2, abs=1e-12)
+    assert back_aux.angles(CHAIN_STAR[0])[2] == pytest.approx(0.0, abs=1e-12)
     report(7, "; ".join(details) + " (all >= one-way^2 - 0.02)")
 
 
@@ -258,13 +258,13 @@ def test_criterion_10_structural_invariants(monkeypatch):
     for t_f, eps, direction in ((4.0, 0.03, "creation"), (8.0, 0.12, "detection")):
         aux = solve_aux_polynomials(t_f, eps, direction)
         start = 0.0 if direction == "creation" else np.pi / 2
-        assert abs(aux.chi(0.0) - eps) <= 1e-12
-        assert abs(aux.chi(t_f) - eps) <= 1e-12
-        assert abs(aux.chi(t_f / 2) - np.pi / 4) <= 1e-12
-        assert abs(aux.chi_deriv(0.0)) <= 1e-12 and abs(aux.chi_deriv(t_f)) <= 1e-12
-        assert abs(aux.vartheta(0.0) - start) <= 1e-12
-        assert abs(aux.vartheta_deriv(0.0)) <= 1e-12
-        assert abs(aux.vartheta_deriv(t_f)) <= 1e-12
+        assert abs(aux.angles(0.0)[0] - eps) <= 1e-12
+        assert abs(aux.angles(t_f)[0] - eps) <= 1e-12
+        assert abs(aux.angles(t_f / 2)[0] - np.pi / 4) <= 1e-12
+        assert abs(aux.angles(0.0)[1]) <= 1e-12 and abs(aux.angles(t_f)[1]) <= 1e-12
+        assert abs(aux.angles(0.0)[2] - start) <= 1e-12
+        assert abs(aux.angles(0.0)[3]) <= 1e-12
+        assert abs(aux.angles(t_f)[3]) <= 1e-12
 
     # Four-channel balancing identity to 1e-9 relative.
     chain = design_chainwise(*CHAIN_STAR)

@@ -12,9 +12,7 @@ from chainwise_sta import (
     eigenstates2,
     eigenstates3,
     fidelity,
-    invariant2,
     invariant2_rule,
-    invariant3,
     invariant3_rule,
     invariant_residual,
     lr_phase,
@@ -38,17 +36,17 @@ def fixed_aux(theta, beta):
 
 class TestInvariant2:
     def test_theta_zero_diagonal(self):
-        m = invariant2(fixed_aux(0.0, 0.3), 0.0)
+        m = invariant2_rule(fixed_aux(0.0, 0.3))(0.0)
         assert np.allclose(m, np.diag([0.5, -0.5]))
 
     def test_equator_is_sigma_x(self):
-        m = invariant2(fixed_aux(np.pi / 2, 0.0), 0.0)
+        m = invariant2_rule(fixed_aux(np.pi / 2, 0.0))(0.0)
         assert np.allclose(m, 0.5 * np.array([[0, 1], [1, 0]]))
 
     @given(theta=angles, beta=angles)
     @settings(max_examples=40, deadline=None)
     def test_determinant_fixed(self, theta, beta):
-        m = invariant2(fixed_aux(theta, beta), 0.0)
+        m = invariant2_rule(fixed_aux(theta, beta))(0.0)
         assert np.linalg.det(m).real == pytest.approx(-0.25, abs=1e-12)
         assert abs(np.linalg.det(m).imag) < 1e-12
 
@@ -68,7 +66,7 @@ class TestInvariant2:
 
     def test_eigenstates_diagonalize_invariant(self):
         aux = fixed_aux(0.8, -2.1)
-        m = invariant2(aux, 0.0)
+        m = invariant2_rule(aux)(0.0)
         plus, minus = eigenstates2(aux, 0.0)
         assert np.allclose(m @ plus.amplitudes, 0.5 * plus.amplitudes, atol=1e-12)
         assert np.allclose(m @ minus.amplitudes, -0.5 * minus.amplitudes, atol=1e-12)
@@ -84,18 +82,18 @@ class TestInvariant3:
         return aux
 
     def test_quarter_corner_coupling(self):
-        m = invariant3(self.chain_aux(np.pi / 2, 0.7), 0.0)
+        m = invariant3_rule(self.chain_aux(np.pi / 2, 0.7))(0.0)
         assert m[0, 2] == pytest.approx(-0.5j)
         assert abs(m[0, 1]) < 1e-12 and abs(m[1, 2]) < 1e-12
 
     def test_real_chain_at_chi_zero(self):
-        m = invariant3(self.chain_aux(0.0, np.pi / 4), 0.0)
+        m = invariant3_rule(self.chain_aux(0.0, np.pi / 4))(0.0)
         assert m[0, 1] == pytest.approx(0.5 * np.sqrt(2) / 2)
         assert m[1, 2] == pytest.approx(0.5 * np.sqrt(2) / 2)
         assert abs(m[0, 2]) < 1e-12
 
     def test_spectrum_via_eigensolve_oracle(self):
-        m = invariant3(self.chain_aux(0.3, 1.1), 0.0)
+        m = invariant3_rule(self.chain_aux(0.3, 1.1))(0.0)
         eigs = np.sort(np.linalg.eigvalsh(m))
         assert np.allclose(eigs, [-0.5, 0.0, 0.5], atol=1e-12)
 
@@ -104,7 +102,7 @@ class TestInvariant3:
         for _ in range(10):
             chi, vt = rng.uniform(-3, 3, size=2)
             aux = self.chain_aux(chi, vt)
-            m = invariant3(aux, 0.0)
+            m = invariant3_rule(aux)(0.0)
             phi0, plus, minus = eigenstates3(aux, 0.0)
             assert np.max(np.abs(m @ phi0.amplitudes)) < 1e-12
             assert np.allclose(m @ plus.amplitudes, 0.5 * plus.amplitudes, atol=1e-12)
@@ -139,24 +137,17 @@ def polyval_reference(aux, t):
 
 
 class TestAngles:
-    """angles() and the single-angle methods equal polyval/polyder bit for bit."""
-
-    METHODS = ("chi", "chi_deriv", "vartheta", "vartheta_deriv")
+    """angles() equals polyval/polyder bit for bit."""
 
     def assert_bitwise(self, aux):
         t = np.linspace(0.0, aux.t_f, 1001)
         assert t[0] == 0.0 and t[500] == aux.t_f / 2 and t[-1] == aux.t_f
-        want = polyval_reference(aux, t)
-        for got in (aux.angles(t), [getattr(aux, m)(t) for m in self.METHODS]):
-            for g, w in zip(got, want):
-                assert g.shape == w.shape and np.array_equal(g, w)
-                assert g.tobytes() == w.tobytes()
+        for g, w in zip(aux.angles(t), polyval_reference(aux, t)):
+            assert g.shape == w.shape and np.array_equal(g, w)
+            assert g.tobytes() == w.tobytes()
         for t0 in (0.0, aux.t_f / 2, aux.t_f):
-            want = polyval_reference(aux, t0)
-            for g, w in zip(aux.angles(t0), want):
+            for g, w in zip(aux.angles(t0), polyval_reference(aux, t0)):
                 assert np.array_equal(g, w)
-            for m, w in zip(self.METHODS, want):
-                assert np.array_equal(getattr(aux, m)(t0), w)
 
     @pytest.mark.parametrize("direction", ["creation", "detection"])
     @pytest.mark.parametrize("t_f,eps", [(8.0, 0.03), (3.2, 1e-3), (4.0, 0.2)])
@@ -168,7 +159,7 @@ class TestAngles:
         # construction; a derivative copied at construction would go stale.
         aux = TestInvariant3.chain_aux(0.3, 1.1)
         self.assert_bitwise(aux)
-        assert not np.any(aux.chi_deriv(np.linspace(0.0, 1.0, 11)))
+        assert not np.any(aux.angles(np.linspace(0.0, 1.0, 11))[1])
 
 
 class TestAuxPolynomials:
@@ -183,32 +174,33 @@ class TestAuxPolynomials:
         ], dtype=float)
         oracle = np.linalg.solve(mat, [0.0, 0.0, np.pi / 2, 0.0])
         aux = solve_aux_polynomials(t_f, 0.03)
-        assert np.allclose(aux.poly_b, oracle, atol=1e-12)
-        assert np.allclose(aux.poly_b, [0.0, 0.0, 3 * np.pi / 2, -np.pi], atol=1e-12)
-        assert aux.vartheta(0.5) == pytest.approx(np.pi / 4, abs=1e-12)
+        poly_b = aux.scaled_b / aux.t_f ** np.arange(4)
+        assert np.allclose(poly_b, oracle, atol=1e-12)
+        assert np.allclose(poly_b, [0.0, 0.0, 3 * np.pi / 2, -np.pi], atol=1e-12)
+        assert aux.angles(0.5)[2] == pytest.approx(np.pi / 4, abs=1e-12)
 
     @pytest.mark.parametrize("t_f,eps", [(1.0, 0.03), (8.0, 0.03), (4.0, 0.2), (12.0, 1e-3)])
     def test_boundary_conditions_exact(self, t_f, eps):
         aux = solve_aux_polynomials(t_f, eps)
-        assert aux.chi(0.0) == pytest.approx(eps, abs=1e-12)
-        assert aux.chi(t_f) == pytest.approx(eps, abs=1e-12)
-        assert aux.chi(t_f / 2) == pytest.approx(np.pi / 4, abs=1e-12)
-        assert abs(aux.chi_deriv(0.0)) < 1e-12
-        assert abs(aux.chi_deriv(t_f)) < 1e-12
-        assert abs(aux.vartheta_deriv(0.0)) < 1e-12
-        assert abs(aux.vartheta_deriv(t_f)) < 1e-12
+        assert aux.angles(0.0)[0] == pytest.approx(eps, abs=1e-12)
+        assert aux.angles(t_f)[0] == pytest.approx(eps, abs=1e-12)
+        assert aux.angles(t_f / 2)[0] == pytest.approx(np.pi / 4, abs=1e-12)
+        assert abs(aux.angles(0.0)[1]) < 1e-12
+        assert abs(aux.angles(t_f)[1]) < 1e-12
+        assert abs(aux.angles(0.0)[3]) < 1e-12
+        assert abs(aux.angles(t_f)[3]) < 1e-12
 
     def test_chi_matches_closed_form(self):
         t_f, eps = 8.0, 0.03
         aux = solve_aux_polynomials(t_f, eps)
         s = np.linspace(0, 1, 57)
         closed = eps + 16 * (np.pi / 4 - eps) * s**2 * (1 - s) ** 2
-        assert np.allclose(aux.chi(s * t_f), closed, atol=1e-10)
+        assert np.allclose(aux.angles(s * t_f)[0], closed, atol=1e-10)
 
     def test_detection_direction_swaps_endpoints(self):
         aux = solve_aux_polynomials(6.0, 0.05, direction="detection")
-        assert aux.vartheta(0.0) == pytest.approx(np.pi / 2, abs=1e-12)
-        assert aux.vartheta(6.0) == pytest.approx(0.0, abs=1e-12)
+        assert aux.angles(0.0)[2] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert aux.angles(6.0)[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -197,7 +197,8 @@ class TestChainwise:
         ))
         designed_pair = _chain_effective_couplings(chain_schedule.design["aux"])
         t = np.linspace(0.05, 7.95, 501)
-        got1, got2 = np.asarray(eff.omega_e1(t)), np.asarray(eff.omega_e2(t))
+        got = eff.couplings(t)
+        got1, got2 = got[..., 0], got[..., 1]
         want1, want2 = designed_pair(t)
         scale = np.max(np.hypot(want1, want2))
         same = max(np.max(np.abs(got1 - want1)), np.max(np.abs(got2 - want2)))
@@ -276,14 +277,30 @@ class TestChainwise:
             design_chainwise(8.0, -1270 * np.pi, 0.03)
 
 
+def sampled_peak(schedule):
+    """Largest |first channel| over 2001 endpoint-inclusive samples per leg.
+
+    The channel is a column of the stacked couplings, sampled directly: the
+    independent check of the design-record path of ``peak_amplitude``.
+    """
+    channel = schedule.channels[schedule.channel_names[0]]
+    best = 0.0
+    start = 0.0
+    for seg in schedule.segments:
+        if seg.duration > 0:
+            t = np.linspace(start, start + seg.duration, 2001)
+            best = max(best, float(np.max(np.abs(channel(t)))))
+        start += seg.duration
+    return best
+
+
 class TestPeakAmplitude:
     def test_designed_leg_samples_its_profile_once(self, chain_schedule, monkeypatch):
         # A designed chainwise leg is read from its record: one angle
         # evaluation on the 257-point floor probe and one on the 2001 peak
         # samples (then one on the candidates of no other row), and the
         # stacked channels are never evaluated.  The same
-        # leg without its record samples its first channel, a column of one
-        # couplings call.
+        # leg without its record is a ValueError.
         stacked = []
 
         def counted_couplings(t):
@@ -304,14 +321,14 @@ class TestPeakAmplitude:
         peak_amplitude(spy)
         assert calls == [257, 2001, 0]
         assert stacked == []
-        peak_amplitude(bare)
-        assert stacked == [2001]
+        with pytest.raises(ValueError, match="designed p1, p2 or chainwise leg"):
+            peak_amplitude(bare)
+        assert stacked == []
 
     @pytest.mark.parametrize("protocol", [
         "p1", "p2", "chainwise", "chainwise-detection", "chainwise-eps0.001", "chainwise-eps0.5",
     ])
     def test_record_peak_equals_sampled_channel_bitwise(self, protocol):
-        # The same leg without its design record takes the channel path.
         design = {"p1": design_protocol1, "p2": design_protocol2,
                   "chainwise": lambda t_f, d: design_chainwise(t_f, d, 0.03),
                   "chainwise-detection": lambda t_f, d: design_chainwise(
@@ -320,7 +337,7 @@ class TestPeakAmplitude:
                   "chainwise-eps0.5": lambda t_f, d: design_chainwise(t_f, d, 0.5)}[protocol]
         for t_f, delta in ((1.0, 1000 * np.pi), (3.3, 2718.0), (8.0, 5000 * np.pi)):
             leg = design(t_f, delta)
-            assert peak_amplitude(leg) == peak_amplitude(dataclasses.replace(leg, design={}))
+            assert peak_amplitude(leg) == sampled_peak(leg)
 
 
 class TestRoundtrip:
@@ -357,8 +374,8 @@ class TestRoundtrip:
         rt = build_roundtrip(chain_schedule, 0.1)
         assert rt.design["backward"]["direction"] == "detection"
         aux = rt.design["backward"]["aux"]
-        assert aux.vartheta(0.0) == pytest.approx(np.pi / 2, abs=1e-12)
-        assert aux.vartheta(8.0) == pytest.approx(0.0, abs=1e-12)
+        assert aux.angles(0.0)[2] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert aux.angles(8.0)[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_times_match_array(self, p1_schedule_clamped, chain_schedule):
         for leg in (p1_schedule_clamped, chain_schedule):

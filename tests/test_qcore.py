@@ -222,7 +222,7 @@ class TestPropagateDensity:
         grid = TimeGrid(0.0, 4.0, 81)
         tol = 1e-8
         psi = propagate_state(h, StateVector.basis(2, 0), grid, tol=tol)
-        rho = propagate_density(h, DecayVector.none(2),
+        rho = propagate_density(h, DecayVector(np.zeros(2)),
                                 DensityMatrix.pure(StateVector.basis(2, 0)), grid, tol=tol)
         # Zero decay takes the same steps and propagators as propagate_state.
         assert np.array_equal(psi.populations, rho.populations)
@@ -259,7 +259,7 @@ class TestPropagateDensity:
 
     def test_trace_increase_is_integration_error(self):
         with pytest.raises(IntegrationError, match="trace increased"):
-            propagate_density(gain_between_samples(), DecayVector.none(2),
+            propagate_density(gain_between_samples(), DecayVector(np.zeros(2)),
                               DensityMatrix.pure(StateVector.basis(2, 1)),
                               TimeGrid(0.0, 1.0, 2), tol=1e-6)
 
@@ -284,7 +284,7 @@ class TestPropagateDensity:
 
     def test_trace_constant_without_loss(self):
         h = two_level(2.0, 1.0)
-        traj = propagate_density(h, DecayVector.none(2),
+        traj = propagate_density(h, DecayVector(np.zeros(2)),
                                  DensityMatrix.pure(StateVector.basis(2, 0)),
                                  TimeGrid(0.0, 6.0, 61))
         assert np.max(np.abs(traj.norms_sq - 1.0)) < 1e-7
@@ -312,7 +312,7 @@ class TestPropagateDensity:
         h = two_level(1.5, 0.3)
         rho0 = DensityMatrix(np.diag([0.5, 0.3]))
         with pytest.raises(ValueError, match="pure"):
-            propagate_density(h, DecayVector.none(2), rho0, TimeGrid(0.0, 3.0, 61))
+            propagate_density(h, DecayVector(np.zeros(2)), rho0, TimeGrid(0.0, 3.0, 61))
 
     def test_sub_unit_trace_pure_input(self):
         # A rank-1 rho0 of trace 0.8 scales every population by 0.8.

@@ -189,6 +189,17 @@ class TestReduceLambda:
             warnings.simplefilter("error")
             reduce_lambda(LambdaParams(1.0, 1.0, delta_single=50.0))
 
+    def test_drive_in_time_needs_duration(self):
+        # Pump and Stokes both vanish at t = 0, so only a check over the
+        # whole drive sees them differ.
+        p = LambdaParams(np.sin, lambda t: 2.0 * np.sin(t), delta_single=1e3)
+        with pytest.raises(ValueError, match="duration"):
+            reduce_lambda(p)
+        with pytest.raises(ValueError, match="omega1 = omega2"):
+            reduce_lambda(dataclasses.replace(p, duration=3.0))
+        with pytest.raises(ValueError, match="duration"):
+            reduce_lambda(LambdaParams(1.0, 1.0, delta_single=1e3, delta_two=np.sin))
+
     def test_roundtrip_amplitude_identity(self):
         # Re-embedding the effective coupling recovers |omega| exactly.
         rng = np.random.default_rng(5)
@@ -202,24 +213,37 @@ class TestReduceLambda:
 
 class TestReduceM:
     def test_effective_coupling_values(self):
-        p = MParams(stack_channels((2.0, np.sqrt(2), np.sqrt(2), 2.0)), delta_single=100.0)
+        p = MParams(stack_channels((2.0, np.sqrt(2), np.sqrt(2), 2.0)), delta_single=100.0,
+                    duration=1.0)
         eff = reduce_m(p)
-        assert np.asarray(eff.omega_e1(0.0)) == pytest.approx(-np.sqrt(2) * 2 / 200)
-        assert np.asarray(eff.omega_e2(0.0)) == pytest.approx(-0.0141421356, abs=1e-9)
+        assert eff.couplings(0.0)[..., 0] == pytest.approx(-np.sqrt(2) * 2 / 200)
+        assert eff.couplings(0.0)[..., 1] == pytest.approx(-0.0141421356, abs=1e-9)
 
     def test_two_level_limit(self):
         c = 1.5
-        eff = reduce_m(MParams(stack_channels((c, c, 0.0, c)), delta_single=200.0))
-        assert np.asarray(eff.omega_e1(0.0)) == pytest.approx(-c**2 / 400)
-        assert np.asarray(eff.omega_e2(0.0)) == 0.0
+        eff = reduce_m(MParams(stack_channels((c, c, 0.0, c)), delta_single=200.0, duration=1.0))
+        assert eff.couplings(0.0)[..., 0] == pytest.approx(-c**2 / 400)
+        assert eff.couplings(0.0)[..., 1] == 0.0
 
     def test_balance_violation_named(self):
         with pytest.raises(StarkBalanceError, match="defect"):
-            reduce_m(MParams(stack_channels((2.0, 1.0, 1.0, 2.0)), delta_single=100.0))
+            reduce_m(MParams(stack_channels((2.0, 1.0, 1.0, 2.0)), delta_single=100.0,
+                             duration=1.0))
+
+    def test_drive_needs_duration(self):
+        # The whole chain vanishes at t = 0, so only a check over the whole
+        # drive sees it break the balance.
+        p = MParams(stack_channels((lambda t: 3.0 * np.sin(t), np.sin, np.sin,
+                                    lambda t: 3.0 * np.sin(t))), delta_single=100.0)
+        with pytest.raises(ValueError, match="duration"):
+            reduce_m(p)
+        with pytest.raises(StarkBalanceError, match="defect"):
+            reduce_m(dataclasses.replace(p, duration=3.0))
 
     def test_zero_detuning_rejected(self):
         with pytest.raises(ValueError, match="delta"):
-            reduce_m(MParams(stack_channels((2.0, np.sqrt(2), np.sqrt(2), 2.0)), delta_single=0.0))
+            reduce_m(MParams(stack_channels((2.0, np.sqrt(2), np.sqrt(2), 2.0)), delta_single=0.0,
+                             duration=1.0))
 
     def test_one_stacked_drive_feeds_build_m_and_reduce_m(self):
         # build_m and reduce_m read the same columns of one drive, each in
@@ -249,7 +273,8 @@ class TestReduceM:
     def test_gauge_sign_flip_leaves_populations(self):
         from chainwise_sta import EffThreeLevel
 
-        p = MParams(stack_channels((2.0, np.sqrt(2), np.sqrt(2), 2.0)), delta_single=100.0)
+        p = MParams(stack_channels((2.0, np.sqrt(2), np.sqrt(2), 2.0)), delta_single=100.0,
+                    duration=30.0)
         eff = reduce_m(p)
         flipped = EffThreeLevel(lambda t: -eff.couplings(t))
         grid = TimeGrid(0.0, 30.0, 31)
