@@ -378,7 +378,7 @@ def _cmd_simulate(cfg: dict) -> int:
     _write_json(out / "summary.json", result.summary())
     _write_json(out / "manifest.json", cfg)
     if roundtrip:
-        print(f"roundtrip_efficiency={result.roundtrip_efficiency:.6f} "
+        print(f"roundtrip_efficiency={result.final_efficiency:.6f} "
               f"one_way_efficiency={result.one_way_efficiency:.6f}")
     else:
         print(f"final_efficiency={result.final_efficiency:.6f}")

@@ -118,7 +118,8 @@ class PulseSchedule:
     ``couplings`` maps an array of times to every channel, in rad/us, on a
     last axis in channel order: ``omega`` for the three-level scheme,
     ``omega1`` .. ``omega4`` for the five-level one.  ``channels`` is built
-    from it, each name mapped to the function giving its column.
+    from it, each name mapped, in channel order, to the function giving its
+    column.
     ``delta_two`` is the auxiliary two-photon detuning (identically zero for
     the five-level scheme); ``segments`` lists the legs making up the
     schedule.  ``design`` records the generating parameters so derived
@@ -159,10 +160,6 @@ class PulseSchedule:
             name: _column(self.couplings, k) for k, name in enumerate(names)})
 
     @property
-    def channel_names(self) -> tuple[str, ...]:
-        return tuple(self.channels)
-
-    @property
     def breakpoints(self) -> tuple[float, ...]:
         """Interior segment boundaries, where channels may be non-smooth."""
         edges = np.cumsum([s.duration for s in self.segments])[:-1]
@@ -180,7 +177,7 @@ class PulseSchedule:
             start += seg.duration
         pieces.append(np.array([self.duration]))
         times = np.concatenate(pieces)
-        values = dict(zip(self.channel_names, np.asarray(self.couplings(times), dtype=float).T))
+        values = dict(zip(self.channels, np.asarray(self.couplings(times), dtype=float).T))
         return times, values, np.asarray(self.delta_two(times), dtype=float)
 
     def to_csv(self, path, points_per_leg: int = CSV_POINTS_PER_LEG) -> None:
@@ -188,11 +185,11 @@ class PulseSchedule:
         times, values, d2 = self.sample(points_per_leg)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t_us", *self.channel_names, "delta_two"])
+            writer.writerow(["t_us", *self.channels, "delta_two"])
             for i, t in enumerate(times):
                 writer.writerow(
                     [f"{t:.9g}"]
-                    + [f"{values[name][i]:.12g}" for name in self.channel_names]
+                    + [f"{values[name][i]:.12g}" for name in self.channels]
                     + [f"{d2[i]:.12g}"]
                 )
 
@@ -221,7 +218,6 @@ def design_protocol1(
     delta_single: float,
     beta: float = DEFAULT_BETA,
     mode: DeltaTwoMode | None = None,
-    printed_delta_form: bool = False,
 ) -> PulseSchedule:
     """Constant-coupling schedule from a linear mixing-angle ramp.
 
@@ -229,8 +225,6 @@ def design_protocol1(
     independent of time.  The auxiliary two-photon detuning
     -(pi/t_f) cot(theta) cot(beta) diverges at the leg edges and is handled
     per ``mode`` (default: dropped, which barely changes the dynamics).
-    ``printed_delta_form`` switches to dividing by cot(beta) instead of
-    multiplying, for comparison runs only; it makes the detuning large.
     """
     aux = TwoLevelAux.linear_sweep(t_f, beta)
     if not (np.isfinite(delta_single) and delta_single != 0):
@@ -246,16 +240,9 @@ def design_protocol1(
         return np.full(np.shape(t) + (1,), omega_bar)
 
     cot_beta = np.cos(beta) / np.sin(beta)
-    if printed_delta_form:
-        if cot_beta == 0:
-            raise ValueError("printed delta form divides by cot(beta) = 0")
-        factor = 1.0 / cot_beta
-    else:
-        factor = cot_beta
-
     # cos(pi/2) is ~6e-17 in floats; a cot(beta) at roundoff level means the
     # auxiliary detuning is identically zero physically.
-    if mode.mode == "dropped" or (not printed_delta_form and abs(cot_beta) < 1e-12):
+    if mode.mode == "dropped" or abs(cot_beta) < 1e-12:
         delta_two = _zero_channel
     else:
         limit = mode.limit
@@ -263,12 +250,12 @@ def design_protocol1(
         def delta_two(t):
             theta = np.pi * np.asarray(t, dtype=float) / t_f
             with np.errstate(divide="ignore", invalid="ignore"):
-                raw = -(np.pi / t_f) * (np.cos(theta) / np.sin(theta)) * factor
+                raw = -(np.pi / t_f) * (np.cos(theta) / np.sin(theta)) * cot_beta
             raw = np.nan_to_num(raw, nan=0.0, posinf=np.inf, neginf=-np.inf)
             return np.clip(raw, -limit, limit)
 
     return _leg("lambda3", "p1", couplings, t_f, delta_single, delta_two,
-                beta=float(beta), mode=mode, printed_delta_form=printed_delta_form, aux=aux)
+                beta=float(beta), mode=mode, aux=aux)
 
 
 def _p1_coupling(t_f, delta_single, beta):

@@ -198,11 +198,17 @@ def _probe_times(duration: float | None, channels) -> np.ndarray:
     """The times at which a reduction checks its drive, across [0, duration].
 
     A drive with a channel that is a function of time needs its duration;
-    a constant drive is the same at every time, so it needs none.
+    a constant drive is the same at every time, so it needs none.  A given
+    duration must be finite and non-negative: a NaN one would make every
+    probe NaN, and every check against a bound would pass.
     """
-    if duration is None and any(callable(c) for c in channels):
-        raise ValueError("a drive that varies in time needs a duration to check it over")
-    return np.linspace(0.0, duration or 0.0, _N_PROBE)
+    if duration is None:
+        if any(callable(c) for c in channels):
+            raise ValueError("a drive that varies in time needs a duration to check it over")
+        duration = 0.0
+    elif not 0 <= duration < np.inf:
+        raise ValueError(f"duration must be finite and non-negative, got {duration!r}")
+    return np.linspace(0.0, duration, _N_PROBE)
 
 
 def build_lambda(p: LambdaParams) -> HamiltonianRule:

@@ -314,9 +314,9 @@ class ScenarioResult:
     a one-way run, and of the first level, where the run started, at the
     end of a round trip.  ``peak_excited`` maps each intermediate level to
     its largest population over the output samples; ``one_way_efficiency``
-    (round trips only) is the last level's population at the end of the
-    forward leg, and ``roundtrip_efficiency`` reads ``final_efficiency``
-    there and ``None`` on a one-way run.
+    (round trips only, ``None`` otherwise) is the last level's population at
+    the end of the forward leg.  ``summary()`` writes a round trip's
+    ``final_efficiency`` under ``roundtrip_efficiency`` too.
     """
 
     schedule: PulseSchedule
@@ -326,10 +326,6 @@ class ScenarioResult:
     final_efficiency: float
     peak_excited: dict[int, float]
     one_way_efficiency: float | None = None
-
-    @property
-    def roundtrip_efficiency(self) -> float | None:
-        return None if self.one_way_efficiency is None else self.final_efficiency
 
     def to_csv(self, path) -> None:
         n = self.populations.shape[1]
@@ -349,7 +345,7 @@ class ScenarioResult:
         }
         if self.one_way_efficiency is not None:
             out["one_way_efficiency"] = float(self.one_way_efficiency)
-            out["roundtrip_efficiency"] = float(self.roundtrip_efficiency)
+            out["roundtrip_efficiency"] = float(self.final_efficiency)
         return out
 
 
@@ -375,8 +371,8 @@ def run_scenario(
     levels (2, and 2 and 4) the excited ones.  With ``roundtrip_hold`` set,
     the forward leg is extended into a forward/hold/return sequence;
     ``one_way_efficiency`` is then the target population at t_f, the end
-    of the forward leg, and ``final_efficiency`` (and
-    ``roundtrip_efficiency``) the population recovered in the first level.
+    of the forward leg, and ``final_efficiency`` the population recovered
+    in the first level.
     t_f is a breakpoint of the round trip, hence a Magnus step edge, so the
     one-way value is the state there from the same propagation, whatever
     ``n_samples`` is.  ``peak_excited`` is the largest population of each

@@ -19,6 +19,8 @@ from chainwise_sta.cli import (
     run_cli,
 )
 
+from conftest import CHAIN_STAR, LAMBDA_DECAYS, M_DECAYS, P1_STAR, P2_STAR
+
 coeffs = st.floats(min_value=1e-3, max_value=1e4, allow_nan=False,
                    allow_infinity=False).map(lambda x: round(x, 6))
 
@@ -292,6 +294,32 @@ class TestSimulateCommand:
             first = json.loads((outs[0] / "manifest.json").read_text())
             first.pop("out")
             assert manifest == first
+
+    @pytest.mark.parametrize("c", [0.37, 3.1])
+    @pytest.mark.parametrize("protocol, star, decays, extra", [
+        ("p1", P1_STAR, LAMBDA_DECAYS, []),
+        ("p2", P2_STAR, LAMBDA_DECAYS, []),
+        ("chainwise", CHAIN_STAR[:2], M_DECAYS, ["--epsilon", str(CHAIN_STAR[2])]),
+    ], ids=["p1", "p2", "chainwise"])
+    def test_scaled_run_within_ten_tol(self, protocol, star, decays, extra, c, tmp_path):
+        # A run at (c t_f, delta / c, gamma / c) is the same run in a scaled
+        # time unit; at a c that is not a power of two it agrees to the
+        # integration error.  Plain floats, since the repr of an np.float64
+        # is not a frequency.
+        tol = 1e-6
+
+        def final_efficiency(scale):
+            out = tmp_path / f"run{scale}"
+            t_f, delta = star
+            gamma = ",".join(repr(float(g) / scale) for g in decays)
+            assert run_cli(["simulate", "--protocol", protocol, "--tf", repr(scale * t_f),
+                            "--delta", repr(float(delta) / scale), "--gamma", gamma,
+                            "--tol", repr(tol), "--n-samples", "2", *extra,
+                            "--out", str(out)]) == 0
+            return json.loads((out / "summary.json").read_text())["final_efficiency"]
+
+        dev = abs(final_efficiency(c) - final_efficiency(1.0))
+        assert dev <= 10 * tol, dev
 
     def test_missing_preset(self, tmp_path, capsys):
         code = run_cli(["simulate", "--preset", "na2_x", "--out", str(tmp_path)])

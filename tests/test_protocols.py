@@ -24,6 +24,26 @@ from chainwise_sta.schemes import _chain_rule, stack_channels
 from conftest import CHAIN_STAR, P1_STAR, P2_STAR
 
 
+def printed_delta_leg(t_f, delta_single):
+    """A clamped p1 leg whose delta_two is the paper's printed form.
+
+    The printed form divides by cot(beta) where the design multiplies:
+    -(pi/t_f) cot(theta) / cot(beta), clamped at the mode's limit.
+    """
+    leg = design_protocol1(t_f, delta_single, mode=DeltaTwoMode.exact_clamped())
+    cot_beta = np.cos(leg.design["beta"]) / np.sin(leg.design["beta"])
+    limit = leg.design["mode"].limit
+
+    def delta_two(t):
+        theta = np.pi * np.asarray(t, dtype=float) / t_f
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = -(np.pi / t_f) * (np.cos(theta) / np.sin(theta)) * (1.0 / cot_beta)
+        raw = np.nan_to_num(raw, nan=0.0, posinf=np.inf, neginf=-np.inf)
+        return np.clip(raw, -limit, limit)
+
+    return dataclasses.replace(leg, delta_two=delta_two)
+
+
 class TestProtocol1:
     def test_reference_amplitude(self):
         sched = design_protocol1(*P1_STAR, beta=np.pi / 1.99)
@@ -87,28 +107,25 @@ class TestProtocol1:
             design_protocol1(4.0, -1800 * np.pi, beta=np.pi / 1.99)
 
     def test_printed_delta_form_is_large(self):
-        sched = design_protocol1(*P1_STAR, mode=DeltaTwoMode.exact_clamped(),
-                                 printed_delta_form=True)
+        sched = printed_delta_leg(*P1_STAR)
         # Dividing by cot(beta) instead of multiplying inflates the detuning
         # by 1/cot^2, rivaling the coupling itself.
         assert abs(float(sched.delta_two(1.0))) > 50.0
 
     def test_printed_delta_form_breaks_transfer(self, lambda_decays):
-        # The division form is exposed for comparison only: an auxiliary
-        # detuning rivaling the effective splitting destroys the transfer,
-        # while the multiplicative form barely perturbs it.
-        from chainwise_sta import DensityMatrix, StateVector, TimeGrid, propagate_density
-        from chainwise_sta.protocols import hamiltonian_rule
+        # An auxiliary detuning in the printed division form rivals the
+        # effective splitting and destroys the transfer, while the designed
+        # multiplicative form barely perturbs it.
+        from chainwise_sta import DensityMatrix, propagate_density
 
-        def efficiency(**kw):
-            sched = design_protocol1(*P1_STAR, mode=DeltaTwoMode.exact_clamped(), **kw)
+        def efficiency(sched):
             traj = propagate_density(hamiltonian_rule(sched), lambda_decays,
                                      DensityMatrix.pure(StateVector.basis(3, 0)),
                                      TimeGrid(0.0, P1_STAR[0], 2), tol=1e-6)
             return traj.populations[-1, 2]
 
-        assert efficiency() > 0.9
-        assert efficiency(printed_delta_form=True) < 0.5
+        assert efficiency(design_protocol1(*P1_STAR, mode=DeltaTwoMode.exact_clamped())) > 0.9
+        assert efficiency(printed_delta_leg(*P1_STAR)) < 0.5
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -169,7 +186,7 @@ class TestChainwise:
             float(chain_schedule.channels["omega3"](mid)), rel=1e-9)
 
     def test_channels_vanish_at_edges(self, chain_schedule):
-        for name in chain_schedule.channel_names:
+        for name in chain_schedule.channels:
             assert float(chain_schedule.channels[name](0.0)) == 0.0
             assert float(chain_schedule.channels[name](8.0)) == 0.0
 
@@ -250,8 +267,8 @@ class TestChainwise:
 
         new = dataclasses.replace(sched, couplings=doubled)
         t = np.linspace(0.0, sched.duration, 301)
-        assert new.channel_names == sched.channel_names
-        for k, chan in enumerate(new.channel_names):
+        assert list(new.channels) == list(sched.channels)
+        for k, chan in enumerate(new.channels):
             assert np.array_equal(new.channels[chan](t), doubled(t)[..., k])
 
     def test_stacked_channel_check_names_channel(self, chain_schedule):
@@ -283,7 +300,7 @@ def sampled_peak(schedule):
     The channel is a column of the stacked couplings, sampled directly: the
     independent check of the design-record path of ``peak_amplitude``.
     """
-    channel = schedule.channels[schedule.channel_names[0]]
+    channel = next(iter(schedule.channels.values()))
     best = 0.0
     start = 0.0
     for seg in schedule.segments:

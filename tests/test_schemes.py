@@ -200,6 +200,16 @@ class TestReduceLambda:
         with pytest.raises(ValueError, match="duration"):
             reduce_lambda(LambdaParams(1.0, 1.0, delta_single=1e3, delta_two=np.sin))
 
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -3.0])
+    def test_window_must_be_real(self, duration):
+        # A NaN window makes every probe NaN, and NaN > bound is False, so
+        # the mismatch check would pass; a negative one probes negative times.
+        p = LambdaParams(np.sin, lambda t: 2.0 * np.sin(t), delta_single=1e3, duration=duration)
+        with pytest.raises(ValueError, match="duration must be finite and non-negative"):
+            reduce_lambda(p)
+        with pytest.raises(ValueError, match="duration must be finite and non-negative"):
+            reduce_lambda(LambdaParams(1.0, 1.0, delta_single=1e3, duration=duration))
+
     def test_roundtrip_amplitude_identity(self):
         # Re-embedding the effective coupling recovers |omega| exactly.
         rng = np.random.default_rng(5)
@@ -239,6 +249,14 @@ class TestReduceM:
             reduce_m(p)
         with pytest.raises(StarkBalanceError, match="defect"):
             reduce_m(dataclasses.replace(p, duration=3.0))
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -3.0])
+    def test_window_must_be_real(self, duration):
+        p = MParams(stack_channels((lambda t: 3.0 * np.sin(t), np.sin, np.sin,
+                                    lambda t: 3.0 * np.sin(t))), delta_single=100.0,
+                    duration=duration)
+        with pytest.raises(ValueError, match="duration must be finite and non-negative"):
+            reduce_m(p)
 
     def test_zero_detuning_rejected(self):
         with pytest.raises(ValueError, match="delta"):
